@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import Basis
-from .errors import DimensionError, DomainError, ProtocolError
-
-ATTACK_TOL = 1e-12
+from .bases import Basis, ProtocolSpec
+from .errors import DimensionError, DomainError
 
 # Round-off guard for radicands that are exact zeros at domain endpoints.
 RADICAND_SLACK = 1e-14
@@ -37,8 +35,7 @@ def error_set_partition(d: int) -> dict[tuple[int, int], int]:
     The d(d-1) error states split into d-1 blocks of d states; block m collects
     the states where the receiver's symbol is shifted by m from the sender's.
     """
-    if int(d) != d or d < 2:
-        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
+    d = ProtocolSpec(d).dim
     return {(i, (i + m) % d): m for m in range(1, d) for i in range(d)}
 
 
@@ -48,17 +45,13 @@ def s_from_dw(d: int, bases_count: int, disturbance: float, w: float) -> float:
     Two-basis protocol (any d):   s = (1 - w D)/(1 - D) - [d/(d-1)] D/(1 - D).
     Three-basis qutrit protocol:  s = (w D + 2 - 3 D) / (2 (1 - D)).
     """
-    if disturbance >= 1.0:
+    if not disturbance < 1.0:
         raise DomainError("disturbance must be < 1 (the relation is singular at D = 1)")
-    if bases_count == 2:
+    if ProtocolSpec(d, bases_count).bases_count == 2:  # validates (d, bases_count)
         return (1.0 - w * disturbance) / (1.0 - disturbance) - (
             d / (d - 1.0)
         ) * disturbance / (1.0 - disturbance)
-    if bases_count == 3:
-        if d != 3:
-            raise ProtocolError("the three-basis relation applies to d = 3 only")
-        return (w * disturbance + 2.0 - 3.0 * disturbance) / (2.0 * (1.0 - disturbance))
-    raise ProtocolError(f"bases_count must be 2 or 3, got {bases_count}")
+    return (w * disturbance + 2.0 - 3.0 * disturbance) / (2.0 * (1.0 - disturbance))
 
 
 def solve_coeff_pair(overlap: float, d: int) -> tuple[float, float]:
@@ -69,7 +62,7 @@ def solve_coeff_pair(overlap: float, d: int) -> tuple[float, float]:
     guess probability).
     """
     lo = -1.0 / (d - 1)
-    if overlap < lo - RADICAND_SLACK or overlap > 1.0 + RADICAND_SLACK:
+    if not lo - RADICAND_SLACK <= overlap <= 1.0 + RADICAND_SLACK:
         raise DomainError(f"overlap {overlap} outside [{lo}, 1] for d={d}")
     a = math.sqrt(max(1.0 + (d - 1) * overlap, 0.0))
     b = math.sqrt(max(1.0 - overlap, 0.0))
@@ -86,21 +79,13 @@ class AttackParams:
     w: float
 
     def __post_init__(self):
-        d = self.dim
-        if int(d) != d or d < 2:
-            raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
-        if self.bases_count not in (2, 3):
-            raise ProtocolError(f"bases_count must be 2 or 3, got {self.bases_count}")
-        if self.bases_count == 3 and d != 3:
-            raise ProtocolError("three bases are supported for d = 3 only")
-        d_max = (d - 1) / d
-        if not 0.0 <= self.disturbance <= d_max + RADICAND_SLACK:
-            raise DomainError(f"disturbance must lie in [0, {d_max}], got {self.disturbance}")
-        w_lo = -1.0 / (d - 1)
+        spec = ProtocolSpec(self.dim, self.bases_count)
+        spec.check_disturbance(self.disturbance)
+        w_lo = -1.0 / (spec.dim - 1)
         if not w_lo - RADICAND_SLACK <= self.w <= 1.0 + RADICAND_SLACK:
             raise DomainError(f"w must lie in [{w_lo}, 1], got {self.w}")
         s = self.s
-        if s < w_lo - RADICAND_SLACK or s > 1.0 + RADICAND_SLACK:
+        if not w_lo - RADICAND_SLACK <= s <= 1.0 + RADICAND_SLACK:
             raise DomainError(
                 f"(D={self.disturbance}, w={self.w}) gives s={s} outside [{w_lo}, 1]; "
                 "no valid attack with these overlaps"

@@ -1,4 +1,4 @@
-"""Protocol bases in dimension d and the unbiasedness checks between them.
+"""Protocol key and bases in dimension d, and the unbiasedness checks between them.
 
 Vectors are rows of a (d, d) complex array, so ``basis.vectors[i]`` is the
 i-th state of the basis.
@@ -7,12 +7,45 @@ i-th state of the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, ProtocolError
+from .errors import DimensionError, DomainError, ProtocolError
 
 ORTHONORMALITY_TOL = 1e-12
+
+# Round-off allowed above the largest disturbance (d-1)/d, about 50 ulps there.
+DISTURBANCE_SLACK = 1e-14
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Protocol key (d, number of MUBs); the one check of d, the basis count and the D range."""
+
+    dim: int
+    bases_count: int = 2
+
+    def __post_init__(self):
+        if not isinstance(self.dim, Integral) or self.dim < 2:
+            raise DimensionError(f"dimension must be an integer >= 2, got {self.dim!r}")
+        if not isinstance(self.bases_count, Integral):
+            raise DomainError(f"bases_count must be an integer, got {self.bases_count!r}")
+        if self.bases_count not in (2, 3):
+            raise ProtocolError(f"bases_count must be 2 or 3, got {self.bases_count}")
+        if self.bases_count == 3 and self.dim != 3:
+            raise ProtocolError("the three-basis protocol is supported for d = 3 only")
+        object.__setattr__(self, "dim", int(self.dim))  # numpy integers do not serialise to JSON
+        object.__setattr__(self, "bases_count", int(self.bases_count))
+
+    @property
+    def max_disturbance(self) -> float:
+        return (self.dim - 1) / self.dim
+
+    def check_disturbance(self, disturbance: float) -> None:
+        """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK (NaN fails)."""
+        if not 0.0 <= disturbance <= self.max_disturbance + DISTURBANCE_SLACK:
+            raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {disturbance}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -46,21 +79,15 @@ def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def _check_dim(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
-
-
 def computational_basis(d: int) -> Basis:
     """Standard basis e_0 .. e_{d-1}."""
-    d = _check_dim(d)
+    d = ProtocolSpec(d).dim
     return Basis(dim=d, vectors=np.eye(d, dtype=complex), label="computational")
 
 
 def fourier_basis(d: int) -> Basis:
     """Discrete-Fourier-transform basis: vector l has entries e^{2*pi*i*k*l/d}/sqrt(d)."""
-    d = _check_dim(d)
+    d = ProtocolSpec(d).dim
     k = np.arange(d)
     vecs = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
     return Basis(dim=d, vectors=vecs, label="fourier")
@@ -95,11 +122,7 @@ def protocol_bases(dim: int, bases_count: int) -> list[Basis]:
 
     Two bases: computational + Fourier, any d. Three bases: the qutrit set.
     """
-    d = _check_dim(dim)
-    if bases_count == 2:
-        return [computational_basis(d), fourier_basis(d)]
-    if bases_count == 3:
-        if d != 3:
-            raise ProtocolError("the three-basis protocol is implemented for d = 3 only")
+    spec = ProtocolSpec(dim, bases_count)
+    if spec.bases_count == 3:
         return qutrit_three_basis_set()
-    raise ProtocolError(f"bases_count must be 2 or 3, got {bases_count}")
+    return [computational_basis(spec.dim), fourier_basis(spec.dim)]

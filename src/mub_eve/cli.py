@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackParams, build_eve_states, build_isometry, disturbance_per_state, scalar_product_profile
-from .bases import protocol_bases
+from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_from_states, scalar_product_profile
+from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
-from .information import InfoPoint, ProtocolSpec, dits_to_bits, guess_probability, i_ab, i_ae
-from .optimize import admissible_w_interval, critical_disturbance, d_c_closed_form, maximize_w
+from .information import InfoPoint, dits_to_bits, i_ab, i_ae
+from .optimize import admissible_w_interval, critical_disturbance, d_c_closed_form, maximize_w, stationarity
 from .simulate import SimConfig, compare_to_analytic, resolve_w, simulate
 
 SCHEMA = "mub-eve/1"
@@ -115,14 +115,16 @@ def _metadata(args, spec: ProtocolSpec) -> dict:
     return meta
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args, spec: ProtocolSpec) -> int:
     if args.steps < 2:
         return _usage_error(f"steps must be >= 2, got {args.steps}")
     try:
-        spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
-    except (DimensionError, ProtocolError) as exc:
-        return _usage_error(str(exc))
-    if not (0.0 <= args.d_min < args.d_max <= spec.max_disturbance + 1e-15):
+        spec.check_disturbance(args.d_min)
+        spec.check_disturbance(args.d_max)
+        ordered = args.d_min < args.d_max
+    except DomainError:
+        ordered = False
+    if not ordered:
         return _usage_error(
             f"need 0 <= d_min < d_max <= {spec.max_disturbance}; "
             f"got d_min={args.d_min}, d_max={args.d_max}"
@@ -132,15 +134,7 @@ def cmd_curves(args) -> int:
     for disturbance in np.linspace(args.d_min, args.d_max, args.steps):
         disturbance = float(disturbance)
         report = maximize_w(spec, disturbance)
-        rows.append(
-            InfoPoint(
-                D=disturbance,
-                w=report.w_opt,
-                i_ab=i_ab(spec.dim, disturbance),
-                i_ae=report.i_ae_opt,
-                p_eve_correct=guess_probability(spec, disturbance, report.w_opt),
-            )
-        )
+        rows.append(InfoPoint(disturbance, report.w_opt, i_ab(spec.dim, disturbance), report.i_ae_opt))
     table = CurveTable(spec=spec, rows=rows, metadata=_metadata(args, spec))
 
     try:
@@ -185,15 +179,11 @@ def _write_curves_json(path: Path, table: CurveTable) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
-def cmd_critical(args) -> int:
-    try:
-        spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
-    except (DimensionError, ProtocolError) as exc:
-        return _usage_error(str(exc))
-    if args.tol <= 0:
-        return _usage_error(f"tol must be positive, got {args.tol}")
+def cmd_critical(args, spec: ProtocolSpec) -> int:
     try:
         point = critical_disturbance(spec, tol=args.tol)
+    except DomainError as exc:
+        return _usage_error(str(exc))
     except AnalysisError as exc:
         print(json.dumps({"schema": SCHEMA, "kind": "critical", "error": str(exc)}))
         return 1
@@ -211,12 +201,7 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    try:
-        spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
-    except (DimensionError, ProtocolError) as exc:
-        return _usage_error(str(exc))
-
+def cmd_verify(args, spec: ProtocolSpec) -> int:
     doc = {
         "schema": SCHEMA,
         "kind": "verify",
@@ -243,14 +228,14 @@ def cmd_verify(args) -> int:
     try:
         w = resolve_w(spec, args.disturbance, args.w)
         params = AttackParams(spec.dim, spec.bases_count, args.disturbance, w)
-    except (DomainError, ProtocolError) as exc:
+    except DomainError as exc:
         doc["error"] = str(exc)
         print(json.dumps(doc, indent=2))
         return 1
     doc["w"] = w
 
     eve = build_eve_states(params)
-    isometry = build_isometry(params)
+    isometry = isometry_from_states(eve, args.disturbance)
     profile = scalar_product_profile(eve)
 
     gate_ok = add_check("isometry_unitarity", isometry.unitarity_residual(), GATE_TOL)
@@ -268,39 +253,18 @@ def cmd_verify(args) -> int:
     )
 
     lo, hi = admissible_w_interval(spec, args.disturbance)
-    step = min(1e-5, 0.5 * (hi - w), 0.5 * (w - lo))
-    if step > 0:
-        stationarity = abs(
-            i_ae(spec, args.disturbance, w + step) - i_ae(spec, args.disturbance, w - step)
-        ) / (2 * step)
-    else:
-        stationarity = 0.0
-    add_check("w_is_stationary_optimum", stationarity, STATIONARITY_TOL, informational=True)
+    _, residual = stationarity(lambda x: i_ae(spec, args.disturbance, x), w, lo, hi)
+    add_check("w_is_stationary_optimum", residual, STATIONARITY_TOL, informational=True)
 
     doc["passed"] = bool(gate_ok)
     print(json.dumps(doc, indent=2))
     return 0 if gate_ok else 1
 
 
-def cmd_simulate(args) -> int:
-    if args.rounds < 1:
-        return _usage_error(f"rounds must be >= 1, got {args.rounds}")
-    if args.shards < 1:
-        return _usage_error(f"shards must be >= 1, got {args.shards}")
-    if args.seed < 0:
-        return _usage_error(f"seed must be non-negative, got {args.seed}")
+def cmd_simulate(args, spec: ProtocolSpec) -> int:
     try:
-        spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
-        config = SimConfig(
-            spec=spec,
-            disturbance=args.disturbance,
-            w=args.w,
-            rounds=args.rounds,
-            seed=args.seed,
-            shards=args.shards,
-        )
-        stats = simulate(config)
-    except (DimensionError, DomainError, ProtocolError) as exc:
+        stats = simulate(SimConfig(spec, args.disturbance, args.w, args.rounds, args.seed, args.shards))
+    except DomainError as exc:
         return _usage_error(str(exc))
 
     verdict = compare_to_analytic(stats, spec, args.disturbance, stats.w)
@@ -320,15 +284,18 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
+    except (DimensionError, DomainError, ProtocolError) as exc:
+        return _usage_error(str(exc))
     handlers = {
         "curves": cmd_curves,
         "critical": cmd_critical,
         "verify": cmd_verify,
         "simulate": cmd_simulate,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, spec)
 
 
 if __name__ == "__main__":

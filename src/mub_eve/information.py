@@ -2,7 +2,8 @@
 
 Two routes exist to the eavesdropper's guess probabilities: the closed forms
 below and the constructive path through ``s_from_dw`` + ``solve_coeff_pair``.
-They must agree to 1e-12; the test suite enforces this.
+They agree to 1e-12 away from the zeros of the radicands; the test suite
+enforces this. Range tests here are written ``not lo <= x <= hi`` so NaN fails them.
 """
 
 from __future__ import annotations
@@ -11,27 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .attack import RADICAND_SLACK, s_from_dw, solve_coeff_pair
-from .errors import DimensionError, DomainError, ProtocolError
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Key of a protocol: dimension and number of mutually unbiased bases."""
-
-    dim: int
-    bases_count: int = 2
-
-    def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise DimensionError(f"dimension must be an integer >= 2, got {self.dim!r}")
-        if self.bases_count not in (2, 3):
-            raise ProtocolError(f"bases_count must be 2 or 3, got {self.bases_count}")
-        if self.bases_count == 3 and self.dim != 3:
-            raise ProtocolError("the three-basis protocol is supported for d = 3 only")
-
-    @property
-    def max_disturbance(self) -> float:
-        return (self.dim - 1) / self.dim
+from .bases import ProtocolSpec
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -42,18 +24,17 @@ class InfoPoint:
     w: float
     i_ab: float
     i_ae: float
-    p_eve_correct: float
 
 
 def _clamp_probability(x: float, what: str) -> float:
-    if x < -RADICAND_SLACK or x > 1.0 + RADICAND_SLACK:
+    if not -RADICAND_SLACK <= x <= 1.0 + RADICAND_SLACK:
         raise DomainError(f"{what} = {x} is outside [0, 1]")
     return min(max(x, 0.0), 1.0)
 
 
 def _sqrt_radicand(value: float, what: str) -> float:
-    if value < -RADICAND_SLACK:
-        raise DomainError(f"radicand {what} = {value} is negative")
+    if not value >= -RADICAND_SLACK:
+        raise DomainError(f"radicand {what} = {value} is not >= 0")
     return math.sqrt(max(value, 0.0))
 
 
@@ -74,8 +55,8 @@ def i_d(x: float, d: int) -> float:
 
 def phi_d(disturbance: float, w: float, d: int) -> float:
     """Eavesdropper's correct-guess probability when the qudit arrived intact."""
-    if disturbance >= 1.0:
-        raise DomainError("disturbance must be < 1")
+    if not disturbance < 1.0:
+        raise DomainError(f"disturbance must be < 1, got {disturbance}")
     rad = (
         (d - 1)
         * disturbance
@@ -91,7 +72,7 @@ def phi_d(disturbance: float, w: float, d: int) -> float:
 
 def lambda_d(w: float, d: int) -> float:
     """Eavesdropper's correct-guess probability when the receiver got an error."""
-    if w < -1.0 / (d - 1) - RADICAND_SLACK or w > 1.0 + RADICAND_SLACK:
+    if not -1.0 / (d - 1) - RADICAND_SLACK <= w <= 1.0 + RADICAND_SLACK:
         raise DomainError(f"w = {w} outside [{-1.0 / (d - 1)}, 1]")
     root = _sqrt_radicand((1.0 - w) * (1.0 + (d - 1) * w), "(1 - w)(1 + (d-1) w)")
     value = ((1.0 + (d - 1) * w) + (d - 1) ** 2 * (1.0 - w) + 2.0 * (d - 1) * root) / (d * d)
@@ -100,8 +81,8 @@ def lambda_d(w: float, d: int) -> float:
 
 def mu_nu_threebasis(disturbance: float, w: float) -> tuple[float, float]:
     """Guess-probability pair (mu, nu) of the three-basis qutrit protocol."""
-    if disturbance >= 1.0:
-        raise DomainError("disturbance must be < 1")
+    if not disturbance < 1.0:
+        raise DomainError(f"disturbance must be < 1, got {disturbance}")
     rad = 2.0 * disturbance * (3.0 + disturbance * (w - 4.0)) * (1.0 - w)
     root = _sqrt_radicand(rad, "2 D [3 + D (w - 4)] (1 - w)")
     mu = ((3.0 - disturbance * (w + 2.0)) + 2.0 * root) / (9.0 * (1.0 - disturbance))

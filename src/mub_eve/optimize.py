@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AnalysisError, DomainError
-from .information import ProtocolSpec, guess_probability, i_ab, i_ae, lambda_d, phi_d
+from .bases import ProtocolSpec
+from .information import guess_probability, i_ab, i_ae, lambda_d, phi_d
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,16 +44,14 @@ class CriticalPoint:
 
 def w_bar(d: int, disturbance: float) -> float:
     """Optimal overlap for the two-basis protocol: w = (d/(d-1)) ((d-1)/d - D)."""
-    d_max = (d - 1) / d
-    if not 0.0 <= disturbance <= d_max:
-        raise DomainError(f"disturbance must lie in [0, {d_max}], got {disturbance}")
-    return (d / (d - 1.0)) * (d_max - disturbance)
+    spec = ProtocolSpec(d)
+    spec.check_disturbance(disturbance)
+    return (d / (d - 1.0)) * (spec.max_disturbance - disturbance)
 
 
 def d_c_closed_form(d: int) -> float:
     """Closed-form critical disturbance of the two-basis protocol: (1 - 1/sqrt(d))/2."""
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
+    d = ProtocolSpec(d).dim
     return 0.5 * (1.0 - 1.0 / math.sqrt(d))
 
 
@@ -103,6 +102,19 @@ def _central_difference(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
+def _fd_step(w: float, lo: float, hi: float, cap: float = 1e-5) -> float:
+    """Finite-difference step at w: at most cap, and w +- step stays in [lo, hi] (<= 0 at an edge)."""
+    return min(cap, 0.5 * (hi - w), 0.5 * (w - lo))
+
+
+def stationarity(f, w: float, lo: float, hi: float) -> tuple[float, float]:
+    """(step, |f'(w)|) by a central difference inside [lo, hi]; (0, 0) where w sits at an edge."""
+    step = _fd_step(w, lo, hi)
+    if not step > 0.0:
+        return 0.0, 0.0
+    return step, abs(_central_difference(f, w, step))
+
+
 def _second_difference(f, x: float, step: float) -> float:
     return f(x + step) - 2.0 * f(x) + f(x - step)
 
@@ -128,52 +140,47 @@ def maximize_w(spec: ProtocolSpec, disturbance: float, tol: float = 1e-10) -> Op
     optimizer tests. The three-basis optimum has no closed form and is found
     by golden-section search on the admissible interval.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     lo, hi = admissible_w_interval(spec, disturbance)
+    w_opt = _auto_w(spec, disturbance, lo, hi, tol)
     f = lambda w: i_ae(spec, disturbance, w)
-    if spec.bases_count == 2:
-        w_opt = w_bar(spec.dim, disturbance)
-        w_opt = min(max(w_opt, lo), hi)
-        method = "analytic"
-    else:
-        w_opt = golden_section_maximize(f, lo, hi, tol)
-        method = "golden-section"
-    step = min(1e-5, 0.5 * (hi - w_opt), 0.5 * (w_opt - lo))
-    if step > 0.0:
-        residual = abs(_central_difference(f, w_opt, step))
-        concavity = _second_difference(f, w_opt, step)
-    else:  # optimum pinned at an interval edge
-        residual = 0.0
-        concavity = 0.0
+    step, residual = stationarity(f, w_opt, lo, hi)
     return OptimumReport(
         D=disturbance,
         w_opt=w_opt,
         i_ae_opt=f(w_opt),
-        method=method,
+        method="analytic" if spec.bases_count == 2 else "golden-section",
         stationarity_residual=residual,
-        concavity_witness=concavity,
+        # 0 where the optimum is pinned at an interval edge
+        concavity_witness=_second_difference(f, w_opt, step) if step else 0.0,
     )
 
 
-def i_ae_optimal(spec: ProtocolSpec, disturbance: float) -> float:
-    """Optimal eavesdropper information at the given disturbance (dits)."""
-    lo, hi = admissible_w_interval(spec, disturbance)
+def _auto_w(spec: ProtocolSpec, disturbance: float, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """The w "auto" means: w_bar (the guess-probability maximiser) clamped to [lo, hi]
+    for two bases, the golden-section maximiser of i_ae for three."""
     if spec.bases_count == 2:
-        w_opt = min(max(w_bar(spec.dim, disturbance), lo), hi)
-        return i_ae(spec, disturbance, w_opt)
-    f = lambda w: i_ae(spec, disturbance, w)
-    return f(golden_section_maximize(f, lo, hi, 1e-10))
+        return min(max(w_bar(spec.dim, disturbance), lo), hi)
+    spec.check_disturbance(disturbance)
+    return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi, tol)
+
+
+def i_ae_optimal(spec: ProtocolSpec, disturbance: float) -> float:
+    """Optimal eavesdropper information at the given disturbance (dits); maximize_w's w."""
+    lo, hi = admissible_w_interval(spec, disturbance)
+    return i_ae(spec, disturbance, _auto_w(spec, disturbance, lo, hi))
 
 
 def critical_disturbance(spec: ProtocolSpec, tol: float = 1e-6) -> CriticalPoint:
     """Bisection for the disturbance where I_AE(optimal) first reaches I_AB.
 
     The bracket is [1e-4, (d-1)/d - 1e-4]; the gap must be negative at the low
-    end and positive at the high end. The interval is refined well past tol so
-    the residual gap at the returned point is negligible.
+    end and positive at the high end. Bisection stops at a bracket width of
+    min(tol, 1e-12), so tol only matters below 1e-12 and the residual gap at
+    the returned point is negligible.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     gap = lambda disturbance: i_ae_optimal(spec, disturbance) - i_ab(spec.dim, disturbance)
     lo = 1e-4
@@ -219,18 +226,22 @@ class OptimalityWitnesses:
 
 
 def optimality_witnesses(disturbance: float, step: float = 1e-5) -> OptimalityWitnesses:
-    """Finite-difference checks of the d=3 two-basis optimum structure."""
+    """Finite-difference checks of the d=3 two-basis optimum structure.
+
+    The step shrinks below ``step`` where w_bar = 1 - 1.5 D nears the w = 1 radical zero.
+    """
     if not 0.0 < disturbance < 2.0 / 3.0:
         raise DomainError(f"disturbance must lie in (0, 2/3), got {disturbance}")
     spec = ProtocolSpec(dim=3, bases_count=2)
     wb = w_bar(3, disturbance)
     equality = abs(phi_d(disturbance, wb, 3) - lambda_d(wb, 3))
 
+    lo, hi = admissible_w_interval(spec, disturbance)
+    step = _fd_step(wb, lo - EDGE_SHRINK, hi + EDGE_SHRINK, step)
     dphi = _central_difference(lambda w: phi_d(disturbance, w, 3), wb, step)
     dlam = _central_difference(lambda w: lambda_d(w, 3), wb, step)
     ratio_residual = abs(dphi / dlam - disturbance / (disturbance - 1.0))
 
-    lo, hi = admissible_w_interval(spec, disturbance)
     return OptimalityWitnesses(
         D=disturbance,
         phi_equals_lambda=equality,

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .attack import AttackParams, build_isometry
-from .bases import protocol_bases
+from .bases import ProtocolSpec, protocol_bases
 from .errors import DomainError, ProtocolError
-from .information import ProtocolSpec, guess_probability, i_ab, i_ae
-from .optimize import admissible_w_interval, maximize_w, w_bar
+from .information import guess_probability, i_ab, i_ae
+from .optimize import _auto_w, admissible_w_interval
 
 # Amplitude-squared cells below this are exact zeros up to roundoff from the
 # basis rotation; dropping them keeps structurally-impossible outcomes at
@@ -38,14 +40,12 @@ MI_ABS_TOL = 5e-3
 
 
 def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
-    """Resolve the overlap parameter; "auto" picks the information-maximising value."""
+    """Resolve the overlap parameter; "auto" gives maximize_w's w: for two bases w_bar,
+    which maximises the guess probability (not I_AE); for three, the maximiser of I_AE."""
     if isinstance(w, str):
         if w != "auto":
             raise DomainError(f"w must be a real number or 'auto', got {w!r}")
-        if spec.bases_count == 2:
-            lo, hi = admissible_w_interval(spec, disturbance)
-            return min(max(w_bar(spec.dim, disturbance), lo), hi)
-        return maximize_w(spec, disturbance).w_opt
+        return _auto_w(spec, disturbance, *admissible_w_interval(spec, disturbance))
     return float(w)
 
 
@@ -78,12 +78,11 @@ class SimConfig:
     shards: int = 1
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}")
-        if self.shards < 1:
-            raise DomainError(f"shards must be >= 1, got {self.shards}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+        for name, least in (("rounds", 1), ("shards", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers do not serialise to JSON
 
 
 @dataclass(frozen=True)
@@ -119,25 +118,30 @@ class SessionStats:
             out[b_idx] = 1.0 - np.trace(hist) / total if total else 0.0
         return out
 
+    @cached_property
+    def _pooled_histogram(self) -> np.ndarray:
+        """(symbol, receiver outcome) counts pooled over bases."""
+        return _read_only(sum(self.symbol_receiver_histogram(b) for b in range(self.counts.shape[0])))
+
+    @cached_property
     def _comp_guess_histograms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(all, receiver-correct, receiver-error) (symbol, guess) histograms."""
         d = self.dim
         comp = self.counts[0]  # (symbol, receiver, ancilla)
         by_guess = comp.reshape(d, d, d, d).sum(axis=2)  # ancilla -> (block, guess), sum blocks
-        correct = np.zeros((d, d), dtype=np.int64)
-        for symbol in range(d):
-            correct[symbol] = by_guess[symbol, symbol]
-        return by_guess.sum(axis=1), correct, by_guess.sum(axis=1) - correct
+        correct = by_guess[np.arange(d), np.arange(d)]  # receiver got the symbol
+        total = by_guess.sum(axis=1)
+        return _read_only(total), _read_only(correct), _read_only(total - correct)
 
     @property
     def eve_joint_histogram(self) -> np.ndarray:
         """(symbol, guess) counts on computational-basis rounds."""
-        return self._comp_guess_histograms()[0]
+        return self._comp_guess_histograms[0]
 
     @property
     def eve_joint_given_bob(self) -> tuple[np.ndarray, np.ndarray]:
         """(symbol, guess) histograms on receiver-correct and receiver-error rounds."""
-        _, correct, error = self._comp_guess_histograms()
+        _, correct, error = self._comp_guess_histograms
         return correct, error
 
     # -- derived estimates ----------------------------------------------------
@@ -145,11 +149,7 @@ class SessionStats:
     @property
     def d_hat(self) -> float:
         """Pooled receiver error rate over all bases."""
-        total = self.counts.sum()
-        correct = sum(
-            np.trace(self.symbol_receiver_histogram(b)) for b in range(self.counts.shape[0])
-        )
-        return 1.0 - correct / total
+        return 1.0 - np.trace(self._pooled_histogram) / self.counts.sum()
 
     @property
     def d_hat_se(self) -> float:
@@ -169,13 +169,11 @@ class SessionStats:
     @property
     def i_ab_hat(self) -> float:
         """Plug-in sender-receiver information, pooled over bases (dits)."""
-        pooled = sum(self.symbol_receiver_histogram(b) for b in range(self.counts.shape[0]))
-        return empirical_mutual_information(pooled, self.dim)
+        return empirical_mutual_information(self._pooled_histogram, self.dim)
 
     @property
     def i_ab_hat_se(self) -> float:
-        pooled = sum(self.symbol_receiver_histogram(b) for b in range(self.counts.shape[0]))
-        return _mi_standard_error([pooled], self.dim)
+        return _mi_standard_error([self._pooled_histogram], self.dim)
 
     @property
     def i_ae_hat(self) -> float:
@@ -223,18 +221,29 @@ class SessionStats:
         }
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Freeze a cached histogram: every caller of a SessionStats property shares it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def empirical_mutual_information(hist: np.ndarray, base: int) -> float:
     """Plug-in Shannon mutual information of a joint count table, in log base d."""
     hist = np.asarray(hist, dtype=float)
-    total = hist.sum()
-    if total <= 0:
+    if hist.sum() <= 0:
         raise DomainError("empty histogram")
-    joint = hist / total
+    p, log_ratio = _cell_terms(hist)
+    return float(np.sum(p * log_ratio) / math.log(base))
+
+
+def _cell_terms(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero cell probabilities of a count table and their log-ratios to its marginals' product."""
+    joint = hist / hist.sum()
     row = joint.sum(axis=1, keepdims=True)
     col = joint.sum(axis=0, keepdims=True)
     mask = joint > 0
-    ratio = joint[mask] / (row @ col)[mask]
-    return float(np.sum(joint[mask] * np.log(ratio)) / math.log(base))
+    p = joint[mask]
+    return p, np.log(p / (row @ col)[mask])
 
 
 def _mi_standard_error(hists: list[np.ndarray], base: int) -> float:
@@ -249,12 +258,9 @@ def _mi_standard_error(hists: list[np.ndarray], base: int) -> float:
         n = hist.sum()
         if n == 0:
             continue
-        joint = hist / n
-        row = joint.sum(axis=1, keepdims=True)
-        col = joint.sum(axis=0, keepdims=True)
-        mask = joint > 0
-        scores = np.log(joint[mask] / (row @ col)[mask]) / math.log(base)
-        weights = (n / total) * joint[mask]
+        p, log_ratio = _cell_terms(hist)
+        scores = log_ratio / math.log(base)
+        weights = (n / total) * p
         mean += float(np.sum(weights * scores))
         second += float(np.sum(weights * scores**2))
     variance = max(second - mean**2, 0.0)

@@ -150,52 +150,66 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     return EveStateSet(dim=d, states=states, block_of=blocks, coeffs=(u, v, r, q))
 
 
+def _first_max_abs(values: np.ndarray, best: complex = 0j) -> complex:
+    """The first member of largest modulus among ``best`` and ``values``, ``best`` first."""
+    if values.size:
+        top = values.flat[np.argmax(np.abs(values))]
+        if abs(top) > abs(best):
+            return complex(top)
+    return best
+
+
 def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
-    """Measure the six scalar-product groups from the constructed states."""
+    """Measure the six scalar-product groups from the constructed states.
+
+    Every one of the d^2 (d^2 - 1)/2 state pairs is measured from the concrete
+    states; no group is assumed to vanish because of the block layout. For
+    each block m of the layout, the d states E_{i, i+m} are taken against all
+    d^2 states in one BLAS product, d^6 complex multiply-adds over the d
+    blocks, and each group is selected from the product by the indices
+    (i, m', k) of the pair <E_{i, i+m}|E_{k, k+m'}>. Extra memory is O(d^3):
+    one product and its index masks at a time, with running maxima for z and t.
+    """
     d = eve.dim
-    st = eve.states
-    blocks = eve.block_of
+    idx = np.arange(d)
+    states = eve.states.reshape(d * d, d * d)
+    receiver = (idx[:, None] + idx) % d  # receiver[m, k] = k + m mod d
+    i, k = idx[:, None, None], idx[None, None, :]
+    later_sender = idx[:, None] < idx  # [i, k]: k > i
 
-    def max_abs(values: list[complex]) -> complex:
-        if not values:
-            return 0.0 + 0.0j
-        return max(values, key=abs)
+    def block_gram(m: int) -> np.ndarray:
+        """g[i, n, k] = <E_{i, i+m}|E_{k, k+m+n}> for every later block m + n."""
+        rows = eve.states[idx, receiver[m]]
+        g = (rows.conj() @ states.T).reshape(d, d, d)
+        return g[:, idx, receiver[m:]]
 
-    x_vals, y_vals, z_vals, t_vals = [], [], [], []
-    w_vals, s_vals = [], []
-    pairs = list(blocks)
-    for i in range(d):
-        for j in range(d):
-            if j == i:
-                continue
-            ov = np.vdot(st[i, i], st[i, j])
-            x_vals += [ov, np.vdot(st[j, j], st[i, j])]
-            for k in range(d):
-                if k not in (i, j):
-                    y_vals.append(np.vdot(st[k, k], st[i, j]))
-            if j > i:
-                s_vals.append(np.vdot(st[i, i], st[j, j]))
-    for a_idx, pa in enumerate(pairs):
-        for pb in pairs[a_idx + 1 :]:
-            ov = np.vdot(st[pa], st[pb])
-            if blocks[pa] == blocks[pb]:
-                w_vals.append(ov)
-            elif pa[0] == pb[0]:
-                z_vals.append(ov)
-            else:
-                t_vals.append(ov)
+    g = block_gram(0)
+    s_vals = g[:, 0][later_sender]
+    on_pair = (i == k) | (i == receiver[1:])  # E_ii against an error state E_ij or E_ji
+    x = _first_max_abs(g[:, 1:][on_pair])
+    y = _first_max_abs(g[:, 1:][~on_pair])
 
-    s_mean = float(np.mean([val.real for val in s_vals]))
-    w_mean = float(np.mean([val.real for val in w_vals]))
+    w_vals, z, t = [], 0j, 0j
+    for m in range(1, d):
+        g = block_gram(m)
+        w_vals.append(g[:, 0][later_sender])
+        later = g[:, 1:]
+        same_sender = np.broadcast_to(i == k, later.shape)
+        z = _first_max_abs(later[same_sender], z)
+        t = _first_max_abs(later[~same_sender], t)
+    w_vals = np.concatenate(w_vals)
+
+    s_mean = float(np.mean(s_vals.real))
+    w_mean = float(np.mean(w_vals.real))
     return ScalarProductProfile(
-        x=max_abs(x_vals),
-        y=max_abs(y_vals),
-        z=max_abs(z_vals),
-        t=max_abs(t_vals),
+        x=x,
+        y=y,
+        z=z,
+        t=t,
         w=w_mean,
         s=s_mean,
-        w_max_dev=float(max(abs(val - w_mean) for val in w_vals)),
-        s_max_dev=float(max(abs(val - s_mean) for val in s_vals)),
+        w_max_dev=float(np.max(np.abs(w_vals - w_mean))),
+        s_max_dev=float(np.max(np.abs(s_vals - s_mean))),
     )
 
 
@@ -245,11 +259,9 @@ def disturbance_per_state(isometry: AttackIsometry, basis: Basis) -> np.ndarray:
     d = isometry.dim
     if basis.dim != d:
         raise DimensionError(f"basis dimension {basis.dim} != attack dimension {d}")
-    out = np.empty(d)
-    for idx in range(d):
-        psi = basis.vectors[idx]
-        joint = (isometry.matrix @ psi).reshape(d, d * d)
-        # <psi|rho_B|psi> = ||psi^dagger J||^2 with rho_B = J J^dagger
-        amp = psi.conj() @ joint
-        out[idx] = 1.0 - float(np.real(np.vdot(amp, amp)))
-    return out
+    # <psi|rho_B|psi> = ||psi^dagger J||^2 with rho_B = J J^dagger, J = (V psi) as (d, d^2):
+    # amp[n, e] = sum_{b, a} conj(psi_n[b]) V[b d^2 + e, a] psi_n[a]. One product contracts
+    # the receiver index b; contracting the sender index a then needs no BLAS call.
+    projected = (basis.vectors.conj() @ isometry.matrix.reshape(d, -1)).reshape(d, d * d, d)
+    amp = np.einsum("nea,na->ne", projected, basis.vectors)
+    return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification/analysis failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -283,8 +284,14 @@ def cmd_simulate(args, spec: ProtocolSpec) -> int:
     return 0 if verdict.passed else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built at its first call and reused after."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
     except (DimensionError, DomainError, ProtocolError) as exc:

@@ -9,6 +9,8 @@ from mub_eve import (
     DomainError,
     EveStateSet,
     ProtocolError,
+    ProtocolSpec,
+    ScalarProductProfile,
     build_eve_states,
     build_isometry,
     computational_basis,
@@ -17,11 +19,15 @@ from mub_eve import (
     fourier_basis,
     isometry_from_states,
     protocol_bases,
+    resolve_w,
     s_from_dw,
     scalar_product_profile,
     solve_coeff_pair,
     w_bar,
 )
+
+EPS = np.finfo(float).eps
+GROUPS = ("x", "y", "z", "t")
 
 
 def test_partition_qutrit_blocks():
@@ -238,3 +244,110 @@ def test_ancilla_dimension_is_d_squared():
         params = AttackParams(d, 2, 0.1, w_bar(d, 0.1))
         assert build_eve_states(params).states.shape[2] == d * d
         assert build_isometry(params).matrix.shape == (d**3, d)
+
+
+def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
+    """The scalar-product profile measured one pair at a time with np.vdot.
+
+    The oracle for the block-Gram kernel of `scalar_product_profile`: it walks
+    the pairs in the order the groups are defined and takes the first member
+    of largest modulus of each vanishing group.
+    """
+    d = eve.dim
+    st = eve.states
+    blocks = eve.block_of
+
+    def max_abs(values: list[complex]) -> complex:
+        if not values:
+            return 0.0 + 0.0j
+        return max(values, key=abs)
+
+    x_vals, y_vals, z_vals, t_vals = [], [], [], []
+    w_vals, s_vals = [], []
+    pairs = list(blocks)
+    for i in range(d):
+        for j in range(d):
+            if j == i:
+                continue
+            x_vals += [np.vdot(st[i, i], st[i, j]), np.vdot(st[j, j], st[i, j])]
+            for k in range(d):
+                if k not in (i, j):
+                    y_vals.append(np.vdot(st[k, k], st[i, j]))
+            if j > i:
+                s_vals.append(np.vdot(st[i, i], st[j, j]))
+    for a_idx, pa in enumerate(pairs):
+        for pb in pairs[a_idx + 1 :]:
+            ov = np.vdot(st[pa], st[pb])
+            if blocks[pa] == blocks[pb]:
+                w_vals.append(ov)
+            elif pa[0] == pb[0]:
+                z_vals.append(ov)
+            else:
+                t_vals.append(ov)
+
+    s_mean = float(np.mean([val.real for val in s_vals]))
+    w_mean = float(np.mean([val.real for val in w_vals]))
+    return ScalarProductProfile(
+        x=max_abs(x_vals),
+        y=max_abs(y_vals),
+        z=max_abs(z_vals),
+        t=max_abs(t_vals),
+        w=w_mean,
+        s=s_mean,
+        w_max_dev=float(max(abs(val - w_mean) for val in w_vals)),
+        s_max_dev=float(max(abs(val - s_mean) for val in s_vals)),
+    )
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (3, 3)])
+def test_profile_matches_pair_by_pair_oracle(d, bases_count):
+    spec = ProtocolSpec(d, bases_count)
+    for disturbance in (0.0, 0.1, 0.3):
+        w = resolve_w(spec, disturbance, "auto")
+        eve = build_eve_states(AttackParams(d, bases_count, disturbance, w))
+        kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
+        for group in GROUPS:
+            assert getattr(kernel, group) == getattr(oracle, group)
+        for name in ("s", "w", "s_max_dev", "w_max_dev"):
+            assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 4 * EPS
+
+
+def orthonormal_layout(d: int) -> EveStateSet:
+    """The block layout at s = w = 0: E_ij is the unit vector on coordinate d ((j - i) mod d) + i."""
+    states = np.zeros((d, d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            states[i, j, d * ((j - i) % d) + i] = 1.0
+    return EveStateSet(dim=d, states=states, block_of=error_set_partition(d), coeffs=(1.0, 0.0, 1.0, 0.0))
+
+
+# group -> (perturbed state E_ab, state E_pq on whose coordinate it gains 0.5j)
+PERTURBATIONS = {
+    "x": ((0, 1), (0, 0)),
+    "y": ((0, 1), (2, 2)),
+    "s": ((0, 0), (1, 1)),
+    "w": ((0, 1), (1, 2)),
+    "z": ((0, 1), (0, 2)),
+    "t": ((0, 1), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("group", PERTURBATIONS)
+def test_profile_reports_a_perturbed_pair_in_its_group(group):
+    # negative control: one entry makes one pair of one group nonzero
+    d = 4
+    eve = orthonormal_layout(d)
+    (a, b), (p, q) = PERTURBATIONS[group]
+    states = np.array(eve.states)
+    states[a, b, d * ((q - p) % d) + p] += 0.5j
+    perturbed = EveStateSet(dim=d, states=states, block_of=eve.block_of, coeffs=eve.coeffs)
+    profile = scalar_product_profile(perturbed)
+    oracle = profile_by_pairs(perturbed)
+    for name in GROUPS:
+        assert getattr(profile, name) == getattr(oracle, name)
+        assert abs(getattr(profile, name)) == (0.5 if name == group else 0.0)
+    for name in ("s", "w"):
+        assert getattr(profile, name) == getattr(oracle, name) == 0.0
+        deviation = getattr(profile, f"{name}_max_dev")
+        assert deviation == getattr(oracle, f"{name}_max_dev")
+        assert (deviation > 0.4) == (name == group)

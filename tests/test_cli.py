@@ -167,6 +167,14 @@ def test_verify_pass(capsys):
     assert doc["w"] == pytest.approx(0.85, abs=1e-12)
 
 
+def test_verify_large_dimension_passes_every_gate(capsys):
+    code, out, _ = run(capsys, "verify", "--dim", "32", "--disturbance", "0.1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"]
+    assert all(c["passed"] for c in doc["checks"] if not c["informational"])
+
+
 def test_verify_suboptimal_w_flagged_informational_only(capsys):
     code, out, _ = run(
         capsys, "verify", "--dim", "3", "--bases", "2", "--disturbance", "0.1", "--w", "0.99"

@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 
 from mub_eve import (
     AttackParams,
+    EveStateSet,
     ProtocolSpec,
     SimConfig,
     admissible_w_interval,
     build_isometry,
     disturbance_per_state,
+    error_set_partition,
     guess_probability_constructive,
     lambda_d,
     mu_nu_threebasis,
     phi_d,
     protocol_bases,
     resolve_w,
+    scalar_product_profile,
     simulate,
 )
+from test_attack import profile_by_pairs
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -93,3 +97,16 @@ def test_simulate_repeats_for_fixed_seed_and_shards(attack, rounds, seed, shards
     first, second = simulate(config), simulate(config)
     assert first.counts.sum() == rounds
     assert np.array_equal(first.counts, second.counts)
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
+    # Gaussian states make every group nonzero, so the kernel's index masks are
+    # checked against the group definitions, not against the layout's zeros.
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((d, d, d * d)) + 1j * rng.standard_normal((d, d, d * d))
+    eve = EveStateSet(dim=d, states=states, block_of=error_set_partition(d), coeffs=(0.0,) * 4)
+    kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
+    for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
+        assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12

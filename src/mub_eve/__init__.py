@@ -16,12 +16,11 @@ from .attack import (
     ScalarProductProfile,
     build_eve_states,
     build_isometry,
+    coeff_pair,
     disturbance_per_state,
     error_set_partition,
     isometry_from_states,
-    s_from_dw,
     scalar_product_profile,
-    solve_coeff_pair,
 )
 from .bases import (
     Basis,
@@ -92,6 +91,7 @@ __all__ = [
     "admissible_w_interval",
     "build_eve_states",
     "build_isometry",
+    "coeff_pair",
     "compare_to_analytic",
     "computational_basis",
     "critical_disturbance",
@@ -120,9 +120,7 @@ __all__ = [
     "protocol_bases",
     "qutrit_three_basis_set",
     "resolve_w",
-    "s_from_dw",
     "scalar_product_profile",
     "simulate",
-    "solve_coeff_pair",
     "w_bar",
 ]

@@ -1,18 +1,33 @@
 """Construction of the symmetric eavesdropping attack and its constraint checks.
 
-The eavesdropper couples a d-dimensional ancilla pair (dimension d^2) to the
-qudit in transit. Her d^2 output states are laid out in d mutually orthogonal
-coordinate blocks of size d:
+In the Weyl-operator form of Cerf, Bourennane, Karlsson and Gisin (PRL 88,
+127902, 2002) the attack applies X^m Z^n to the qudit, correlated with the
+ancilla, with weight p_mn. The symmetric attack with equal disturbance D on
+every basis of the protocol leaves one overlap w free. The weight z^2 on each
+non-identity point of the Z line (m = 0) is shared with the X line for two
+bases (any d), and with the XZ and XZ^2 lines, whose eigenbases are the other
+two qutrit bases, for three:
 
-* block 0 holds the "no error" states E_ii, with pairwise overlap s;
+    two bases:    z^2 = D (1 + (d-1) w) / (d (d-1)),
+    three bases:  z^2 = D (1 - w) / (d (d-1)),   d = 3.
+
+That is the only difference between the protocols. The eavesdropper's d^2
+output states are laid out in d mutually orthogonal coordinate blocks of size
+d, block m = (receiver - sender) mod d. Each block's Gram matrix is circulant,
+so its eigenvalues are d p_mn over the block's total weight:
+
+* block 0 holds the "no error" states E_ii, with pairwise overlap s and
+  eigenvalues 1 - s = d z^2 / (1 - D) (d - 1 times) and 1 + (d-1) s;
 * block m (1 <= m <= d-1) holds the d error states E_{i, i+m mod d}, with
-  pairwise overlap w. Within a block, state E_ij takes the major coefficient
-  on coordinate i (the sender symbol), which makes the eavesdropper's
-  outcome -> guess map the identity on the coordinate index.
+  pairwise overlap w and eigenvalues 1 - w and 1 + (d-1) w. Within a block,
+  state E_ij takes the major coefficient on coordinate i (the sender symbol),
+  which makes the eavesdropper's outcome -> guess map the identity on the
+  coordinate index.
 
-Placing the blocks on disjoint coordinate ranges realises all the required
-vanishing scalar products exactly instead of solving Gram constraints
-numerically.
+Each block's coefficients are read from its two eigenvalues, so no gap is
+formed by cancellation as s nears 1. Placing the blocks on disjoint coordinate
+ranges realises all the required vanishing scalar products exactly instead of
+solving Gram constraints numerically.
 """
 
 from __future__ import annotations
@@ -39,33 +54,18 @@ def error_set_partition(d: int) -> dict[tuple[int, int], int]:
     return {(i, (i + m) % d): m for m in range(1, d) for i in range(d)}
 
 
-def s_from_dw(d: int, bases_count: int, disturbance: float, w: float) -> float:
-    """Overlap s of the no-error states implied by equal disturbance on all bases.
+def coeff_pair(plus: float, minus: float, d: int) -> tuple[float, float]:
+    """Coefficients (major, minor) of d unit vectors with a circulant Gram matrix.
 
-    Two-basis protocol (any d):   s = (1 - w D)/(1 - D) - [d/(d-1)] D/(1 - D).
-    Three-basis qutrit protocol:  s = (w D + 2 - 3 D) / (2 (1 - D)).
+    plus = 1 + (d-1) overlap and minus = 1 - overlap are the Gram eigenvalues,
+    checked in overlap units: the overlap must lie in [-1/(d-1), 1] up to
+    RADICAND_SLACK. Picks the branch with major >= minor (the eavesdropper's
+    best guess probability).
     """
-    if not disturbance < 1.0:
-        raise DomainError("disturbance must be < 1 (the relation is singular at D = 1)")
-    if ProtocolSpec(d, bases_count).bases_count == 2:  # validates (d, bases_count)
-        return (1.0 - w * disturbance) / (1.0 - disturbance) - (
-            d / (d - 1.0)
-        ) * disturbance / (1.0 - disturbance)
-    return (w * disturbance + 2.0 - 3.0 * disturbance) / (2.0 * (1.0 - disturbance))
-
-
-def solve_coeff_pair(overlap: float, d: int) -> tuple[float, float]:
-    """Coefficients (major, minor) of a unit vector set with common pairwise overlap.
-
-    Solves major^2 + (d-1) minor^2 = 1 and 2 major minor + (d-2) minor^2 =
-    overlap, picking the branch with major >= minor (the eavesdropper's best
-    guess probability).
-    """
-    lo = -1.0 / (d - 1)
-    if not lo - RADICAND_SLACK <= overlap <= 1.0 + RADICAND_SLACK:
-        raise DomainError(f"overlap {overlap} outside [{lo}, 1] for d={d}")
-    a = math.sqrt(max(1.0 + (d - 1) * overlap, 0.0))
-    b = math.sqrt(max(1.0 - overlap, 0.0))
+    if not (plus >= -(d - 1) * RADICAND_SLACK and minus >= -RADICAND_SLACK):
+        raise DomainError(f"Gram eigenvalues ({plus}, {minus}) of {d} unit vectors must be >= 0")
+    a = math.sqrt(max(plus, 0.0))
+    b = math.sqrt(max(minus, 0.0))
     return (a + (d - 1) * b) / d, (a - b) / d
 
 
@@ -79,29 +79,32 @@ class AttackParams:
     w: float
 
     def __post_init__(self):
-        spec = ProtocolSpec(self.dim, self.bases_count)
-        spec.check_disturbance(self.disturbance)
-        w_lo = -1.0 / (spec.dim - 1)
-        if not w_lo - RADICAND_SLACK <= self.w <= 1.0 + RADICAND_SLACK:
-            raise DomainError(f"w must lie in [{w_lo}, 1], got {self.w}")
-        s = self.s
-        if not w_lo - RADICAND_SLACK <= s <= 1.0 + RADICAND_SLACK:
-            raise DomainError(
-                f"(D={self.disturbance}, w={self.w}) gives s={s} outside [{w_lo}, 1]; "
-                "no valid attack with these overlaps"
-            )
+        ProtocolSpec(self.dim, self.bases_count).check_disturbance(self.disturbance)
+        try:
+            self.coeff_pairs()
+        except DomainError as exc:
+            raise DomainError(f"no valid attack with D={self.disturbance}, w={self.w}: {exc}") from None
 
     @property
     def fidelity(self) -> float:
         return 1.0 - self.disturbance
 
+    def no_error_eigenvalues(self) -> tuple[float, float]:
+        """Gram eigenvalues (1 + (d-1) s, 1 - s) of the no-error block, from the Z-line weight z^2."""
+        d, disturbance = self.dim, self.disturbance
+        shared = 1.0 + (d - 1) * self.w if self.bases_count == 2 else 1.0 - self.w
+        z2 = disturbance * shared / (d * (d - 1))
+        minus = d * z2 / (1.0 - disturbance)
+        return d - (d - 1) * minus, minus
+
     @property
     def s(self) -> float:
-        return s_from_dw(self.dim, self.bases_count, self.disturbance, self.w)
+        return 1.0 - self.no_error_eigenvalues()[1]
 
     def coeff_pairs(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """((u, v) for the no-error block, (r, q) for the error blocks)."""
-        return solve_coeff_pair(self.s, self.dim), solve_coeff_pair(self.w, self.dim)
+        d, w = self.dim, self.w
+        return coeff_pair(*self.no_error_eigenvalues(), d), coeff_pair(1.0 + (d - 1) * w, 1.0 - w, d)
 
 
 @dataclass(frozen=True)
@@ -232,16 +235,12 @@ class AttackIsometry:
 def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry:
     """Assemble the attack isometry from an explicit ancilla state set."""
     d = eve.dim
-    keep = math.sqrt(1.0 - disturbance)
-    err = math.sqrt(disturbance / (d - 1))
-    v = np.zeros((d * d * d, d), dtype=complex)
-    for i in range(d):
-        col = np.zeros((d, d * d), dtype=complex)
-        col[i] = keep * eve.states[i, i]
-        for j in range(d):
-            if j != i:
-                col[j] = err * eve.states[i, j]
-        v[:, i] = col.reshape(-1)
+    scale = np.full((d, d), math.sqrt(disturbance / (d - 1)))
+    np.fill_diagonal(scale, math.sqrt(1.0 - disturbance))
+    # V[b d^2 + e, a] = scale[a, b] E_ab[e], written straight into (receiver, ancilla, sender) order.
+    v = np.empty((d, d * d, d), dtype=complex)
+    np.multiply(scale.T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
+    v = v.reshape(d * d * d, d)
     v.setflags(write=False)
     return AttackIsometry(dim=d, matrix=v)
 

@@ -1,9 +1,10 @@
 """Closed-form information quantities of the attack, in dits (log base d).
 
 Two routes exist to the eavesdropper's guess probabilities: the closed forms
-below and the constructive path through ``s_from_dw`` + ``solve_coeff_pair``.
-They agree to 1e-12 away from the zeros of the radicands; the test suite
-enforces this. Range tests here are written ``not lo <= x <= hi`` so NaN fails them.
+below and the constructive path through ``AttackParams.coeff_pairs``, which
+reads each block's coefficients from its Gram eigenvalues. They agree to 1e-12
+away from the zeros of the radicands; the test suite enforces this. Range tests
+here are written ``not lo <= x <= hi`` so NaN fails them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .attack import RADICAND_SLACK, s_from_dw, solve_coeff_pair
+from .attack import RADICAND_SLACK, AttackParams
 from .bases import ProtocolSpec
 from .errors import DomainError
 
@@ -118,12 +119,10 @@ def i_ab(d: int, disturbance: float) -> float:
 def guess_probability_constructive(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
     """(major^2 for the no-error block, major^2 for the error blocks) via the Gram route.
 
-    Independent of the closed forms: goes through the s relation and the
-    coefficient solver. phi_d/lambda_d (or mu/nu) must match these squares.
+    Independent of the closed forms: goes through the attack's Gram eigenvalues
+    and coefficients. phi_d/lambda_d (or mu/nu) must match these squares.
     """
-    s = s_from_dw(spec.dim, spec.bases_count, disturbance, w)
-    major_s, _ = solve_coeff_pair(s, spec.dim)
-    major_w, _ = solve_coeff_pair(w, spec.dim)
+    (major_s, _), (major_w, _) = AttackParams(spec.dim, spec.bases_count, disturbance, w).coeff_pairs()
     return major_s**2, major_w**2
 
 

@@ -13,6 +13,7 @@ from mub_eve import (
     ScalarProductProfile,
     build_eve_states,
     build_isometry,
+    coeff_pair,
     computational_basis,
     disturbance_per_state,
     error_set_partition,
@@ -20,14 +21,17 @@ from mub_eve import (
     isometry_from_states,
     protocol_bases,
     resolve_w,
-    s_from_dw,
     scalar_product_profile,
-    solve_coeff_pair,
     w_bar,
 )
 
 EPS = np.finfo(float).eps
 GROUPS = ("x", "y", "z", "t")
+
+
+def pair_for_overlap(overlap, d):
+    """Coefficients of d unit vectors with the given common pairwise overlap."""
+    return coeff_pair(1.0 + (d - 1) * overlap, 1.0 - overlap, d)
 
 
 def test_partition_qutrit_blocks():
@@ -61,34 +65,34 @@ def test_partition_rejects_bad_dimension():
 
 def test_s_zero_disturbance_is_one():
     for bases_count in (2, 3):
-        assert s_from_dw(3, bases_count, 0.0, 0.3) == pytest.approx(1.0, abs=1e-15)
+        assert AttackParams(3, bases_count, 0.0, 0.3).s == pytest.approx(1.0, abs=1e-15)
 
 
 def test_s_two_bases_matches_qutrit_and_ququart_forms():
     for D in (0.05, 0.2, 0.4):
         for w in (-0.3, 0.1, 0.8):
             qutrit = (1 - D * w) / (1 - D) - 3 * D / (2 * (1 - D))
-            assert s_from_dw(3, 2, D, w) == pytest.approx(qutrit, abs=1e-14)
+            assert AttackParams(3, 2, D, w).s == pytest.approx(qutrit, abs=1e-14)
             ququart = (1 - w * D) / (1 - D) + (4.0 / 3.0) * D / (D - 1)
-            assert s_from_dw(4, 2, D, w) == pytest.approx(ququart, abs=1e-14)
+            assert AttackParams(4, 2, D, w).s == pytest.approx(ququart, abs=1e-14)
 
 
 def test_s_three_bases_matches_form():
     for D in (0.1, 0.3, 0.5):
         for w in (-0.4, 0.0, 0.7):
             expected = 0.5 * (w * D + 2 - 3 * D) / (1 - D)
-            assert s_from_dw(3, 3, D, w) == pytest.approx(expected, abs=1e-14)
+            assert AttackParams(3, 3, D, w).s == pytest.approx(expected, abs=1e-14)
 
 
 def test_s_errors():
     with pytest.raises(DomainError):
-        s_from_dw(3, 2, 1.0, 0.5)
+        AttackParams(3, 2, 1.0, 0.5)
     with pytest.raises(ProtocolError):
-        s_from_dw(4, 3, 0.1, 0.5)
+        AttackParams(4, 3, 0.1, 0.5)
 
 
 def test_coeff_pair_uniform_limit():
-    u, v = solve_coeff_pair(1.0, 3)
+    u, v = pair_for_overlap(1.0, 3)
     assert u == pytest.approx(1 / math.sqrt(3), abs=1e-15)
     assert v == pytest.approx(1 / math.sqrt(3), abs=1e-15)
 
@@ -96,7 +100,7 @@ def test_coeff_pair_uniform_limit():
 @pytest.mark.parametrize("d", range(2, 9))
 def test_coeff_pair_identities(d):
     for ov in np.linspace(-1 / (d - 1) + 1e-9, 1.0, 25):
-        major, minor = solve_coeff_pair(float(ov), d)
+        major, minor = pair_for_overlap(float(ov), d)
         assert major**2 + (d - 1) * minor**2 == pytest.approx(1.0, abs=1e-12)
         assert 2 * major * minor + (d - 2) * minor**2 == pytest.approx(float(ov), abs=1e-12)
         assert major >= minor
@@ -105,17 +109,17 @@ def test_coeff_pair_identities(d):
 def test_coeff_pair_matches_error_block_probabilities():
     for w in np.linspace(-0.49, 1.0, 20):
         lam3 = (5 - 2 * w + 4 * math.sqrt(1 + w - 2 * w**2)) / 9
-        assert solve_coeff_pair(float(w), 3)[0] ** 2 == pytest.approx(lam3, abs=1e-12)
+        assert pair_for_overlap(float(w), 3)[0] ** 2 == pytest.approx(lam3, abs=1e-12)
     for w in np.linspace(-0.33, 1.0, 20):
         lam4 = (5 - 3 * w + 3 * math.sqrt(1 + 2 * w - 3 * w**2)) / 8
-        assert solve_coeff_pair(float(w), 4)[0] ** 2 == pytest.approx(lam4, abs=1e-12)
+        assert pair_for_overlap(float(w), 4)[0] ** 2 == pytest.approx(lam4, abs=1e-12)
 
 
 def test_coeff_pair_domain():
     with pytest.raises(DomainError):
-        solve_coeff_pair(1.2, 3)
+        pair_for_overlap(1.2, 3)
     with pytest.raises(DomainError):
-        solve_coeff_pair(-0.6, 3)
+        pair_for_overlap(-0.6, 3)
 
 
 def test_attack_params_validation():
@@ -177,6 +181,28 @@ def test_identity_attack_isometry_columns():
         assert np.max(np.abs(iso.matrix[:, i] - expected)) <= 1e-12
 
 
+def isometry_by_columns(eve: EveStateSet, disturbance: float) -> np.ndarray:
+    """Reference assembly: column i stacks sqrt(1-D) E_ii and sqrt(D/(d-1)) E_ij, receiver-major."""
+    d = eve.dim
+    keep, err = math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1))
+    v = np.zeros((d * d * d, d), dtype=complex)
+    for i in range(d):
+        col = np.zeros((d, d * d), dtype=complex)
+        for j in range(d):
+            col[j] = (keep if j == i else err) * eve.states[i, j]
+        v[:, i] = col.reshape(-1)
+    return v
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (8, 2), (16, 2), (32, 2), (3, 3)])
+def test_isometry_matches_column_by_column_assembly(d, bases_count):
+    for D in (0.0, 0.15):
+        eve = build_eve_states(AttackParams(d, bases_count, D, 0.3))
+        matrix = isometry_from_states(eve, D).matrix
+        assert matrix.flags.c_contiguous
+        assert np.array_equal(matrix, isometry_by_columns(eve, D))
+
+
 def test_unitarity_relation_terms_vanish():
     # sqrt(D(1-D)/2)(<E_ij|E_jj> + <E_ii|E_ji>) + (D/2)<E_ik|E_jk> = 0,
     # each term individually zero in the block construction
@@ -221,7 +247,7 @@ def test_perturbed_s_breaks_fourier_symmetry():
     # negative control: keep the layout but force the wrong no-error overlap
     params = AttackParams(3, 2, 0.1, 0.85)
     good = build_eve_states(params)
-    u, v = solve_coeff_pair(params.s + 0.05, 3)
+    u, v = pair_for_overlap(params.s + 0.05, 3)
     states = np.array(good.states)
     for i in range(3):
         states[i, i, :3] = v

@@ -42,6 +42,7 @@ BAD_INPUTS = [
     pytest.param(lambda: ProtocolSpec(3, 2.0), id="spec-float-bases"),
     pytest.param(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=1.5), id="sim-fractional-rounds"),
     pytest.param(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=0.5), id="sim-fractional-seed"),
+    pytest.param(lambda: AttackParams(8, 2, 0.1, 1.0 + 2e-14), id="attack-w-above-one"),
 ]
 
 
@@ -49,6 +50,12 @@ BAD_INPUTS = [
 def test_bad_input_raises_at_boundary(call):
     with pytest.raises((DimensionError, DomainError)):
         call()
+
+
+@pytest.mark.parametrize("w", [-1.0 / 7.0 - 5e-15, 1.0 + 5e-15])
+def test_w_within_slack_of_its_range_accepted(w):
+    # The Gram eigenvalues are checked in overlap units: 1 + 7 w >= -7 * 1e-14.
+    assert AttackParams(8, 2, 0.1, w).w == w
 
 
 def test_numpy_integers_accepted():

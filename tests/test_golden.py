@@ -1,0 +1,88 @@
+"""Golden outputs: SHA-256 digests of deterministic CLI outputs.
+
+`curves --no-timestamp`, `critical` and `simulate` for a fixed (seed, shards)
+must stay byte-identical across refactors of the program. A change that moves
+one of them on purpose re-pins its digest here and says why in CHANGES.md.
+To print the current digests: ``python tests/test_golden.py``.
+"""
+
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from mub_eve.cli import main
+
+CURVES = {(3, 2): "0.6", (3, 3): "0.6", (4, 2): "0.7", (8, 2): "0.85"}
+CRITICAL = [(d, 2) for d in (2, 3, 4, 5, 8, 16)] + [(3, 3)]
+SIMULATE = {(3, 2): ("0.1", 4), (3, 3): ("0.15", 2), (8, 2): ("0.2", 3), (16, 2): ("0.1", 1)}
+
+
+def _cases() -> dict[str, list[str]]:
+    """Case name -> argv; ``{out}`` marks the output file, absent when stdout is the output."""
+    cases = {}
+    for (d, k), d_max in CURVES.items():
+        for fmt in ("csv", "json"):
+            cases[f"curves-{d}-{k}-{fmt}"] = [
+                "curves", "--dim", str(d), "--bases", str(k), "--d-max", d_max, "--steps", "41",
+                "--format", fmt, "--no-timestamp", "--out", "{out}",
+            ]
+    for d, k in CRITICAL:
+        cases[f"critical-{d}-{k}"] = ["critical", "--dim", str(d), "--bases", str(k)]
+    for (d, k), (disturbance, shards) in SIMULATE.items():
+        cases[f"simulate-{d}-{k}"] = [
+            "simulate", "--dim", str(d), "--bases", str(k), "--disturbance", disturbance,
+            "--rounds", "1000000", "--seed", "42", "--shards", str(shards), "--out", "{out}",
+        ]
+    return cases
+
+
+CASES = _cases()
+
+DIGESTS = {
+    "curves-3-2-csv": "ebac90a45e86c367690d9be6246a172ac68c823196d229b8b4943d3d5247e899",
+    "curves-3-2-json": "228f90339500678a85309db3f4f875ed03c7600b3d3f25e393afc9c97d524ae4",
+    "curves-3-3-csv": "92bc8a47c2ecf291b9f5327a9211fd366d60110d06c0921c175714335f81ffb8",
+    "curves-3-3-json": "676a83dee189ee44e8a6c64c8044e304233645d474992e2dd0b802b0e7a4fa8a",
+    "curves-4-2-csv": "6efd5c90ae558cdd740d229a7c5eff8b437e09da21322ef7e5ae1678128d1b98",
+    "curves-4-2-json": "a5ac5703aefe17ee2655ae751515c3b96f6601a490ba18b0e278cce8ceab8f7e",
+    "curves-8-2-csv": "e2d9db91273c0b5ab48ac5769f7d403a13fcab9dbfbd8d5c105c2ff685151cee",
+    "curves-8-2-json": "c016842bab81df6bc8f71a8db384b5e128afebaa8e9edf6bca30489e0f1c09c8",
+    "critical-2-2": "19072ff7d14db1404586800d9b6f1695e453d2527ce1f687146e2a7e9aa805b6",
+    "critical-3-2": "d4944115a8896aee0ae369eb13448adea92fef59ac798f77fd0a635467dbad23",
+    "critical-4-2": "c8a35c93750e9615eca8a510db4983a68f6067deeb019b72f52e232fb0b71620",
+    "critical-5-2": "2ea7cc07075db16222027acd5a673512d40a348e2570f7c99650f4496b2e7987",
+    "critical-8-2": "d90645b1a585a321197834cefe34fa2f78fe37c5c7c691de17a1fe29b08f9838",
+    "critical-16-2": "13b01b89766ff1109121bb625fe113b21d5254cfff1dbb26e4e9bce8acf0dfae",
+    "critical-3-3": "0ebefde62396ff955af66d81d7aa42d100776b7781c8ddd0cc72f11225f8dbc8",
+    "simulate-3-2": "61f0a17924f8cda09994be4842fcc2a3b998f1bd483eba5db80f1e5a1d90ea2e",
+    "simulate-3-3": "e701d9427714b597a8e3bf724723b121da98f44fd0bbb454ce0fbc52cb1a3538",
+    "simulate-8-2": "07bccb9d5e5a63ea302085bb6bcefb230cc94ead577fdfcbc47fc74ff65f9890",
+    "simulate-16-2": "9ac9e4df320e26c4ecc1b38b0a7933b36d3ff6fbbdd11c44810ec00068a43d92",
+}
+
+
+def output_digest(argv: list[str], directory: Path) -> str:
+    """SHA-256 of the command's output file, or of its stdout if it writes none."""
+    out = directory / "out"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main([str(out) if arg == "{out}" else arg for arg in argv])
+    assert code == 0
+    data = out.read_bytes() if "{out}" in argv else stdout.getvalue().encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_is_byte_identical(name, tmp_path):
+    assert output_digest(CASES[name], tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES.items():
+            sys.stdout.write(f'    "{name}": "{output_digest(argv, Path(tmp))}",\n')

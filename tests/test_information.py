@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -215,3 +216,31 @@ def test_protocol_spec_validation():
 def test_dits_to_bits():
     assert dits_to_bits(1.0, 4) == pytest.approx(2.0, abs=1e-15)
     assert dits_to_bits(0.5, 2) == pytest.approx(0.5, abs=1e-15)
+
+
+def _closed_forms_mp(d, bases_count, disturbance, w):
+    """(intact, error) guess probabilities from the closed forms in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        D, w = mpmath.mpf(disturbance), mpmath.mpf(w)
+        lam = ((1 + (d - 1) * w) + (d - 1) ** 2 * (1 - w)
+               + 2 * (d - 1) * mpmath.sqrt((1 - w) * (1 + (d - 1) * w))) / d**2
+        if bases_count == 2:
+            root = mpmath.sqrt((d - 1) * D * (1 + (d - 1) * w) * (d - D * (1 + d + (d - 1) * w)))
+            intact = (d + D * (-2 + (d - 2) * (d - 1) * w) + 2 * root) / (d**2 * (1 - D))
+        else:
+            root = mpmath.sqrt(2 * D * (3 + D * (w - 4)) * (1 - w))
+            intact = ((3 - D * (w + 2)) + 2 * root) / (9 * (1 - D))
+        return float(intact), float(lam)
+
+
+@pytest.mark.parametrize(
+    "d, bases_count, disturbance, w",
+    [(3, 2, 1e-16, 0.3), (3, 2, 1e-12, 0.3), (3, 2, 1e-8, -0.4), (3, 2, 0.0057, -0.499999999),
+     (3, 3, 1e-16, 0.3), (3, 3, 1e-10, -0.4)],
+)
+def test_constructive_route_matches_high_precision_reference(d, bases_count, disturbance, w):
+    # Near s = 1 (small D) and at the edge of the w-interval the Gram route must
+    # not lose digits to cancellation: it stays within 1e-15 of 50-digit mpmath.
+    constructive = guess_probability_constructive(ProtocolSpec(d, bases_count), disturbance, w)
+    reference = _closed_forms_mp(d, bases_count, disturbance, w)
+    assert np.max(np.abs(np.subtract(constructive, reference))) <= 1e-15

@@ -62,17 +62,16 @@ def test_disturbance_equal_on_every_basis(attack):
 def gram_rounding(spec, disturbance, w):
     """Rounding error the Gram route may carry beyond 1e-12.
 
-    It takes sqrt(1 - s), sqrt(1 + (d-1) s), sqrt(1 - w) and sqrt(1 + (d-1) w)
-    of overlaps rounded to about eps, so near a zero of one of these gaps its
-    error grows like eps / sqrt(gap). s = 1 - O(D) makes 1 - s such a gap at
-    small D. The gaps are written here without cancellation.
+    It takes sqrt(1 + (d-1) s), sqrt(1 - w) and sqrt(1 + (d-1) w) of gaps
+    rounded to about eps, so near a zero of one of these gaps its error grows
+    like eps / sqrt(gap). The gaps are written here without cancellation.
     """
     d, D = spec.dim, disturbance
     if spec.bases_count == 2:
-        s_gaps = (D * (w + 1 / (d - 1)) / (1 - D), (d - D * (1 + d + (d - 1) * w)) / (1 - D))
+        s_gap = (d - D * (1 + d + (d - 1) * w)) / (1 - D)
     else:
-        s_gaps = (D * (1 - w) / (2 * (1 - D)), (3 + D * (w - 4)) / (1 - D))
-    gaps = s_gaps + (1 - w, 1 + (d - 1) * w)
+        s_gap = (3 + D * (w - 4)) / (1 - D)
+    gaps = (s_gap, 1 - w, 1 + (d - 1) * w)
     return 16 * EPS * sum(1 / math.sqrt(max(gap, EPS**2)) for gap in gaps)
 
 

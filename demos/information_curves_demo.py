@@ -8,18 +8,17 @@ that defines the critical disturbance. Values are in dits (log base d).
 
 import numpy as np
 
-from mub_eve import ProtocolSpec, i_ab, maximize_w
+from mub_eve import ProtocolSpec, i_ab, i_ae, optimal_w
 
 for dim, bases in ((3, 2), (3, 3), (4, 2)):
     spec = ProtocolSpec(dim, bases)
     print(f"\n=== d={dim}, {bases} bases ===")
     print(f"{'D':>6} {'w_opt':>9} {'I_AB':>10} {'I_AE':>10}")
-    rows = []
-    for D in np.linspace(0.0, 0.5, 26):
-        D = float(D)
-        report = maximize_w(spec, D)
-        rows.append((D, report.w_opt, i_ab(dim, D), report.i_ae_opt))
-        print(f"{D:6.2f} {report.w_opt:9.4f} {rows[-1][2]:10.6f} {rows[-1][3]:10.6f}")
+    grid = np.linspace(0.0, 0.5, 26)
+    w_opt = optimal_w(spec, grid)
+    rows = list(zip(*(column.tolist() for column in (grid, w_opt, i_ab(dim, grid), i_ae(spec, grid, w_opt)))))
+    for D, w, ab, ae in rows:
+        print(f"{D:6.2f} {w:9.4f} {ab:10.6f} {ae:10.6f}")
     gaps = [ae - ab for _, _, ab, ae in rows]
     for k in range(len(gaps) - 1):
         if gaps[k] < 0 <= gaps[k + 1]:

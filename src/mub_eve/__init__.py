@@ -55,6 +55,7 @@ from .optimize import (
     golden_section_maximize,
     i_ae_optimal,
     maximize_w,
+    optimal_w,
     optimality_witnesses,
     w_bar,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "lambda_d",
     "maximize_w",
     "mu_nu_threebasis",
+    "optimal_w",
     "optimality_witnesses",
     "outcome_distribution",
     "overlap",

@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ProtocolError
+from .errors import DimensionError, DomainError, ProtocolError, holds
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -42,9 +42,9 @@ class ProtocolSpec:
     def max_disturbance(self) -> float:
         return (self.dim - 1) / self.dim
 
-    def check_disturbance(self, disturbance: float) -> None:
-        """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK (NaN fails)."""
-        if not 0.0 <= disturbance <= self.max_disturbance + DISTURBANCE_SLACK:
+    def check_disturbance(self, disturbance: float | np.ndarray) -> None:
+        """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK on every element (NaN fails)."""
+        if not holds((0.0 <= disturbance) & (disturbance <= self.max_disturbance + DISTURBANCE_SLACK)):
             raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {disturbance}")
 
 

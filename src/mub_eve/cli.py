@@ -20,7 +20,7 @@ from .attack import AttackParams, build_eve_states, disturbance_per_state, isome
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
 from .information import InfoPoint, dits_to_bits, i_ab, i_ae
-from .optimize import admissible_w_interval, critical_disturbance, d_c_closed_form, maximize_w, stationarity
+from .optimize import admissible_w_interval, critical_disturbance, d_c_closed_form, optimal_w, stationarity
 from .simulate import SimConfig, compare_to_analytic, resolve_w, simulate
 
 SCHEMA = "mub-eve/1"
@@ -131,11 +131,10 @@ def cmd_curves(args, spec: ProtocolSpec) -> int:
             f"got d_min={args.d_min}, d_max={args.d_max}"
         )
 
-    rows = []
-    for disturbance in np.linspace(args.d_min, args.d_max, args.steps):
-        disturbance = float(disturbance)
-        report = maximize_w(spec, disturbance)
-        rows.append(InfoPoint(disturbance, report.w_opt, i_ab(spec.dim, disturbance), report.i_ae_opt))
+    grid = np.linspace(args.d_min, args.d_max, args.steps)
+    w_opt = optimal_w(spec, grid)
+    columns = (grid, w_opt, i_ab(spec.dim, grid), i_ae(spec, grid, w_opt))
+    rows = [InfoPoint(*values) for values in zip(*(column.tolist() for column in columns))]
     table = CurveTable(spec=spec, rows=rows, metadata=_metadata(args, spec))
 
     try:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the verdict of a range test."""
 
 
 class DimensionError(ValueError):
@@ -15,3 +15,12 @@ class ProtocolError(ValueError):
 
 class AnalysisError(RuntimeError):
     """A numeric analysis step failed (e.g. no sign change when bracketing a crossing)."""
+
+
+def holds(test) -> bool:
+    """Verdict of a range test on a float (a bool) or on an array (every element passes).
+
+    Range tests are written as comparisons that NaN fails, so one NaN element
+    fails an array.
+    """
+    return test if test.__class__ is bool else bool(test.all())

@@ -3,8 +3,16 @@
 Two routes exist to the eavesdropper's guess probabilities: the closed forms
 below and the constructive path through ``AttackParams.coeff_pairs``, which
 reads each block's coefficients from its Gram eigenvalues. They agree to 1e-12
-away from the zeros of the radicands; the test suite enforces this. Range tests
-here are written ``not lo <= x <= hi`` so NaN fails them.
+away from the zeros of the radicands; the test suite enforces this.
+
+The closed forms take D and w as floats or as numpy arrays of one shape and
+return the same kind; an array call equals the element-wise float calls bit
+for bit. Only the leaf helpers branch on the kind: floats stay on ``math``,
+and arrays take their logarithms with ``math.log`` per element, because
+``np.log`` may differ from it in the last bit. The helpers test for a
+float's class before ``isinstance``, which costs several times more and
+would slow the float inner loops of ``critical``. Range tests are written
+``holds((lo <= x) & (x <= hi))``, so NaN fails them, on any element.
 """
 
 from __future__ import annotations
@@ -12,9 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .attack import RADICAND_SLACK, AttackParams
 from .bases import ProtocolSpec
-from .errors import DomainError
+from .errors import DomainError, holds
+
+# A float, or a numpy array of floats that the closed forms map element-wise.
+Real = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -27,36 +40,47 @@ class InfoPoint:
     i_ae: float
 
 
-def _clamp_probability(x: float, what: str) -> float:
-    if not -RADICAND_SLACK <= x <= 1.0 + RADICAND_SLACK:
+def _clamp_probability(x: Real, what: str) -> Real:
+    if not holds((-RADICAND_SLACK <= x) & (x <= 1.0 + RADICAND_SLACK)):
         raise DomainError(f"{what} = {x} is outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
+    # min(max(x, 0.0), 1.0), spelled out: it keeps a -0.0 as max does, where np.maximum gives 0.0
+    if x.__class__ is not float and isinstance(x, np.ndarray):
+        return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def _sqrt_radicand(value: float, what: str) -> float:
-    if not value >= -RADICAND_SLACK:
+def _sqrt_radicand(value: Real, what: str) -> Real:
+    if not holds(value >= -RADICAND_SLACK):
         raise DomainError(f"radicand {what} = {value} is not >= 0")
-    return math.sqrt(max(value, 0.0))
+    if value.__class__ is not float and isinstance(value, np.ndarray):
+        return np.sqrt(np.where(value < 0.0, 0.0, value))
+    return math.sqrt(0.0 if value < 0.0 else value)
 
 
-def i_d(x: float, d: int) -> float:
+def _x_log_x_over(x: Real, c: int) -> Real:
+    """x ln(x / c) for x >= 0, with 0 ln 0 := 0."""
+    if x.__class__ is not float and isinstance(x, np.ndarray):
+        out = np.zeros_like(x)
+        positive = x > 0.0
+        ratios = (x[positive] / c).tolist()
+        out[positive] = x[positive] * np.fromiter(map(math.log, ratios), float, len(ratios))
+        return out
+    return x * math.log(x / c) if x > 0.0 else 0.0
+
+
+def i_d(x: Real, d: int) -> Real:
     """Mutual information (dits) of the symmetric d-ary channel with diagonal x.
 
     i_d(x) = 1 + x log_d x + (1 - x) log_d[(1 - x)/(d - 1)], with 0 log 0 := 0.
     """
     x = _clamp_probability(x, "probability")
     ln_d = math.log(d)
-    acc = 1.0
-    if x > 0.0:
-        acc += x * math.log(x) / ln_d
-    if x < 1.0:
-        acc += (1.0 - x) * math.log((1.0 - x) / (d - 1)) / ln_d
-    return acc
+    return 1.0 + _x_log_x_over(x, 1) / ln_d + _x_log_x_over(1.0 - x, d - 1) / ln_d
 
 
-def phi_d(disturbance: float, w: float, d: int) -> float:
+def phi_d(disturbance: Real, w: Real, d: int) -> Real:
     """Eavesdropper's correct-guess probability when the qudit arrived intact."""
-    if not disturbance < 1.0:
+    if not holds(disturbance < 1.0):
         raise DomainError(f"disturbance must be < 1, got {disturbance}")
     rad = (
         (d - 1)
@@ -71,18 +95,18 @@ def phi_d(disturbance: float, w: float, d: int) -> float:
     return _clamp_probability(value, "phi_d")
 
 
-def lambda_d(w: float, d: int) -> float:
+def lambda_d(w: Real, d: int) -> Real:
     """Eavesdropper's correct-guess probability when the receiver got an error."""
-    if not -1.0 / (d - 1) - RADICAND_SLACK <= w <= 1.0 + RADICAND_SLACK:
+    if not holds((-1.0 / (d - 1) - RADICAND_SLACK <= w) & (w <= 1.0 + RADICAND_SLACK)):
         raise DomainError(f"w = {w} outside [{-1.0 / (d - 1)}, 1]")
     root = _sqrt_radicand((1.0 - w) * (1.0 + (d - 1) * w), "(1 - w)(1 + (d-1) w)")
     value = ((1.0 + (d - 1) * w) + (d - 1) ** 2 * (1.0 - w) + 2.0 * (d - 1) * root) / (d * d)
     return _clamp_probability(value, "lambda_d")
 
 
-def mu_nu_threebasis(disturbance: float, w: float) -> tuple[float, float]:
+def mu_nu_threebasis(disturbance: Real, w: Real) -> tuple[Real, Real]:
     """Guess-probability pair (mu, nu) of the three-basis qutrit protocol."""
-    if not disturbance < 1.0:
+    if not holds(disturbance < 1.0):
         raise DomainError(f"disturbance must be < 1, got {disturbance}")
     rad = 2.0 * disturbance * (3.0 + disturbance * (w - 4.0)) * (1.0 - w)
     root = _sqrt_radicand(rad, "2 D [3 + D (w - 4)] (1 - w)")
@@ -90,28 +114,28 @@ def mu_nu_threebasis(disturbance: float, w: float) -> tuple[float, float]:
     return _clamp_probability(mu, "mu"), lambda_d(w, 3)
 
 
-def _guess_pair(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
+def _guess_pair(spec: ProtocolSpec, disturbance: Real, w: Real) -> tuple[Real, Real]:
     if spec.bases_count == 2:
         return phi_d(disturbance, w, spec.dim), lambda_d(w, spec.dim)
     return mu_nu_threebasis(disturbance, w)
 
 
-def guess_probability(spec: ProtocolSpec, disturbance: float, w: float) -> float:
+def guess_probability(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
     """Probability that the eavesdropper names the sent symbol correctly."""
     g_intact, g_error = _guess_pair(spec, disturbance, w)
     return (1.0 - disturbance) * g_intact + disturbance * g_error
 
 
-def i_ae(spec: ProtocolSpec, disturbance: float, w: float) -> float:
+def i_ae(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
     """Sender-eavesdropper mutual information (dits) for the given attack."""
     g_intact, g_error = _guess_pair(spec, disturbance, w)
     d = spec.dim
     return (1.0 - disturbance) * i_d(g_intact, d) + disturbance * i_d(g_error, d)
 
 
-def i_ab(d: int, disturbance: float) -> float:
+def i_ab(d: int, disturbance: Real) -> Real:
     """Sender-receiver mutual information (dits) of the symmetric channel."""
-    if not 0.0 <= disturbance <= 1.0:
+    if not holds((0.0 <= disturbance) & (disturbance <= 1.0)):
         raise DomainError(f"disturbance must lie in [0, 1], got {disturbance}")
     return i_d(1.0 - disturbance, d)
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AnalysisError, DomainError
 from .bases import ProtocolSpec
-from .information import guess_probability, i_ab, i_ae, lambda_d, phi_d
+from .information import Real, guess_probability, i_ab, i_ae, lambda_d, phi_d
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -42,7 +44,7 @@ class CriticalPoint:
     gap_at_dc: float
 
 
-def w_bar(d: int, disturbance: float) -> float:
+def w_bar(d: int, disturbance: Real) -> Real:
     """Optimal overlap for the two-basis protocol: w = (d/(d-1)) ((d-1)/d - D)."""
     spec = ProtocolSpec(d)
     spec.check_disturbance(disturbance)
@@ -55,12 +57,17 @@ def d_c_closed_form(d: int) -> float:
     return 0.5 * (1.0 - 1.0 / math.sqrt(d))
 
 
-def admissible_w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float, float]:
+def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, Real]:
     """w-interval on which all guess-probability radicands are nonnegative.
 
     Endpoints are shrunk by a small margin because the derivatives are
-    singular where a radicand vanishes.
+    singular where a radicand vanishes. For an array of D, the arrays of the
+    interval's ends.
     """
+    if isinstance(disturbance, np.ndarray):
+        bounds = [admissible_w_interval(spec, D) for D in disturbance.ravel().tolist()]
+        lo, hi = np.array(bounds).T.reshape((2,) + disturbance.shape)
+        return lo, hi
     d = spec.dim
     lo = -1.0 / (d - 1)
     hi = 1.0
@@ -80,8 +87,16 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float
     return lo, hi
 
 
-def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Locate the maximum of a unimodal function on [lo, hi] to width tol."""
+def golden_section_maximize(f, lo: Real, hi: Real, tol: float = 1e-10) -> Real:
+    """Locate the maximum of a unimodal function on [lo, hi] to width tol.
+
+    Array bounds run one search per element in lockstep, on an f that maps
+    arrays element-wise. Each element does the float loop's arithmetic, takes
+    its own branch and stops at its own width, so it returns what a float
+    call on its bounds returns, bit for bit.
+    """
+    if isinstance(lo, np.ndarray):
+        return _golden_section_lockstep(f, lo, hi, tol)
     a, b = lo, hi
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
@@ -95,6 +110,27 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-10) -> floa
             b, d, fd = d, c, fc
             c = b - INV_GOLDEN * (b - a)
             fc = f(c)
+    return 0.5 * (a + b)
+
+
+def _golden_section_lockstep(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    a, b = lo, hi
+    c = b - INV_GOLDEN * (b - a)
+    d = a + INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    running = b - a > tol
+    while running.any():
+        up = running & (fc < fd)  # the float loop's first branch: a moves up to c
+        down = running & ~up
+        a, b = np.where(up, c, a), np.where(down, d, b)
+        c, d = np.where(up, d, c), np.where(down, c, d)
+        fc, fd = np.where(up, fd, fc), np.where(down, fc, fd)
+        # Elements that have stopped probe inside their final bracket; their values are dropped.
+        probe = np.where(up, a + INV_GOLDEN * (b - a), b - INV_GOLDEN * (b - a))
+        f_probe = f(probe)
+        c, fc = np.where(down, probe, c), np.where(down, f_probe, fc)
+        d, fd = np.where(up, probe, d), np.where(up, f_probe, fd)
+        running = b - a > tol
     return 0.5 * (a + b)
 
 
@@ -115,15 +151,15 @@ def stationarity(f, w: float, lo: float, hi: float) -> tuple[float, float]:
     return step, abs(_central_difference(f, w, step))
 
 
-def _second_difference(f, x: float, step: float) -> float:
+def _second_difference(f, x: Real, step: float) -> Real:
     return f(x + step) - 2.0 * f(x) + f(x - step)
 
 
 def _worst_grid_second_difference(f, lo: float, hi: float) -> float:
-    """Largest second difference of f over 100 interior grid points, half-step each."""
+    """Largest second difference of f over 100 interior grid points, half-step each; f maps arrays."""
     n = 100
     h = (hi - lo) / (n + 1)
-    return max(_second_difference(f, lo + k * h, 0.5 * h) for k in range(1, n + 1))
+    return float(np.max(_second_difference(f, lo + np.arange(1, n + 1) * h, 0.5 * h)))
 
 
 def maximize_w(spec: ProtocolSpec, disturbance: float, tol: float = 1e-10) -> OptimumReport:
@@ -157,19 +193,30 @@ def maximize_w(spec: ProtocolSpec, disturbance: float, tol: float = 1e-10) -> Op
     )
 
 
-def _auto_w(spec: ProtocolSpec, disturbance: float, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _auto_w(spec: ProtocolSpec, disturbance: Real, lo: Real, hi: Real, tol: float = 1e-10) -> Real:
     """The w "auto" means: w_bar (the guess-probability maximiser) clamped to [lo, hi]
-    for two bases, the golden-section maximiser of i_ae for three."""
+    for two bases, the golden-section maximiser of i_ae for three. Floats or arrays."""
     if spec.bases_count == 2:
-        return min(max(w_bar(spec.dim, disturbance), lo), hi)
+        w = w_bar(spec.dim, disturbance)
+        # min(max(w, lo), hi); lo < hi
+        if isinstance(w, np.ndarray):
+            return np.where(w < lo, lo, np.where(w > hi, hi, w))
+        return lo if w < lo else hi if w > hi else w
     spec.check_disturbance(disturbance)
     return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi, tol)
 
 
-def i_ae_optimal(spec: ProtocolSpec, disturbance: float) -> float:
+def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
+    """maximize_w's w at each disturbance, a float or an array, without its diagnostics.
+
+    An array of D is one lockstep search for three bases, not one per element.
+    """
+    return _auto_w(spec, disturbance, *admissible_w_interval(spec, disturbance))
+
+
+def i_ae_optimal(spec: ProtocolSpec, disturbance: Real) -> Real:
     """Optimal eavesdropper information at the given disturbance (dits); maximize_w's w."""
-    lo, hi = admissible_w_interval(spec, disturbance)
-    return i_ae(spec, disturbance, _auto_w(spec, disturbance, lo, hi))
+    return i_ae(spec, disturbance, optimal_w(spec, disturbance))
 
 
 def critical_disturbance(spec: ProtocolSpec, tol: float = 1e-6) -> CriticalPoint:
@@ -202,20 +249,21 @@ def critical_disturbance(spec: ProtocolSpec, tol: float = 1e-6) -> CriticalPoint
 
 @dataclass(frozen=True)
 class OptimalityWitnesses:
-    """Numeric evidence that w_bar maximises the d=3 two-basis guess probability.
+    """Numeric evidence that w_bar maximises the two-basis guess probability.
 
     The guess probability G = (1-D) phi + D lambda is stationary at w_bar
     (phi'/lambda' = D/(D-1)) and concave on the admissible interval, so w_bar
     is its global maximiser; there phi = lambda, where i_ae meets its lower
-    bound i_d(G).
+    bound i_d(G). G is affine in w plus square roots of quadratics in w that
+    are concave on the interval, so it is concave for every d.
 
     phi_equals_lambda: |phi(D, w_bar) - lambda(w_bar)|.
     derivative_ratio: |d_w phi / d_w lambda at w_bar - D/(D-1)| by finite differences.
     guess_concavity: max second difference of G over an interior w-grid; the
-        optimality witness (< 0 for every D in (0, 2/3)).
+        optimality witness (< 0 for every D in (0, (d-1)/d)).
     concavity: max second difference of I_AE over the same grid; a shape
-        diagnostic only, positive for D <= 0.30 because I_AE is not concave
-        near the w = 1 radical boundary.
+        diagnostic only, positive for d = 3 and D <= 0.30 because I_AE is not
+        concave near the w = 1 radical boundary.
     """
 
     D: float
@@ -225,21 +273,22 @@ class OptimalityWitnesses:
     concavity: float
 
 
-def optimality_witnesses(disturbance: float, step: float = 1e-5) -> OptimalityWitnesses:
-    """Finite-difference checks of the d=3 two-basis optimum structure.
+def optimality_witnesses(disturbance: float, step: float = 1e-5, d: int = 3) -> OptimalityWitnesses:
+    """Finite-difference checks of the two-basis optimum structure in dimension d.
 
-    The step shrinks below ``step`` where w_bar = 1 - 1.5 D nears the w = 1 radical zero.
+    The step shrinks below ``step`` where w_bar = (d/(d-1)) ((d-1)/d - D) nears the w = 1 radical zero.
     """
-    if not 0.0 < disturbance < 2.0 / 3.0:
-        raise DomainError(f"disturbance must lie in (0, 2/3), got {disturbance}")
-    spec = ProtocolSpec(dim=3, bases_count=2)
-    wb = w_bar(3, disturbance)
-    equality = abs(phi_d(disturbance, wb, 3) - lambda_d(wb, 3))
+    spec = ProtocolSpec(dim=d, bases_count=2)
+    if not 0.0 < disturbance < spec.max_disturbance:
+        raise DomainError(f"disturbance must lie in (0, {spec.max_disturbance}), got {disturbance}")
+    d = spec.dim
+    wb = w_bar(d, disturbance)
+    equality = abs(phi_d(disturbance, wb, d) - lambda_d(wb, d))
 
     lo, hi = admissible_w_interval(spec, disturbance)
     step = _fd_step(wb, lo - EDGE_SHRINK, hi + EDGE_SHRINK, step)
-    dphi = _central_difference(lambda w: phi_d(disturbance, w, 3), wb, step)
-    dlam = _central_difference(lambda w: lambda_d(w, 3), wb, step)
+    dphi = _central_difference(lambda w: phi_d(disturbance, w, d), wb, step)
+    dlam = _central_difference(lambda w: lambda_d(w, d), wb, step)
     ratio_residual = abs(dphi / dlam - disturbance / (disturbance - 1.0))
 
     return OptimalityWitnesses(

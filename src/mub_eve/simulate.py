@@ -28,7 +28,7 @@ from .attack import AttackParams, build_isometry
 from .bases import ProtocolSpec, protocol_bases
 from .errors import DomainError, ProtocolError
 from .information import guess_probability, i_ab, i_ae
-from .optimize import _auto_w, admissible_w_interval
+from .optimize import optimal_w
 
 # Amplitude-squared cells below this are exact zeros up to roundoff from the
 # basis rotation; dropping them keeps structurally-impossible outcomes at
@@ -45,7 +45,7 @@ def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
     if isinstance(w, str):
         if w != "auto":
             raise DomainError(f"w must be a real number or 'auto', got {w!r}")
-        return _auto_w(spec, disturbance, *admissible_w_interval(spec, disturbance))
+        return optimal_w(spec, disturbance)
     return float(w)
 
 

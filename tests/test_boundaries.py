@@ -15,16 +15,29 @@ from mub_eve import (
     build_isometry,
     critical_disturbance,
     guess_probability,
+    i_ab,
     i_ae,
     i_ae_optimal,
+    i_d,
+    lambda_d,
     maximize_w,
+    mu_nu_threebasis,
+    optimal_w,
     optimality_witnesses,
+    phi_d,
     simulate,
     w_bar,
 )
 from mub_eve.cli import main
 
 NAN = math.nan
+# Arrays in which only the last element is bad.
+D_OK = np.array([0.1, 0.2, 0.3])
+D_NAN = np.array([0.1, 0.2, NAN])
+W_HALF = np.array([0.5, 0.5, 0.5])
+W_NAN = np.array([0.5, 0.5, NAN])
+W_ABOVE_ONE = np.array([0.5, 0.5, 1.0 + 1e-13])
+D_ONE = np.array([0.1, 0.2, 1.0])
 
 BAD_INPUTS = [
     pytest.param(lambda: i_ae(ProtocolSpec(3), 0.1, NAN), id="i_ae-w-nan"),
@@ -43,6 +56,20 @@ BAD_INPUTS = [
     pytest.param(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=1.5), id="sim-fractional-rounds"),
     pytest.param(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=0.5), id="sim-fractional-seed"),
     pytest.param(lambda: AttackParams(8, 2, 0.1, 1.0 + 2e-14), id="attack-w-above-one"),
+    pytest.param(lambda: i_ae(ProtocolSpec(3), D_NAN, W_HALF), id="array-i_ae-D-nan"),
+    pytest.param(lambda: i_ae(ProtocolSpec(3), D_OK, W_NAN), id="array-i_ae-w-nan"),
+    pytest.param(lambda: i_ae(ProtocolSpec(3, 3), D_NAN, W_HALF), id="array-i_ae-three-bases-D-nan"),
+    pytest.param(lambda: i_ae(ProtocolSpec(3, 3), 0.1, W_NAN), id="array-i_ae-three-bases-w-nan"),
+    pytest.param(lambda: guess_probability(ProtocolSpec(5), 0.1, W_NAN), id="array-guess-w-nan"),
+    pytest.param(lambda: lambda_d(W_ABOVE_ONE, 3), id="array-lambda-w-above-one"),
+    pytest.param(lambda: i_ae(ProtocolSpec(4), 0.1, W_ABOVE_ONE), id="array-i_ae-w-above-one"),
+    pytest.param(lambda: phi_d(D_ONE, W_HALF, 3), id="array-phi-D-one"),
+    pytest.param(lambda: mu_nu_threebasis(D_ONE, W_HALF), id="array-mu-nu-D-one"),
+    pytest.param(lambda: i_ab(3, D_NAN), id="array-i_ab-D-nan"),
+    pytest.param(lambda: i_d(np.array([0.0, 1.0, 1.5]), 3), id="array-i_d-above-one"),
+    pytest.param(lambda: w_bar(3, D_NAN), id="array-w_bar-D-nan"),
+    pytest.param(lambda: optimal_w(ProtocolSpec(3, 3), D_NAN), id="array-optimal_w-three-bases-D-nan"),
+    pytest.param(lambda: optimal_w(ProtocolSpec(3), np.array([0.1, 0.2, 0.7])), id="array-optimal_w-D-too-big"),
 ]
 
 

@@ -18,6 +18,9 @@ import pytest
 from mub_eve.cli import main
 
 CURVES = {(3, 2): "0.6", (3, 3): "0.6", (4, 2): "0.7", (8, 2): "0.85"}
+# (d, k) -> (d_min, d_max) of 101-step curves up to the top of the D range,
+# where the (5, 2) row at D = 4/5 has w_bar = 0.
+EDGE_CURVES = {(3, 3): ("0.05", "0.6666666666666666"), (5, 2): ("0", "0.8")}
 CRITICAL = [(d, 2) for d in (2, 3, 4, 5, 8, 16)] + [(3, 3)]
 SIMULATE = {(3, 2): ("0.1", 4), (3, 3): ("0.15", 2), (8, 2): ("0.2", 3), (16, 2): ("0.1", 1)}
 
@@ -30,6 +33,12 @@ def _cases() -> dict[str, list[str]]:
             cases[f"curves-{d}-{k}-{fmt}"] = [
                 "curves", "--dim", str(d), "--bases", str(k), "--d-max", d_max, "--steps", "41",
                 "--format", fmt, "--no-timestamp", "--out", "{out}",
+            ]
+    for (d, k), (d_min, d_max) in EDGE_CURVES.items():
+        for fmt in ("csv", "json"):
+            cases[f"curves-{d}-{k}-edge-{fmt}"] = [
+                "curves", "--dim", str(d), "--bases", str(k), "--d-min", d_min, "--d-max", d_max,
+                "--steps", "101", "--format", fmt, "--no-timestamp", "--out", "{out}",
             ]
     for d, k in CRITICAL:
         cases[f"critical-{d}-{k}"] = ["critical", "--dim", str(d), "--bases", str(k)]
@@ -52,6 +61,10 @@ DIGESTS = {
     "curves-4-2-json": "a5ac5703aefe17ee2655ae751515c3b96f6601a490ba18b0e278cce8ceab8f7e",
     "curves-8-2-csv": "e2d9db91273c0b5ab48ac5769f7d403a13fcab9dbfbd8d5c105c2ff685151cee",
     "curves-8-2-json": "c016842bab81df6bc8f71a8db384b5e128afebaa8e9edf6bca30489e0f1c09c8",
+    "curves-3-3-edge-csv": "d67a6393ce83a98edf55134731068212e3fc89a8c61052757d340ddc3f2b936b",
+    "curves-3-3-edge-json": "d8df3c613dba1d63926dda0f5bae56600223ce4bac2b07240c9ffcdedee158dc",
+    "curves-5-2-edge-csv": "7a40dd8423a80519652124c7f9a6d220c7a0112192b35f43d8db2bf225aca004",
+    "curves-5-2-edge-json": "2478228eb300263fdf232627fb8e443895637a454dcd88882c7aff0b7e76ee23",
     "critical-2-2": "19072ff7d14db1404586800d9b6f1695e453d2527ce1f687146e2a7e9aa805b6",
     "critical-3-2": "d4944115a8896aee0ae369eb13448adea92fef59ac798f77fd0a635467dbad23",
     "critical-4-2": "c8a35c93750e9615eca8a510db4983a68f6067deeb019b72f52e232fb0b71620",

@@ -14,6 +14,7 @@ from mub_eve import (
     i_ae,
     i_ae_optimal,
     maximize_w,
+    optimal_w,
     optimality_witnesses,
     w_bar,
 )
@@ -145,6 +146,14 @@ def test_optimal_curve_nondecreasing_up_to_crossing():
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("spec", [ProtocolSpec(2), ProtocolSpec(3), ProtocolSpec(3, 3), ProtocolSpec(8)])
+def test_optimal_w_over_a_grid_equals_maximize_w_per_point(spec):
+    grid = np.linspace(0.0, spec.max_disturbance, 41)
+    reports = [maximize_w(spec, D) for D in grid.tolist()]
+    assert np.array_equal(optimal_w(spec, grid), [report.w_opt for report in reports])
+    assert np.array_equal(i_ae_optimal(spec, grid), [report.i_ae_opt for report in reports])
+
+
 def test_witness_stationarity_and_ratio():
     for D in [round(0.05 * k, 2) for k in range(1, 13)]:
         witnesses = optimality_witnesses(D)
@@ -164,11 +173,23 @@ def test_witness_concavity_structure():
         assert optimality_witnesses(D).concavity > 0.0
 
 
+@pytest.mark.parametrize("d", [2, 4, 5, 8])
+def test_witnesses_show_guess_concavity_in_any_dimension(d):
+    # G is affine in w plus square roots of concave quadratics, so concave for every d.
+    top = (d - 1) / d
+    for D in (1e-6, 0.05, 0.25 * top, 0.5 * top, 0.9 * top, top - 1e-6):
+        witnesses = optimality_witnesses(D, d=d)
+        assert witnesses.guess_concavity < 0.0
+        assert witnesses.phi_equals_lambda <= 1e-12
+
+
 def test_witness_domain():
     with pytest.raises(DomainError):
         optimality_witnesses(0.0)
     with pytest.raises(DomainError):
         optimality_witnesses(0.67)
+    with pytest.raises(DomainError):
+        optimality_witnesses(0.8, d=5)
 
 
 def test_admissible_interval_empty():

@@ -141,16 +141,14 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     """Lay out the ancilla output states in orthogonal coordinate blocks."""
     d = params.dim
     (u, v), (r, q) = params.coeff_pairs()
-    blocks = error_set_partition(d)
     states = np.zeros((d, d, d * d), dtype=complex)
-    for i in range(d):
-        states[i, i, :d] = v
-        states[i, i, i] = u
-    for (i, j), m in blocks.items():
-        states[i, j, m * d : (m + 1) * d] = q
-        states[i, j, m * d + i] = r
+    # E_{i, i+m} fills block m of the coordinates: the minor coefficient, and the major on coordinate i.
+    i, m = np.arange(d)[:, None], np.arange(d)
+    blocks = states.reshape(d, d, d, d)  # [sender, receiver, block, coordinate in block]
+    blocks[i, (i + m) % d, m] = np.where(m == 0, v, q)[:, None]
+    blocks[i, (i + m) % d, m, i] = np.where(m == 0, u, r)
     states.setflags(write=False)
-    return EveStateSet(dim=d, states=states, block_of=blocks, coeffs=(u, v, r, q))
+    return EveStateSet(dim=d, states=states, block_of=error_set_partition(d), coeffs=(u, v, r, q))
 
 
 def _first_max_abs(values: np.ndarray, best: complex = 0j) -> complex:

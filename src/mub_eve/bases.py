@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ProtocolError, holds
+from .errors import DimensionError, DomainError, ProtocolError, failed_value, holds
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -44,8 +44,10 @@ class ProtocolSpec:
 
     def check_disturbance(self, disturbance: float | np.ndarray) -> None:
         """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK on every element (NaN fails)."""
-        if not holds((0.0 <= disturbance) & (disturbance <= self.max_disturbance + DISTURBANCE_SLACK)):
-            raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {disturbance}")
+        in_range = (0.0 <= disturbance) & (disturbance <= self.max_disturbance + DISTURBANCE_SLACK)
+        if not holds(in_range):
+            shown = failed_value(disturbance, in_range)
+            raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {shown}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

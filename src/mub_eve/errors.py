@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the verdict of a range test."""
+"""Exception types shared across the package, and the verdict and message of a range test."""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -24,3 +26,15 @@ def holds(test) -> bool:
     fails an array.
     """
     return test if test.__class__ is bool else bool(test.all())
+
+
+def failed_value(value, test) -> str:
+    """How a failed range test's message shows ``value``: a float as itself, an array by
+    the full repr and the index of its first element that fails ``test``.
+
+    ``test`` is the test's result, a bool or an array of ``value``'s shape.
+    """
+    if test.__class__ is bool or not getattr(value, "ndim", 0):
+        return f"{value}"
+    index = tuple(int(k) for k in np.unravel_index(np.argmin(test), test.shape))  # the first False
+    return f"{value[index].item()!r} at index {index[0] if len(index) == 1 else index}"

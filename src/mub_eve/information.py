@@ -12,7 +12,8 @@ and arrays take their logarithms with ``math.log`` per element, because
 ``np.log`` may differ from it in the last bit. The helpers test for a
 float's class before ``isinstance``, which costs several times more and
 would slow the float inner loops of ``critical``. Range tests are written
-``holds((lo <= x) & (x <= hi))``, so NaN fails them, on any element.
+``holds((lo <= x) & (x <= hi))``, so NaN fails them, on any element, and
+their messages name an array's first failing element (``failed_value``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .attack import RADICAND_SLACK, AttackParams
 from .bases import ProtocolSpec
-from .errors import DomainError, holds
+from .errors import DomainError, failed_value, holds
 
 # A float, or a numpy array of floats that the closed forms map element-wise.
 Real = float | np.ndarray
@@ -41,8 +42,9 @@ class InfoPoint:
 
 
 def _clamp_probability(x: Real, what: str) -> Real:
-    if not holds((-RADICAND_SLACK <= x) & (x <= 1.0 + RADICAND_SLACK)):
-        raise DomainError(f"{what} = {x} is outside [0, 1]")
+    in_range = (-RADICAND_SLACK <= x) & (x <= 1.0 + RADICAND_SLACK)
+    if not holds(in_range):
+        raise DomainError(f"{what} = {failed_value(x, in_range)} is outside [0, 1]")
     # min(max(x, 0.0), 1.0), spelled out: it keeps a -0.0 as max does, where np.maximum gives 0.0
     if x.__class__ is not float and isinstance(x, np.ndarray):
         return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
@@ -50,8 +52,9 @@ def _clamp_probability(x: Real, what: str) -> Real:
 
 
 def _sqrt_radicand(value: Real, what: str) -> Real:
-    if not holds(value >= -RADICAND_SLACK):
-        raise DomainError(f"radicand {what} = {value} is not >= 0")
+    in_range = value >= -RADICAND_SLACK
+    if not holds(in_range):
+        raise DomainError(f"radicand {what} = {failed_value(value, in_range)} is not >= 0")
     if value.__class__ is not float and isinstance(value, np.ndarray):
         return np.sqrt(np.where(value < 0.0, 0.0, value))
     return math.sqrt(0.0 if value < 0.0 else value)
@@ -80,8 +83,9 @@ def i_d(x: Real, d: int) -> Real:
 
 def phi_d(disturbance: Real, w: Real, d: int) -> Real:
     """Eavesdropper's correct-guess probability when the qudit arrived intact."""
-    if not holds(disturbance < 1.0):
-        raise DomainError(f"disturbance must be < 1, got {disturbance}")
+    in_range = disturbance < 1.0
+    if not holds(in_range):
+        raise DomainError(f"disturbance must be < 1, got {failed_value(disturbance, in_range)}")
     rad = (
         (d - 1)
         * disturbance
@@ -97,8 +101,9 @@ def phi_d(disturbance: Real, w: Real, d: int) -> Real:
 
 def lambda_d(w: Real, d: int) -> Real:
     """Eavesdropper's correct-guess probability when the receiver got an error."""
-    if not holds((-1.0 / (d - 1) - RADICAND_SLACK <= w) & (w <= 1.0 + RADICAND_SLACK)):
-        raise DomainError(f"w = {w} outside [{-1.0 / (d - 1)}, 1]")
+    in_range = (-1.0 / (d - 1) - RADICAND_SLACK <= w) & (w <= 1.0 + RADICAND_SLACK)
+    if not holds(in_range):
+        raise DomainError(f"w = {failed_value(w, in_range)} outside [{-1.0 / (d - 1)}, 1]")
     root = _sqrt_radicand((1.0 - w) * (1.0 + (d - 1) * w), "(1 - w)(1 + (d-1) w)")
     value = ((1.0 + (d - 1) * w) + (d - 1) ** 2 * (1.0 - w) + 2.0 * (d - 1) * root) / (d * d)
     return _clamp_probability(value, "lambda_d")
@@ -106,8 +111,9 @@ def lambda_d(w: Real, d: int) -> Real:
 
 def mu_nu_threebasis(disturbance: Real, w: Real) -> tuple[Real, Real]:
     """Guess-probability pair (mu, nu) of the three-basis qutrit protocol."""
-    if not holds(disturbance < 1.0):
-        raise DomainError(f"disturbance must be < 1, got {disturbance}")
+    in_range = disturbance < 1.0
+    if not holds(in_range):
+        raise DomainError(f"disturbance must be < 1, got {failed_value(disturbance, in_range)}")
     rad = 2.0 * disturbance * (3.0 + disturbance * (w - 4.0)) * (1.0 - w)
     root = _sqrt_radicand(rad, "2 D [3 + D (w - 4)] (1 - w)")
     mu = ((3.0 - disturbance * (w + 2.0)) + 2.0 * root) / (9.0 * (1.0 - disturbance))
@@ -135,8 +141,9 @@ def i_ae(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
 
 def i_ab(d: int, disturbance: Real) -> Real:
     """Sender-receiver mutual information (dits) of the symmetric channel."""
-    if not holds((0.0 <= disturbance) & (disturbance <= 1.0)):
-        raise DomainError(f"disturbance must lie in [0, 1], got {disturbance}")
+    in_range = (0.0 <= disturbance) & (disturbance <= 1.0)
+    if not holds(in_range):
+        raise DomainError(f"disturbance must lie in [0, 1], got {failed_value(disturbance, in_range)}")
     return i_d(1.0 - disturbance, d)
 
 

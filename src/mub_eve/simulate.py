@@ -2,17 +2,17 @@
 
 Each round: the sender draws a basis and a symbol uniformly, the attack
 isometry acts, and the receiver (in the sender's basis) and the eavesdropper
-(in the fixed ancilla coordinate basis) measure jointly. Because every tallied
-statistic is a count over the finite outcome alphabet (basis, symbol,
-receiver outcome, ancilla coordinate), rounds are drawn as one exact
-multinomial per shard over the joint outcome distribution, which is computed
-from the state vector without approximation. Shards own counter-based
-generator streams keyed by (seed, shard), so results are reproducible and
-independent of scheduling.
-
-The eavesdropper's guess is the coordinate index inside her outcome's block
-(the sender symbol, by construction of the state layout); her statistics are
-tallied on computational-basis rounds only.
+(in the fixed ancilla coordinate basis) measure jointly. The eavesdropper's
+guess is the coordinate index inside her outcome's block, the ancilla
+coordinate mod d (the sender symbol, by construction of the state layout),
+and every tallied statistic reads only that guess. So rounds are drawn as one
+exact multinomial per shard over the sufficient statistics (basis, symbol,
+receiver outcome, guess): the joint outcome distribution, computed from the
+state vector without approximation, summed over the ancilla blocks. A
+marginal of a multinomial is the multinomial of the marginal, so no estimate
+changes in distribution. Shards own counter-based generator streams keyed by
+(seed, shard), so results are reproducible and independent of scheduling.
+The eavesdropper's statistics are tallied on computational-basis rounds only.
 """
 
 from __future__ import annotations
@@ -50,19 +50,24 @@ def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
 
 
 def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
-    """Joint probabilities P[basis, symbol, receiver outcome, ancilla coordinate]."""
+    """Joint probabilities P[basis, symbol, receiver outcome, eavesdropper's guess].
+
+    The guess is the ancilla coordinate mod d; each cell sums |amplitude|^2
+    over the d ancilla blocks (receiver shifts) that share it.
+    """
     params = AttackParams(spec.dim, spec.bases_count, disturbance, w)
     isometry = build_isometry(params)
     bases = protocol_bases(spec.dim, spec.bases_count)
     d = spec.dim
-    table = np.zeros((len(bases), d, d, d * d))
+    table = np.zeros((len(bases), d, d, d))
     for b_idx, basis in enumerate(bases):
         for symbol in range(d):
             joint = (isometry.matrix @ basis.vectors[symbol]).reshape(d, d * d)
             amplitudes = basis.vectors.conj() @ joint
             cell = np.abs(amplitudes) ** 2
             cell[cell < CELL_FLOOR] = 0.0
-            table[b_idx, symbol] = cell / cell.sum()
+            by_guess = cell.reshape(d, d, d).sum(axis=1)  # (receiver, block, guess) -> (receiver, guess)
+            table[b_idx, symbol] = by_guess / by_guess.sum()
     return table / (len(bases) * d)
 
 
@@ -96,7 +101,7 @@ class SessionStats:
     rounds: int
     seed: int
     shards: int
-    counts: np.ndarray = field(repr=False)  # (bases, symbol, receiver, ancilla) int64
+    counts: np.ndarray = field(repr=False)  # (bases, symbol, receiver, guess) int64
 
     # -- raw tallies ---------------------------------------------------------
 
@@ -127,10 +132,9 @@ class SessionStats:
     def _comp_guess_histograms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(all, receiver-correct, receiver-error) (symbol, guess) histograms."""
         d = self.dim
-        comp = self.counts[0]  # (symbol, receiver, ancilla)
-        by_guess = comp.reshape(d, d, d, d).sum(axis=2)  # ancilla -> (block, guess), sum blocks
-        correct = by_guess[np.arange(d), np.arange(d)]  # receiver got the symbol
-        total = by_guess.sum(axis=1)
+        comp = self.counts[0]  # (symbol, receiver, guess)
+        correct = comp[np.arange(d), np.arange(d)]  # receiver got the symbol
+        total = comp.sum(axis=1)
         return _read_only(total), _read_only(correct), _read_only(total - correct)
 
     @property

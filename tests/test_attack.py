@@ -181,6 +181,30 @@ def test_identity_attack_isometry_columns():
         assert np.max(np.abs(iso.matrix[:, i] - expected)) <= 1e-12
 
 
+def eve_states_by_pairs(params: AttackParams) -> np.ndarray:
+    """Reference layout: one (sender, receiver) pair at a time, over the error-set partition."""
+    d = params.dim
+    (u, v), (r, q) = params.coeff_pairs()
+    states = np.zeros((d, d, d * d), dtype=complex)
+    for i in range(d):
+        states[i, i, :d] = v
+        states[i, i, i] = u
+    for (i, j), m in error_set_partition(d).items():
+        states[i, j, m * d : (m + 1) * d] = q
+        states[i, j, m * d + i] = r
+    return states
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (8, 2), (16, 2), (32, 2), (3, 3)])
+def test_eve_states_match_pair_by_pair_layout(d, bases_count):
+    for D, w in ((0.0, 1.0), (0.15, 0.3), (0.15, -0.02)):
+        params = AttackParams(d, bases_count, D, w)
+        eve = build_eve_states(params)
+        assert not eve.states.flags.writeable
+        assert eve.block_of == error_set_partition(d)
+        assert np.array_equal(eve.states, eve_states_by_pairs(params))
+
+
 def isometry_by_columns(eve: EveStateSet, disturbance: float) -> np.ndarray:
     """Reference assembly: column i stacks sqrt(1-D) E_ii and sqrt(D/(d-1)) E_ij, receiver-major."""
     d = eve.dim

@@ -39,43 +39,53 @@ W_NAN = np.array([0.5, 0.5, NAN])
 W_ABOVE_ONE = np.array([0.5, 0.5, 1.0 + 1e-13])
 D_ONE = np.array([0.1, 0.2, 1.0])
 
+
+def bad(call, case_id, match=None):
+    """A bad-input case; ``match`` is a pattern its error message must contain."""
+    return pytest.param(call, match, id=case_id)
+
+
 BAD_INPUTS = [
-    pytest.param(lambda: i_ae(ProtocolSpec(3), 0.1, NAN), id="i_ae-w-nan"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3), NAN, 0.5), id="i_ae-D-nan"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3, 3), NAN, 0.5), id="i_ae-three-bases-D-nan"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3, 3), 0.1, NAN), id="i_ae-three-bases-w-nan"),
-    pytest.param(lambda: guess_probability(ProtocolSpec(3), 0.1, NAN), id="guess-w-nan"),
-    pytest.param(lambda: critical_disturbance(ProtocolSpec(3), tol=NAN), id="critical-tol-nan"),
-    pytest.param(lambda: maximize_w(ProtocolSpec(3), 0.1, tol=NAN), id="maximize-tol-nan"),
-    pytest.param(lambda: maximize_w(ProtocolSpec(3, 3), 0.8), id="maximize-three-bases-D-too-big"),
-    pytest.param(lambda: i_ae_optimal(ProtocolSpec(3, 3), NAN), id="i_ae_optimal-three-bases-D-nan"),
-    pytest.param(lambda: w_bar(3, NAN), id="w_bar-D-nan"),
-    pytest.param(lambda: w_bar(2.5, 0.1), id="w_bar-fractional-d"),
-    pytest.param(lambda: ProtocolSpec(3.0), id="spec-float-d"),
-    pytest.param(lambda: ProtocolSpec(3, 2.0), id="spec-float-bases"),
-    pytest.param(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=1.5), id="sim-fractional-rounds"),
-    pytest.param(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=0.5), id="sim-fractional-seed"),
-    pytest.param(lambda: AttackParams(8, 2, 0.1, 1.0 + 2e-14), id="attack-w-above-one"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3), D_NAN, W_HALF), id="array-i_ae-D-nan"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3), D_OK, W_NAN), id="array-i_ae-w-nan"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3, 3), D_NAN, W_HALF), id="array-i_ae-three-bases-D-nan"),
-    pytest.param(lambda: i_ae(ProtocolSpec(3, 3), 0.1, W_NAN), id="array-i_ae-three-bases-w-nan"),
-    pytest.param(lambda: guess_probability(ProtocolSpec(5), 0.1, W_NAN), id="array-guess-w-nan"),
-    pytest.param(lambda: lambda_d(W_ABOVE_ONE, 3), id="array-lambda-w-above-one"),
-    pytest.param(lambda: i_ae(ProtocolSpec(4), 0.1, W_ABOVE_ONE), id="array-i_ae-w-above-one"),
-    pytest.param(lambda: phi_d(D_ONE, W_HALF, 3), id="array-phi-D-one"),
-    pytest.param(lambda: mu_nu_threebasis(D_ONE, W_HALF), id="array-mu-nu-D-one"),
-    pytest.param(lambda: i_ab(3, D_NAN), id="array-i_ab-D-nan"),
-    pytest.param(lambda: i_d(np.array([0.0, 1.0, 1.5]), 3), id="array-i_d-above-one"),
-    pytest.param(lambda: w_bar(3, D_NAN), id="array-w_bar-D-nan"),
-    pytest.param(lambda: optimal_w(ProtocolSpec(3, 3), D_NAN), id="array-optimal_w-three-bases-D-nan"),
-    pytest.param(lambda: optimal_w(ProtocolSpec(3), np.array([0.1, 0.2, 0.7])), id="array-optimal_w-D-too-big"),
+    bad(lambda: i_ae(ProtocolSpec(3), 0.1, NAN), "i_ae-w-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3), NAN, 0.5), "i_ae-D-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), NAN, 0.5), "i_ae-three-bases-D-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, NAN), "i_ae-three-bases-w-nan"),
+    bad(lambda: guess_probability(ProtocolSpec(3), 0.1, NAN), "guess-w-nan"),
+    bad(lambda: critical_disturbance(ProtocolSpec(3), tol=NAN), "critical-tol-nan"),
+    bad(lambda: maximize_w(ProtocolSpec(3), 0.1, tol=NAN), "maximize-tol-nan"),
+    bad(lambda: maximize_w(ProtocolSpec(3, 3), 0.8), "maximize-three-bases-D-too-big"),
+    bad(lambda: i_ae_optimal(ProtocolSpec(3, 3), NAN), "i_ae_optimal-three-bases-D-nan"),
+    bad(lambda: w_bar(3, NAN), "w_bar-D-nan"),
+    bad(lambda: w_bar(2.5, 0.1), "w_bar-fractional-d"),
+    bad(lambda: ProtocolSpec(3.0), "spec-float-d"),
+    bad(lambda: ProtocolSpec(3, 2.0), "spec-float-bases"),
+    bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=1.5), "sim-fractional-rounds"),
+    bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=0.5), "sim-fractional-seed"),
+    bad(lambda: AttackParams(8, 2, 0.1, 1.0 + 2e-14), "attack-w-above-one"),
+    bad(lambda: i_ae(ProtocolSpec(3), D_NAN, W_HALF), "array-i_ae-D-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3), D_OK, W_NAN), "array-i_ae-w-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), D_NAN, W_HALF), "array-i_ae-three-bases-D-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, W_NAN), "array-i_ae-three-bases-w-nan"),
+    bad(lambda: guess_probability(ProtocolSpec(5), 0.1, W_NAN), "array-guess-w-nan"),
+    bad(lambda: lambda_d(W_ABOVE_ONE, 3), "array-lambda-w-above-one", r"w = 1\.0000000000001 at index 2 outside"),
+    bad(lambda: lambda_d(1.0 + 1e-13, 3), "lambda-w-above-one", r"^w = 1\.0000000000001 outside \[-0\.5, 1\]$"),
+    bad(lambda: i_ab(3, np.array([[0.1, 0.2], [NAN, 0.3]])), "array-i_ab-2d-D-nan", r"got nan at index \(1, 0\)$"),
+    bad(lambda: ProtocolSpec(3).check_disturbance(np.array([0.1, 0.7, 0.9])), "array-spec-D-too-big",
+        r"got 0\.7 at index 1$"),
+    bad(lambda: i_ae(ProtocolSpec(4), 0.1, W_ABOVE_ONE), "array-i_ae-w-above-one"),
+    bad(lambda: phi_d(D_ONE, W_HALF, 3), "array-phi-D-one"),
+    bad(lambda: mu_nu_threebasis(D_ONE, W_HALF), "array-mu-nu-D-one"),
+    bad(lambda: i_ab(3, D_NAN), "array-i_ab-D-nan"),
+    bad(lambda: i_d(np.array([0.0, 1.0, 1.5]), 3), "array-i_d-above-one"),
+    bad(lambda: w_bar(3, D_NAN), "array-w_bar-D-nan"),
+    bad(lambda: optimal_w(ProtocolSpec(3, 3), D_NAN), "array-optimal_w-three-bases-D-nan"),
+    bad(lambda: optimal_w(ProtocolSpec(3), np.array([0.1, 0.2, 0.7])), "array-optimal_w-D-too-big"),
 ]
 
 
-@pytest.mark.parametrize("call", BAD_INPUTS)
-def test_bad_input_raises_at_boundary(call):
-    with pytest.raises((DimensionError, DomainError)):
+@pytest.mark.parametrize("call, match", BAD_INPUTS)
+def test_bad_input_raises_at_boundary(call, match):
+    with pytest.raises((DimensionError, DomainError), match=match):
         call()
 
 

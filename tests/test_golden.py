@@ -72,10 +72,10 @@ DIGESTS = {
     "critical-8-2": "d90645b1a585a321197834cefe34fa2f78fe37c5c7c691de17a1fe29b08f9838",
     "critical-16-2": "13b01b89766ff1109121bb625fe113b21d5254cfff1dbb26e4e9bce8acf0dfae",
     "critical-3-3": "0ebefde62396ff955af66d81d7aa42d100776b7781c8ddd0cc72f11225f8dbc8",
-    "simulate-3-2": "61f0a17924f8cda09994be4842fcc2a3b998f1bd483eba5db80f1e5a1d90ea2e",
-    "simulate-3-3": "e701d9427714b597a8e3bf724723b121da98f44fd0bbb454ce0fbc52cb1a3538",
-    "simulate-8-2": "07bccb9d5e5a63ea302085bb6bcefb230cc94ead577fdfcbc47fc74ff65f9890",
-    "simulate-16-2": "9ac9e4df320e26c4ecc1b38b0a7933b36d3ff6fbbdd11c44810ec00068a43d92",
+    "simulate-3-2": "25a0d9e682677cf4d22e3f59c25b66da89c5085015955d0bcd5d580f9e509ff7",
+    "simulate-3-3": "5c3fa12a7284e67927f4ee0b0edbf3bf8c717ccd7d13a1d1bdb1056b35674015",
+    "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",
+    "simulate-16-2": "7e3d57357fa6dda4d4c5c5176920f1eaf6a192b18b1ddc3620bacbd77891bea4",
 }
 
 

@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from mub_eve import (
+    AttackParams,
     DomainError,
     ProtocolError,
     ProtocolSpec,
     SimConfig,
+    build_isometry,
     compare_to_analytic,
     empirical_mutual_information,
     error_set_partition,
     guess_probability,
     i_d,
     lambda_d,
+    outcome_distribution,
     phi_d,
+    protocol_bases,
     resolve_w,
     simulate,
     w_bar,
 )
+from mub_eve.simulate import CELL_FLOOR
 
 
 def session(dim=3, bases=2, D=0.1, w=0.85, rounds=10**6, seed=11, shards=2):
@@ -82,21 +87,53 @@ def test_bob_errors_uniform_over_wrong_symbols():
         assert errors > 0
 
 
+def outcome_distribution_by_ancilla(spec, disturbance, w):
+    """Oracle: P[basis, symbol, receiver outcome, ancilla coordinate], every ancilla cell apart."""
+    isometry = build_isometry(AttackParams(spec.dim, spec.bases_count, disturbance, w))
+    bases = protocol_bases(spec.dim, spec.bases_count)
+    d = spec.dim
+    table = np.zeros((len(bases), d, d, d * d))
+    for b_idx, basis in enumerate(bases):
+        for symbol in range(d):
+            joint = (isometry.matrix @ basis.vectors[symbol]).reshape(d, d * d)
+            amplitudes = basis.vectors.conj() @ joint
+            cell = np.abs(amplitudes) ** 2
+            cell[cell < CELL_FLOOR] = 0.0
+            table[b_idx, symbol] = cell / cell.sum()
+    return table / (len(bases) * d)
+
+
+@pytest.mark.parametrize("dim,bases", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (3, 3)])
+@pytest.mark.parametrize("D", [0.05, 0.3])
+def test_outcome_distribution_is_the_ancilla_block_sum(dim, bases, D):
+    spec = ProtocolSpec(dim, bases)
+    w = resolve_w(spec, D, "auto")
+    by_ancilla = outcome_distribution_by_ancilla(spec, D, w)
+    by_guess = by_ancilla.reshape(bases, dim, dim, dim, dim).sum(axis=3)  # ancilla -> (block, guess)
+    table = outcome_distribution(spec, D, w)
+    assert table.shape == (bases, dim, dim, dim)
+    assert np.max(np.abs(table - by_guess)) <= 1e-15
+
+
 def test_eve_block_predicts_receiver_shift_exactly():
-    stats = session(D=0.15, w=0.6, rounds=10**6, seed=3, shards=2)
-    d = 3
-    comp = stats.counts[0]
-    for a in range(d):
-        for j in range(d):
-            for e in range(d * d):
-                if comp[a, j, e] == 0:
-                    continue
-                block = e // d
-                if block == 0:
-                    assert j == a
-                else:
-                    assert j == (a + block) % d
-    assert error_set_partition(d)[(0, 1)] == 1
+    # Every nonzero computational-basis cell of the ancilla-resolved table: block 0 means
+    # the receiver got the symbol, block m shifts it by m.
+    for dim, bases, D, w in ((3, 2, 0.15, 0.6), (5, 2, 0.3, 0.4), (3, 3, 0.15, 0.6)):
+        comp = outcome_distribution_by_ancilla(ProtocolSpec(dim, bases), D, w)[0]
+        symbol, receiver, ancilla = np.nonzero(comp)
+        block = ancilla // dim
+        assert np.any(block > 0)
+        assert np.array_equal(receiver, (symbol + block) % dim)
+    assert error_set_partition(3)[(0, 1)] == 1
+
+
+def test_counts_are_the_sufficient_statistics():
+    stats = session(dim=4, D=0.2, w=0.5, rounds=100_001, seed=3, shards=3)
+    assert stats.counts.shape == (2, 4, 4, 4)
+    assert stats.counts.sum() == 100_001
+    correct, error = stats.eve_joint_given_bob
+    assert np.array_equal(correct + error, stats.eve_joint_histogram)
+    assert np.array_equal(stats.eve_joint_histogram, stats.counts[0].sum(axis=1))
 
 
 def test_determinism_bit_identical():

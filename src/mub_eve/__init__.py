@@ -33,7 +33,6 @@ from .bases import (
 )
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
 from .information import (
-    InfoPoint,
     ProtocolSpec,
     dits_to_bits,
     guess_probability,
@@ -81,7 +80,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "EveStateSet",
-    "InfoPoint",
     "OptimalityWitnesses",
     "OptimumReport",
     "ProtocolError",

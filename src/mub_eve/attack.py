@@ -85,10 +85,6 @@ class AttackParams:
         except DomainError as exc:
             raise DomainError(f"no valid attack with D={self.disturbance}, w={self.w}: {exc}") from None
 
-    @property
-    def fidelity(self) -> float:
-        return 1.0 - self.disturbance
-
     def no_error_eigenvalues(self) -> tuple[float, float]:
         """Gram eigenvalues (1 + (d-1) s, 1 - s) of the no-error block, from the Z-line weight z^2."""
         d, disturbance = self.dim, self.disturbance
@@ -113,7 +109,6 @@ class EveStateSet:
 
     dim: int
     states: np.ndarray = field(repr=False)  # (d, d, d^2) complex
-    block_of: dict[tuple[int, int], int] = field(repr=False)
     coeffs: tuple[float, float, float, float]  # (u, v, r, q)
 
 
@@ -148,7 +143,7 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     blocks[i, (i + m) % d, m] = np.where(m == 0, v, q)[:, None]
     blocks[i, (i + m) % d, m, i] = np.where(m == 0, u, r)
     states.setflags(write=False)
-    return EveStateSet(dim=d, states=states, block_of=error_set_partition(d), coeffs=(u, v, r, q))
+    return EveStateSet(dim=d, states=states, coeffs=(u, v, r, q))
 
 
 def _first_max_abs(values: np.ndarray, best: complex = 0j) -> complex:

@@ -9,7 +9,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import __version__
 from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_from_states, scalar_product_profile
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
-from .information import InfoPoint, dits_to_bits, i_ab, i_ae
+from .information import dits_to_bits, i_ab, i_ae
 from .optimize import admissible_w_interval, critical_disturbance, d_c_closed_form, optimal_w, stationarity
 from .simulate import SimConfig, compare_to_analytic, resolve_w, simulate
 
@@ -36,13 +35,6 @@ def fmt(x: float) -> str:
     if abs(x) < 1e-4:
         return f"{x:.11e}"
     return f"{x:.12g}"
-
-
-@dataclass(frozen=True)
-class CurveTable:
-    spec: ProtocolSpec
-    rows: list[InfoPoint]
-    metadata: dict
 
 
 def _parse_w(text: str) -> float | str:
@@ -133,15 +125,12 @@ def cmd_curves(args, spec: ProtocolSpec) -> int:
 
     grid = np.linspace(args.d_min, args.d_max, args.steps)
     w_opt = optimal_w(spec, grid)
-    columns = (grid, w_opt, i_ab(spec.dim, grid), i_ae(spec, grid, w_opt))
-    rows = [InfoPoint(*values) for values in zip(*(column.tolist() for column in columns))]
-    table = CurveTable(spec=spec, rows=rows, metadata=_metadata(args, spec))
+    info = (i_ab(spec.dim, grid), i_ae(spec, grid, w_opt))
+    rows = np.column_stack((grid, w_opt, *info, *(dits_to_bits(x, spec.dim) for x in info))).tolist()
 
+    write = _write_curves_csv if args.format == "csv" else _write_curves_json
     try:
-        if args.format == "csv":
-            _write_curves_csv(args.out, table)
-        else:
-            _write_curves_json(args.out, table)
+        write(args.out, _metadata(args, spec), rows)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
@@ -149,32 +138,20 @@ def cmd_curves(args, spec: ProtocolSpec) -> int:
     return 0
 
 
-def _curve_row_values(spec: ProtocolSpec, point: InfoPoint) -> list[float]:
-    return [
-        point.D,
-        point.w,
-        point.i_ab,
-        point.i_ae,
-        dits_to_bits(point.i_ab, spec.dim),
-        dits_to_bits(point.i_ae, spec.dim),
-    ]
-
-
-def _write_curves_csv(path: Path, table: CurveTable) -> None:
-    lines = [f"# {key}={value}" for key, value in table.metadata.items()]
+def _write_curves_csv(path: Path, metadata: dict, rows: list[list[float]]) -> None:
+    lines = [f"# {key}={value}" for key, value in metadata.items()]
     lines.append(CSV_HEADER)
-    for point in table.rows:
-        lines.append(",".join(fmt(v) for v in _curve_row_values(table.spec, point)))
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_curves_json(path: Path, table: CurveTable) -> None:
+def _write_curves_json(path: Path, metadata: dict, rows: list[list[float]]) -> None:
     doc = {
         "schema": SCHEMA,
         "kind": "curves",
-        "metadata": table.metadata,
+        "metadata": metadata,
         "columns": CSV_HEADER.split(","),
-        "rows": [_curve_row_values(table.spec, point) for point in table.rows],
+        "rows": rows,
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 
@@ -266,14 +243,12 @@ def cmd_simulate(args, spec: ProtocolSpec) -> int:
         stats = simulate(SimConfig(spec, args.disturbance, args.w, args.rounds, args.seed, args.shards))
     except DomainError as exc:
         return _usage_error(str(exc))
-
-    verdict = compare_to_analytic(stats, spec, args.disturbance, stats.w)
-    doc = {
-        "schema": SCHEMA,
-        "kind": "simulate",
-        "stats": stats.to_dict(),
-        "verdict": verdict.to_dict(),
-    }
+    try:
+        verdict = compare_to_analytic(stats, spec, args.disturbance, stats.w)
+        doc = {"schema": SCHEMA, "kind": "simulate", "stats": stats.to_dict(), "verdict": verdict.to_dict()}
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:

@@ -19,7 +19,6 @@ their messages name an array's first failing element (``failed_value``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +28,6 @@ from .errors import DomainError, failed_value, holds
 
 # A float, or a numpy array of floats that the closed forms map element-wise.
 Real = float | np.ndarray
-
-
-@dataclass(frozen=True)
-class InfoPoint:
-    """One sample of the information trade-off curve."""
-
-    D: float
-    w: float
-    i_ab: float
-    i_ae: float
 
 
 def _clamp_probability(x: Real, what: str) -> Real:

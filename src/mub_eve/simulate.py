@@ -18,7 +18,7 @@ The eavesdropper's statistics are tallied on computational-basis rounds only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from numbers import Integral
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .attack import AttackParams, build_isometry
 from .bases import ProtocolSpec, protocol_bases
-from .errors import DomainError, ProtocolError
+from .errors import AnalysisError, DomainError, ProtocolError
 from .information import guess_probability, i_ab, i_ae
 from .optimize import optimal_w
 
@@ -92,7 +92,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Tallies of one session plus the derived empirical estimates."""
+    """Tallies of one session plus the derived empirical estimates.
+
+    Every estimate reads one of two cached marginals of ``counts``: the
+    (basis, symbol, receiver) histograms, and the computational-basis
+    (symbol, guess) histograms by receiver regime. The informations and their
+    standard errors take one cached pass over each count table. With no
+    computational-basis round, ``p_eve_correct`` raises ``AnalysisError``.
+    """
 
     dim: int
     bases_count: int
@@ -105,28 +112,30 @@ class SessionStats:
 
     # -- raw tallies ---------------------------------------------------------
 
+    @cached_property
+    def _receiver_histograms(self) -> np.ndarray:
+        """(basis, symbol, receiver outcome) counts."""
+        return _read_only(self.counts.sum(axis=3))
+
     @property
     def rounds_per_basis(self) -> np.ndarray:
-        return self.counts.sum(axis=(1, 2, 3))
+        return self._receiver_histograms.sum(axis=(1, 2))
 
     def symbol_receiver_histogram(self, basis_index: int) -> np.ndarray:
         """(symbol, receiver outcome) counts on rounds of one basis."""
-        return self.counts[basis_index].sum(axis=2)
+        return self._receiver_histograms[basis_index]
 
     @property
     def bob_error_rate(self) -> np.ndarray:
-        """Receiver error rate per basis."""
-        out = np.empty(self.counts.shape[0])
-        for b_idx in range(self.counts.shape[0]):
-            hist = self.symbol_receiver_histogram(b_idx)
-            total = hist.sum()
-            out[b_idx] = 1.0 - np.trace(hist) / total if total else 0.0
-        return out
+        """Receiver error rate per basis; 0 for a basis with no rounds."""
+        totals = self.rounds_per_basis
+        correct = np.trace(self._receiver_histograms, axis1=1, axis2=2)
+        return np.where(totals > 0, 1.0 - correct / np.maximum(totals, 1), 0.0)
 
     @cached_property
     def _pooled_histogram(self) -> np.ndarray:
         """(symbol, receiver outcome) counts pooled over bases."""
-        return _read_only(sum(self.symbol_receiver_histogram(b) for b in range(self.counts.shape[0])))
+        return _read_only(self._receiver_histograms.sum(axis=0))
 
     @cached_property
     def _comp_guess_histograms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,8 +154,7 @@ class SessionStats:
     @property
     def eve_joint_given_bob(self) -> tuple[np.ndarray, np.ndarray]:
         """(symbol, guess) histograms on receiver-correct and receiver-error rounds."""
-        _, correct, error = self._comp_guess_histograms
-        return correct, error
+        return self._comp_guess_histograms[1:]
 
     # -- derived estimates ----------------------------------------------------
 
@@ -162,7 +170,10 @@ class SessionStats:
 
     @property
     def p_eve_correct(self) -> float:
+        """Eavesdropper's guess rate on computational-basis rounds; AnalysisError if there are none."""
         hist = self.eve_joint_histogram
+        if not hist.any():
+            raise AnalysisError(f"no computational-basis rounds among {self.rounds}: the guess rate has no sample")
         return float(np.trace(hist) / hist.sum())
 
     @property
@@ -170,14 +181,19 @@ class SessionStats:
         p = self.p_eve_correct
         return math.sqrt(p * (1.0 - p) / self.eve_joint_histogram.sum())
 
+    @cached_property
+    def _informations(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(estimate, SE) in dits of I_AB, pooled over bases, and of I_AE, over the receiver regimes."""
+        return _information([self._pooled_histogram], self.dim), _information(self.eve_joint_given_bob, self.dim)
+
     @property
     def i_ab_hat(self) -> float:
         """Plug-in sender-receiver information, pooled over bases (dits)."""
-        return empirical_mutual_information(self._pooled_histogram, self.dim)
+        return self._informations[0][0]
 
     @property
     def i_ab_hat_se(self) -> float:
-        return _mi_standard_error([self._pooled_histogram], self.dim)
+        return self._informations[0][1]
 
     @property
     def i_ae_hat(self) -> float:
@@ -186,18 +202,11 @@ class SessionStats:
         Weighted over the receiver-correct / receiver-error regimes, matching
         the closed form F i_d(g_intact) + D i_d(g_error).
         """
-        correct, error = self.eve_joint_given_bob
-        total = correct.sum() + error.sum()
-        acc = 0.0
-        for hist in (correct, error):
-            n = hist.sum()
-            if n:
-                acc += (n / total) * empirical_mutual_information(hist, self.dim)
-        return acc
+        return self._informations[1][0]
 
     @property
     def i_ae_hat_se(self) -> float:
-        return _mi_standard_error(list(self.eve_joint_given_bob), self.dim)
+        return self._informations[1][1]
 
     def to_dict(self) -> dict:
         correct, error = self.eve_joint_given_bob
@@ -236,8 +245,7 @@ def empirical_mutual_information(hist: np.ndarray, base: int) -> float:
     hist = np.asarray(hist, dtype=float)
     if hist.sum() <= 0:
         raise DomainError("empty histogram")
-    p, log_ratio = _cell_terms(hist)
-    return float(np.sum(p * log_ratio) / math.log(base))
+    return _information([hist], base)[0]
 
 
 def _cell_terms(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,25 +258,26 @@ def _cell_terms(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, np.log(p / (row @ col)[mask])
 
 
-def _mi_standard_error(hists: list[np.ndarray], base: int) -> float:
-    """Delta-method standard error of a (regime-weighted) plug-in information."""
-    total = sum(int(h.sum()) for h in hists)
-    if total <= 1:
-        return 0.0
-    mean = 0.0
-    second = 0.0
+def _information(hists, base: int) -> tuple[float, float]:
+    """Plug-in information of regime count tables in log base ``base``, and its delta-method SE.
+
+    A table of n of the N counts weighs n / N. The information is the weighted
+    sum of the tables' plug-in informations; the SE is sqrt(Var(score) / N),
+    a cell's score being its log-ratio to the product of its table's
+    marginals (0 for N <= 1). One pass over each nonempty table gives both.
+    """
+    total = sum(hist.sum() for hist in hists)
+    info = mean = second = 0.0
     for hist in hists:
-        hist = np.asarray(hist, dtype=float)
         n = hist.sum()
-        if n == 0:
-            continue
-        p, log_ratio = _cell_terms(hist)
-        scores = log_ratio / math.log(base)
-        weights = (n / total) * p
-        mean += float(np.sum(weights * scores))
-        second += float(np.sum(weights * scores**2))
-    variance = max(second - mean**2, 0.0)
-    return math.sqrt(variance / total)
+        if n:
+            p, log_ratio = _cell_terms(hist)
+            share = n / total
+            info += share * float(np.sum(p * log_ratio) / math.log(base))
+            scores = log_ratio / math.log(base)
+            mean += float(np.sum(share * p * scores))
+            second += float(np.sum(share * p * scores**2))
+    return float(info), math.sqrt(max(second - mean**2, 0.0) / total) if total > 1 else 0.0
 
 
 def plug_in_bias_allowance(d: int, rounds: int) -> float:
@@ -326,20 +335,7 @@ class ComparisonReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "empirical": c.empirical,
-                    "analytic": c.analytic,
-                    "z": c.z,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
 def _z_score(empirical: float, target: float, se: float) -> float:
@@ -348,49 +344,44 @@ def _z_score(empirical: float, target: float, se: float) -> float:
     return (empirical - target) / se
 
 
+def _rate_check(name: str, empirical: float, analytic: float, n: int) -> ComparisonCheck:
+    """|z| <= 4 for a rate estimated from n binomial trials."""
+    z = float(_z_score(empirical, analytic, math.sqrt(analytic * (1.0 - analytic) / n)))
+    return ComparisonCheck(name, float(empirical), analytic, z, Z_LIMIT, abs(z) <= Z_LIMIT)
+
+
+def _information_check(name: str, empirical: float, se: float, analytic: float, d: int, n: int) -> ComparisonCheck:
+    """|z| <= 4 and agreement within MI_ABS_TOL plus the plug-in bias allowance for n counts.
+
+    Near zero information the delta-method SE collapses while the plug-in
+    estimate sits in its chi-square regime; flooring the denominator by the
+    bias allowance keeps the z-score meaningful there.
+    """
+    bias = plug_in_bias_allowance(d, n)
+    z = float(_z_score(empirical, analytic, max(se, bias)))
+    ok = bool(abs(z) <= Z_LIMIT and abs(empirical - analytic) <= MI_ABS_TOL + bias)
+    return ComparisonCheck(name, empirical, analytic, z, Z_LIMIT, ok)
+
+
 def compare_to_analytic(
     stats: SessionStats, spec: ProtocolSpec, disturbance: float, w: float
 ) -> ComparisonReport:
     """z-scores of the empirical estimates against the closed forms.
 
     Passing requires |z| <= 4 on every rate and the plug-in informations to
-    agree within 5e-3 plus a first-order bias allowance.
+    agree within 5e-3 plus a first-order bias allowance. A session without
+    computational-basis rounds raises ``AnalysisError``.
     """
     if spec.dim != stats.dim or spec.bases_count != stats.bases_count:
         raise ProtocolError(
             f"stats are for (d={stats.dim}, bases={stats.bases_count}), "
             f"not (d={spec.dim}, bases={spec.bases_count})"
         )
-    n_total = int(stats.counts.sum())
-    n_comp = int(stats.counts[0].sum())
-
-    checks = []
-    se_d = math.sqrt(disturbance * (1.0 - disturbance) / n_total)
-    z = float(_z_score(stats.d_hat, disturbance, se_d))
-    checks.append(
-        ComparisonCheck("disturbance", float(stats.d_hat), disturbance, z, Z_LIMIT, abs(z) <= Z_LIMIT)
+    d, n_total, n_comp = spec.dim, int(stats.counts.sum()), int(stats.counts[0].sum())
+    checks = (
+        _rate_check("disturbance", stats.d_hat, disturbance, n_total),
+        _rate_check("eve_guess_probability", stats.p_eve_correct, guess_probability(spec, disturbance, w), n_comp),
+        _information_check("i_ae_dits", stats.i_ae_hat, stats.i_ae_hat_se, i_ae(spec, disturbance, w), d, n_comp),
+        _information_check("i_ab_dits", stats.i_ab_hat, stats.i_ab_hat_se, i_ab(d, disturbance), d, n_total),
     )
-
-    pe = guess_probability(spec, disturbance, w)
-    se_pe = math.sqrt(pe * (1.0 - pe) / n_comp)
-    z = float(_z_score(stats.p_eve_correct, pe, se_pe))
-    checks.append(
-        ComparisonCheck("eve_guess_probability", stats.p_eve_correct, pe, z, Z_LIMIT, abs(z) <= Z_LIMIT)
-    )
-
-    # Near zero information the delta-method SE collapses while the plug-in
-    # estimate sits in its chi-square regime; flooring the denominator by the
-    # bias allowance keeps the z-score meaningful there.
-    bias = plug_in_bias_allowance(spec.dim, n_comp)
-    target = i_ae(spec, disturbance, w)
-    z = float(_z_score(stats.i_ae_hat, target, max(stats.i_ae_hat_se, bias)))
-    ok = bool(abs(z) <= Z_LIMIT and abs(stats.i_ae_hat - target) <= MI_ABS_TOL + bias)
-    checks.append(ComparisonCheck("i_ae_dits", stats.i_ae_hat, target, z, Z_LIMIT, ok))
-
-    bias = plug_in_bias_allowance(spec.dim, n_total)
-    target = i_ab(spec.dim, disturbance)
-    z = float(_z_score(stats.i_ab_hat, target, max(stats.i_ab_hat_se, bias)))
-    ok = bool(abs(z) <= Z_LIMIT and abs(stats.i_ab_hat - target) <= MI_ABS_TOL + bias)
-    checks.append(ComparisonCheck("i_ab_dits", stats.i_ab_hat, target, z, Z_LIMIT, ok))
-
-    return ComparisonReport(checks=tuple(checks), passed=all(c.passed for c in checks))
+    return ComparisonReport(checks=checks, passed=all(c.passed for c in checks))

@@ -201,7 +201,6 @@ def test_eve_states_match_pair_by_pair_layout(d, bases_count):
         params = AttackParams(d, bases_count, D, w)
         eve = build_eve_states(params)
         assert not eve.states.flags.writeable
-        assert eve.block_of == error_set_partition(d)
         assert np.array_equal(eve.states, eve_states_by_pairs(params))
 
 
@@ -276,7 +275,7 @@ def test_perturbed_s_breaks_fourier_symmetry():
     for i in range(3):
         states[i, i, :3] = v
         states[i, i, i] = u
-    bad = EveStateSet(dim=3, states=states, block_of=good.block_of, coeffs=(u, v, *good.coeffs[2:]))
+    bad = EveStateSet(dim=3, states=states, coeffs=(u, v, *good.coeffs[2:]))
     iso = isometry_from_states(bad, params.disturbance)
     assert iso.unitarity_residual() <= 1e-12  # still a valid channel
     dist = disturbance_per_state(iso, fourier_basis(3))
@@ -305,7 +304,7 @@ def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
     """
     d = eve.dim
     st = eve.states
-    blocks = eve.block_of
+    blocks = error_set_partition(d)
 
     def max_abs(values: list[complex]) -> complex:
         if not values:
@@ -368,7 +367,7 @@ def orthonormal_layout(d: int) -> EveStateSet:
     for i in range(d):
         for j in range(d):
             states[i, j, d * ((j - i) % d) + i] = 1.0
-    return EveStateSet(dim=d, states=states, block_of=error_set_partition(d), coeffs=(1.0, 0.0, 1.0, 0.0))
+    return EveStateSet(dim=d, states=states, coeffs=(1.0, 0.0, 1.0, 0.0))
 
 
 # group -> (perturbed state E_ab, state E_pq on whose coordinate it gains 0.5j)
@@ -390,7 +389,7 @@ def test_profile_reports_a_perturbed_pair_in_its_group(group):
     (a, b), (p, q) = PERTURBATIONS[group]
     states = np.array(eve.states)
     states[a, b, d * ((q - p) % d) + p] += 0.5j
-    perturbed = EveStateSet(dim=d, states=states, block_of=eve.block_of, coeffs=eve.coeffs)
+    perturbed = EveStateSet(dim=d, states=states, coeffs=eve.coeffs)
     profile = scalar_product_profile(perturbed)
     oracle = profile_by_pairs(perturbed)
     for name in GROUPS:

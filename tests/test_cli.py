@@ -238,6 +238,22 @@ def test_simulate_identity_attack_exact(tmp_path, capsys):
     assert doc["stats"]["bob_error_rate"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("rounds,seed", [(1, 1), (3, 1), (3, 12)])
+def test_simulate_without_computational_rounds_exits_one(tmp_path, capsys, rounds, seed):
+    # Every round of these sessions lands in the Fourier basis: no sample for the guess rate.
+    out = tmp_path / "s.json"
+    code, stdout, err = run(
+        capsys,
+        "simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", str(rounds),
+        "--seed", str(seed), "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "computational-basis" in lines[0]
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["curves", "--dim", "3", "--frobnicate"])

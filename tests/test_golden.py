@@ -23,6 +23,15 @@ CURVES = {(3, 2): "0.6", (3, 3): "0.6", (4, 2): "0.7", (8, 2): "0.85"}
 EDGE_CURVES = {(3, 3): ("0.05", "0.6666666666666666"), (5, 2): ("0", "0.8")}
 CRITICAL = [(d, 2) for d in (2, 3, 4, 5, 8, 16)] + [(3, 3)]
 SIMULATE = {(3, 2): ("0.1", 4), (3, 3): ("0.15", 2), (8, 2): ("0.2", 3), (16, 2): ("0.1", 1)}
+# Small sessions that reach the estimators' edge branches: an empty receiver-error
+# regime at D = 0, fewer rounds than cells, and a single round, which leaves one
+# basis without rounds and the information standard errors at their n <= 1 branch.
+# name -> (d, D, rounds, seed, shards), all with two bases.
+SIMULATE_EDGE = {
+    "simulate-5-2-no-error": (5, "0", 1000, 42, 1),
+    "simulate-4-2-7-rounds": (4, "0.3", 7, 42, 3),
+    "simulate-3-2-1-round": (3, "0.1", 1, 0, 1),
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -46,6 +55,11 @@ def _cases() -> dict[str, list[str]]:
         cases[f"simulate-{d}-{k}"] = [
             "simulate", "--dim", str(d), "--bases", str(k), "--disturbance", disturbance,
             "--rounds", "1000000", "--seed", "42", "--shards", str(shards), "--out", "{out}",
+        ]
+    for name, (d, disturbance, rounds, seed, shards) in SIMULATE_EDGE.items():
+        cases[name] = [
+            "simulate", "--dim", str(d), "--bases", "2", "--disturbance", disturbance,
+            "--rounds", str(rounds), "--seed", str(seed), "--shards", str(shards), "--out", "{out}",
         ]
     return cases
 
@@ -76,6 +90,9 @@ DIGESTS = {
     "simulate-3-3": "5c3fa12a7284e67927f4ee0b0edbf3bf8c717ccd7d13a1d1bdb1056b35674015",
     "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",
     "simulate-16-2": "7e3d57357fa6dda4d4c5c5176920f1eaf6a192b18b1ddc3620bacbd77891bea4",
+    "simulate-5-2-no-error": "df9866af8e60be21847cf35b9163e7450b0c594f377aa3dc53f7840a967ca95e",
+    "simulate-4-2-7-rounds": "bbb6de8d6c1a83051933c924aa01f100018aa6ef282161d8a08396eb33349341",
+    "simulate-3-2-1-round": "e09587b84c2705968230ab95b34c823b97f9abb0c60f029421eaef283856e5f7",
 }
 
 

@@ -15,7 +15,6 @@ from mub_eve import (
     admissible_w_interval,
     build_isometry,
     disturbance_per_state,
-    error_set_partition,
     golden_section_maximize,
     guess_probability,
     guess_probability_constructive,
@@ -176,7 +175,7 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
     # checked against the group definitions, not against the layout's zeros.
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((d, d, d * d)) + 1j * rng.standard_normal((d, d, d * d))
-    eve = EveStateSet(dim=d, states=states, block_of=error_set_partition(d), coeffs=(0.0,) * 4)
+    eve = EveStateSet(dim=d, states=states, coeffs=(0.0,) * 4)
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12

@@ -1,9 +1,11 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from mub_eve import (
+    AnalysisError,
     AttackParams,
     DomainError,
     ProtocolError,
@@ -223,3 +225,81 @@ def test_rounds_split_over_shards():
     stats = session(rounds=10, seed=1, shards=3)
     assert stats.counts.sum() == 10
     assert stats.rounds_per_basis.sum() == 10
+
+
+def _two_pass_information(hists, base):
+    """Oracle: the estimator as first written, one plug-in information per regime table and
+    a second pass over the tables for the delta-method standard error."""
+
+    def cell_terms(hist):
+        joint = hist / hist.sum()
+        row = joint.sum(axis=1, keepdims=True)
+        col = joint.sum(axis=0, keepdims=True)
+        mask = joint > 0
+        p = joint[mask]
+        return p, np.log(p / (row @ col)[mask])
+
+    total = sum(h.sum() for h in hists)
+    info = 0.0
+    for hist in hists:
+        n = hist.sum()
+        if n:
+            p, log_ratio = cell_terms(np.asarray(hist, dtype=float))
+            info += (n / total) * float(np.sum(p * log_ratio) / math.log(base))
+
+    total = sum(int(h.sum()) for h in hists)
+    if total <= 1:
+        return info, 0.0
+    mean = second = 0.0
+    for hist in hists:
+        hist = np.asarray(hist, dtype=float)
+        n = hist.sum()
+        if n == 0:
+            continue
+        p, log_ratio = cell_terms(hist)
+        scores = log_ratio / math.log(base)
+        weights = (n / total) * p
+        mean += float(np.sum(weights * scores))
+        second += float(np.sum(weights * scores**2))
+    return info, math.sqrt(max(second - mean**2, 0.0) / total)
+
+
+@pytest.mark.parametrize(
+    "dim,bases,D,rounds,seed,shards",
+    [
+        (5, 2, 0.0, 1000, 42, 1),  # no receiver errors: the error regime is empty
+        (4, 2, 0.3, 7, 42, 3),
+        (3, 2, 0.1, 1, 0, 1),  # one round: the Fourier basis is empty, the SEs take n <= 1
+        (3, 3, 0.15, 10**6, 100, 2),
+    ],
+)
+def test_information_estimates_equal_two_pass_oracle(dim, bases, D, rounds, seed, shards):
+    spec = ProtocolSpec(dim, bases)
+    stats = simulate(SimConfig(spec, D, "auto", rounds, seed, shards))
+    pooled = stats.counts.sum(axis=(0, 3))
+    assert (stats.i_ab_hat, stats.i_ab_hat_se) == _two_pass_information([pooled], dim)
+    assert (stats.i_ae_hat, stats.i_ae_hat_se) == _two_pass_information(list(stats.eve_joint_given_bob), dim)
+
+
+def test_empty_computational_sample_raises():
+    # The single round of seed 1 lands in the Fourier basis: no sample for the guess rate.
+    stats = session(rounds=1, seed=1, shards=1)
+    assert stats.rounds_per_basis.tolist() == [0, 1]
+    assert stats.bob_error_rate.tolist()[0] == 0.0
+    with pytest.raises(AnalysisError, match="computational-basis"):
+        stats.p_eve_correct
+    with pytest.raises(AnalysisError, match="computational-basis"):
+        compare_to_analytic(stats, ProtocolSpec(3, 2), 0.1, 0.85)
+
+
+def test_each_count_table_is_read_once(monkeypatch):
+    # One pass over the pooled table and one over each receiver regime serves every
+    # information estimate of the statistics and of the verdict.
+    sim = importlib.import_module("mub_eve.simulate")  # the package's `simulate` is the function
+    calls = []
+    cell_terms = sim._cell_terms
+    monkeypatch.setattr(sim, "_cell_terms", lambda hist: calls.append(hist.shape) or cell_terms(hist))
+    stats = session(rounds=10**5, seed=3)
+    compare_to_analytic(stats, ProtocolSpec(3, 2), 0.1, 0.85)
+    stats.to_dict()
+    assert len(calls) == 3

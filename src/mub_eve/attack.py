@@ -109,7 +109,6 @@ class EveStateSet:
 
     dim: int
     states: np.ndarray = field(repr=False)  # (d, d, d^2) complex
-    coeffs: tuple[float, float, float, float]  # (u, v, r, q)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     blocks[i, (i + m) % d, m] = np.where(m == 0, v, q)[:, None]
     blocks[i, (i + m) % d, m, i] = np.where(m == 0, u, r)
     states.setflags(write=False)
-    return EveStateSet(dim=d, states=states, coeffs=(u, v, r, q))
+    return EveStateSet(dim=d, states=states)
 
 
 def _first_max_abs(values: np.ndarray, best: complex = 0j) -> complex:

@@ -111,12 +111,12 @@ def qutrit_three_basis_set() -> list[Basis]:
     ]
 
 
-def is_mutually_unbiased(a: Basis, b: Basis, tol: float = ORTHONORMALITY_TOL) -> bool:
-    """True iff every cross overlap magnitude is within tol of 1/sqrt(d)."""
+def is_mutually_unbiased(a: Basis, b: Basis) -> bool:
+    """True iff every cross overlap magnitude is within ORTHONORMALITY_TOL of 1/sqrt(d)."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     mags = np.abs(a.vectors.conj() @ b.vectors.T)
-    return bool(np.max(np.abs(mags - 1.0 / np.sqrt(a.dim))) <= tol)
+    return bool(np.max(np.abs(mags - 1.0 / np.sqrt(a.dim))) <= ORTHONORMALITY_TOL)
 
 
 def protocol_bases(dim: int, bases_count: int) -> list[Basis]:

@@ -19,7 +19,7 @@ from .attack import AttackParams, build_eve_states, disturbance_per_state, isome
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
 from .information import dits_to_bits, i_ab, i_ae
-from .optimize import admissible_w_interval, critical_disturbance, d_c_closed_form, optimal_w, stationarity
+from .optimize import critical_disturbance, d_c_closed_form, optimal_w, stationarity
 from .simulate import SimConfig, compare_to_analytic, resolve_w, simulate
 
 SCHEMA = "mub-eve/1"
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("critical", help="Locate the critical disturbance by bisection.")
     k.add_argument("--dim", type=int, required=True)
     k.add_argument("--bases", type=int, default=2)
-    k.add_argument("--tol", type=float, default=1e-6)
 
     v = sub.add_parser("verify", help="Check every attack constraint for given parameters.")
     v.add_argument("--dim", type=int, required=True)
@@ -158,9 +157,7 @@ def _write_curves_json(path: Path, metadata: dict, rows: list[list[float]]) -> N
 
 def cmd_critical(args, spec: ProtocolSpec) -> int:
     try:
-        point = critical_disturbance(spec, tol=args.tol)
-    except DomainError as exc:
-        return _usage_error(str(exc))
+        point = critical_disturbance(spec)
     except AnalysisError as exc:
         print(json.dumps({"schema": SCHEMA, "kind": "critical", "error": str(exc)}))
         return 1
@@ -229,8 +226,7 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
         "ancilla_dimension", float(abs(eve.states.shape[2] - spec.dim**2)), 0.0
     )
 
-    lo, hi = admissible_w_interval(spec, args.disturbance)
-    _, residual = stationarity(lambda x: i_ae(spec, args.disturbance, x), w, lo, hi)
+    _, residual = stationarity(spec, args.disturbance, w)
     add_check("w_is_stationary_optimum", residual, STATIONARITY_TOL, informational=True)
 
     doc["passed"] = bool(gate_ok)
@@ -244,7 +240,7 @@ def cmd_simulate(args, spec: ProtocolSpec) -> int:
     except DomainError as exc:
         return _usage_error(str(exc))
     try:
-        verdict = compare_to_analytic(stats, spec, args.disturbance, stats.w)
+        verdict = compare_to_analytic(stats)
         doc = {"schema": SCHEMA, "kind": "simulate", "stats": stats.to_dict(), "verdict": verdict.to_dict()}
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)

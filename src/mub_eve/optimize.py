@@ -12,6 +12,9 @@ from .bases import ProtocolSpec
 from .information import Real, guess_probability, i_ab, i_ae, lambda_d, phi_d
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket widths at which the golden-section search over w and the bisection over D stop.
+GOLDEN_TOL = 1e-10
+BISECTION_WIDTH = 1e-12
 
 # Shrink applied to radical-zero endpoints of the w-interval; derivatives of
 # the guess probabilities blow up there.
@@ -87,21 +90,25 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, 
     return lo, hi
 
 
-def golden_section_maximize(f, lo: Real, hi: Real, tol: float = 1e-10) -> Real:
-    """Locate the maximum of a unimodal function on [lo, hi] to width tol.
+def golden_section_maximize(f, lo: Real, hi: Real) -> Real:
+    """Locate the maximum of a unimodal function on [lo, hi] to width GOLDEN_TOL.
 
-    Array bounds run one search per element in lockstep, on an f that maps
-    arrays element-wise. Each element does the float loop's arithmetic, takes
-    its own branch and stops at its own width, so it returns what a float
-    call on its bounds returns, bit for bit.
+    The search also stops once a step leaves the bracket no narrower, as it
+    does where the float spacing of the bounds exceeds GOLDEN_TOL. Array
+    bounds run one search per element in lockstep, on an f that maps arrays
+    element-wise. Each element does the float loop's arithmetic, takes its
+    own branch and stops at its own width, so it returns what a float call
+    on its bounds returns, bit for bit.
     """
     if isinstance(lo, np.ndarray):
-        return _golden_section_lockstep(f, lo, hi, tol)
+        return _golden_section_lockstep(f, lo, hi)
     a, b = lo, hi
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = math.inf
+    while GOLDEN_TOL < b - a < width:
+        width = b - a
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + INV_GOLDEN * (b - a)
@@ -113,13 +120,14 @@ def golden_section_maximize(f, lo: Real, hi: Real, tol: float = 1e-10) -> Real:
     return 0.5 * (a + b)
 
 
-def _golden_section_lockstep(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+def _golden_section_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     a, b = lo, hi
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    running = b - a > tol
+    running = b - a > GOLDEN_TOL
     while running.any():
+        width = b - a
         up = running & (fc < fd)  # the float loop's first branch: a moves up to c
         down = running & ~up
         a, b = np.where(up, c, a), np.where(down, d, b)
@@ -130,7 +138,7 @@ def _golden_section_lockstep(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> n
         f_probe = f(probe)
         c, fc = np.where(down, probe, c), np.where(down, f_probe, fc)
         d, fd = np.where(up, probe, d), np.where(up, f_probe, fd)
-        running = b - a > tol
+        running &= (b - a > GOLDEN_TOL) & (b - a < width)
     return 0.5 * (a + b)
 
 
@@ -138,17 +146,21 @@ def _central_difference(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
-def _fd_step(w: float, lo: float, hi: float, cap: float = 1e-5) -> float:
-    """Finite-difference step at w: at most cap, and w +- step stays in [lo, hi] (<= 0 at an edge)."""
-    return min(cap, 0.5 * (hi - w), 0.5 * (w - lo))
+def _fd_step(w: float, lo: float, hi: float) -> float:
+    """Finite-difference step at w: at most 1e-5, and w +- step stays in [lo, hi] (<= 0 at an edge)."""
+    return min(1e-5, 0.5 * (hi - w), 0.5 * (w - lo))
 
 
-def stationarity(f, w: float, lo: float, hi: float) -> tuple[float, float]:
-    """(step, |f'(w)|) by a central difference inside [lo, hi]; (0, 0) where w sits at an edge."""
-    step = _fd_step(w, lo, hi)
+def stationarity(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
+    """(step, |d i_ae / dw|) at w by a central difference inside the admissible interval.
+
+    Where no step fits, w sits at or beyond an edge of the interval, and the
+    residual is |w - optimal_w| with step 0: exactly 0 for the optimiser's own w.
+    """
+    step = _fd_step(w, *admissible_w_interval(spec, disturbance))
     if not step > 0.0:
-        return 0.0, 0.0
-    return step, abs(_central_difference(f, w, step))
+        return 0.0, abs(w - optimal_w(spec, disturbance))
+    return step, abs(_central_difference(lambda x: i_ae(spec, disturbance, x), w, step))
 
 
 def _second_difference(f, x: Real, step: float) -> Real:
@@ -162,7 +174,7 @@ def _worst_grid_second_difference(f, lo: float, hi: float) -> float:
     return float(np.max(_second_difference(f, lo + np.arange(1, n + 1) * h, 0.5 * h)))
 
 
-def maximize_w(spec: ProtocolSpec, disturbance: float, tol: float = 1e-10) -> OptimumReport:
+def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     """Maximise the eavesdropper's information over w at fixed disturbance.
 
     The two-basis route returns the closed-form stationary overlap w_bar and
@@ -176,12 +188,9 @@ def maximize_w(spec: ProtocolSpec, disturbance: float, tol: float = 1e-10) -> Op
     optimizer tests. The three-basis optimum has no closed form and is found
     by golden-section search on the admissible interval.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    lo, hi = admissible_w_interval(spec, disturbance)
-    w_opt = _auto_w(spec, disturbance, lo, hi, tol)
+    w_opt = optimal_w(spec, disturbance)
     f = lambda w: i_ae(spec, disturbance, w)
-    step, residual = stationarity(f, w_opt, lo, hi)
+    step, residual = stationarity(spec, disturbance, w_opt)
     return OptimumReport(
         D=disturbance,
         w_opt=w_opt,
@@ -193,9 +202,14 @@ def maximize_w(spec: ProtocolSpec, disturbance: float, tol: float = 1e-10) -> Op
     )
 
 
-def _auto_w(spec: ProtocolSpec, disturbance: Real, lo: Real, hi: Real, tol: float = 1e-10) -> Real:
-    """The w "auto" means: w_bar (the guess-probability maximiser) clamped to [lo, hi]
-    for two bases, the golden-section maximiser of i_ae for three. Floats or arrays."""
+def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
+    """maximize_w's w, the w "auto" means, at each disturbance, a float or an array.
+
+    For two bases it is w_bar (the guess-probability maximiser) clamped to the
+    admissible interval, for three the golden-section maximiser of i_ae; an
+    array of D is one lockstep search, not one per element.
+    """
+    lo, hi = admissible_w_interval(spec, disturbance)
     if spec.bases_count == 2:
         w = w_bar(spec.dim, disturbance)
         # min(max(w, lo), hi); lo < hi
@@ -203,15 +217,7 @@ def _auto_w(spec: ProtocolSpec, disturbance: Real, lo: Real, hi: Real, tol: floa
             return np.where(w < lo, lo, np.where(w > hi, hi, w))
         return lo if w < lo else hi if w > hi else w
     spec.check_disturbance(disturbance)
-    return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi, tol)
-
-
-def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
-    """maximize_w's w at each disturbance, a float or an array, without its diagnostics.
-
-    An array of D is one lockstep search for three bases, not one per element.
-    """
-    return _auto_w(spec, disturbance, *admissible_w_interval(spec, disturbance))
+    return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi)
 
 
 def i_ae_optimal(spec: ProtocolSpec, disturbance: Real) -> Real:
@@ -219,16 +225,13 @@ def i_ae_optimal(spec: ProtocolSpec, disturbance: Real) -> Real:
     return i_ae(spec, disturbance, optimal_w(spec, disturbance))
 
 
-def critical_disturbance(spec: ProtocolSpec, tol: float = 1e-6) -> CriticalPoint:
+def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
     """Bisection for the disturbance where I_AE(optimal) first reaches I_AB.
 
     The bracket is [1e-4, (d-1)/d - 1e-4]; the gap must be negative at the low
     end and positive at the high end. Bisection stops at a bracket width of
-    min(tol, 1e-12), so tol only matters below 1e-12 and the residual gap at
-    the returned point is negligible.
+    BISECTION_WIDTH, so the residual gap at the returned point is negligible.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     gap = lambda disturbance: i_ae_optimal(spec, disturbance) - i_ab(spec.dim, disturbance)
     lo = 1e-4
     hi = spec.max_disturbance - 1e-4
@@ -236,8 +239,7 @@ def critical_disturbance(spec: ProtocolSpec, tol: float = 1e-6) -> CriticalPoint
         raise AnalysisError(f"information gap is not negative at D={lo}; no crossing bracket")
     if not gap(hi) > 0.0:
         raise AnalysisError(f"information gap is not positive at D={hi}; no crossing bracket")
-    width = min(tol, 1e-12)
-    while hi - lo > width:
+    while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0.0:
             lo = mid
@@ -273,10 +275,10 @@ class OptimalityWitnesses:
     concavity: float
 
 
-def optimality_witnesses(disturbance: float, step: float = 1e-5, d: int = 3) -> OptimalityWitnesses:
+def optimality_witnesses(disturbance: float, d: int = 3) -> OptimalityWitnesses:
     """Finite-difference checks of the two-basis optimum structure in dimension d.
 
-    The step shrinks below ``step`` where w_bar = (d/(d-1)) ((d-1)/d - D) nears the w = 1 radical zero.
+    The step shrinks below 1e-5 where w_bar = (d/(d-1)) ((d-1)/d - D) nears the w = 1 radical zero.
     """
     spec = ProtocolSpec(dim=d, bases_count=2)
     if not 0.0 < disturbance < spec.max_disturbance:
@@ -286,7 +288,7 @@ def optimality_witnesses(disturbance: float, step: float = 1e-5, d: int = 3) -> 
     equality = abs(phi_d(disturbance, wb, d) - lambda_d(wb, d))
 
     lo, hi = admissible_w_interval(spec, disturbance)
-    step = _fd_step(wb, lo - EDGE_SHRINK, hi + EDGE_SHRINK, step)
+    step = _fd_step(wb, lo - EDGE_SHRINK, hi + EDGE_SHRINK)
     dphi = _central_difference(lambda w: phi_d(disturbance, w, d), wb, step)
     dlam = _central_difference(lambda w: lambda_d(w, d), wb, step)
     ratio_residual = abs(dphi / dlam - disturbance / (disturbance - 1.0))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .attack import AttackParams, build_isometry
 from .bases import ProtocolSpec, protocol_bases
-from .errors import AnalysisError, DomainError, ProtocolError
+from .errors import AnalysisError, DomainError
 from .information import guess_probability, i_ab, i_ae
 from .optimize import optimal_w
 
@@ -85,7 +85,7 @@ class SimConfig:
     def __post_init__(self):
         for name, least in (("rounds", 1), ("shards", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy integers do not serialise to JSON
 
@@ -241,10 +241,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def empirical_mutual_information(hist: np.ndarray, base: int) -> float:
-    """Plug-in Shannon mutual information of a joint count table, in log base d."""
+    """Plug-in Shannon mutual information of a joint count table, in log base ``base``.
+
+    DomainError unless the table is 2-D, finite and nonnegative with a
+    positive sum, and base >= 2.
+    """
     hist = np.asarray(hist, dtype=float)
-    if hist.sum() <= 0:
-        raise DomainError("empty histogram")
+    if hist.ndim != 2 or not (np.isfinite(hist).all() and (hist >= 0).all() and hist.sum() > 0):
+        raise DomainError(f"need a 2-D finite nonnegative count table with a positive sum, got shape {hist.shape}")
+    if not base >= 2:
+        raise DomainError(f"base must be >= 2, got {base!r}")
     return _information([hist], base)[0]
 
 
@@ -363,20 +369,14 @@ def _information_check(name: str, empirical: float, se: float, analytic: float, 
     return ComparisonCheck(name, empirical, analytic, z, Z_LIMIT, ok)
 
 
-def compare_to_analytic(
-    stats: SessionStats, spec: ProtocolSpec, disturbance: float, w: float
-) -> ComparisonReport:
-    """z-scores of the empirical estimates against the closed forms.
+def compare_to_analytic(stats: SessionStats) -> ComparisonReport:
+    """z-scores of the empirical estimates against the closed forms at the session's own (d, bases, D, w).
 
     Passing requires |z| <= 4 on every rate and the plug-in informations to
     agree within 5e-3 plus a first-order bias allowance. A session without
     computational-basis rounds raises ``AnalysisError``.
     """
-    if spec.dim != stats.dim or spec.bases_count != stats.bases_count:
-        raise ProtocolError(
-            f"stats are for (d={stats.dim}, bases={stats.bases_count}), "
-            f"not (d={spec.dim}, bases={spec.bases_count})"
-        )
+    spec, disturbance, w = ProtocolSpec(stats.dim, stats.bases_count), stats.disturbance, stats.w
     d, n_total, n_comp = spec.dim, int(stats.counts.sum()), int(stats.counts[0].sum())
     checks = (
         _rate_check("disturbance", stats.d_hat, disturbance, n_total),

@@ -50,7 +50,7 @@ def test_criterion_1_critical_disturbance_closed_form():
     start = time.perf_counter()
     worst = 0.0
     for d in range(2, 11):
-        point = critical_disturbance(ProtocolSpec(d, 2), tol=1e-6)
+        point = critical_disturbance(ProtocolSpec(d, 2))
         worst = max(worst, abs(point.d_c - d_c_closed_form(d)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -63,7 +63,7 @@ def test_criterion_1_critical_disturbance_closed_form():
 
 def test_criterion_2_three_basis_crossing():
     start = time.perf_counter()
-    point = critical_disturbance(ProtocolSpec(3, 3), tol=1e-6)
+    point = critical_disturbance(ProtocolSpec(3, 3))
     elapsed = time.perf_counter() - start
     ok = abs(point.d_c - 0.2247) <= 5e-4 and elapsed < 10.0
     report(2, ok, f"three-basis crossing at D_c = {point.d_c:.6f} (target 0.2247 +- 5e-4)", elapsed)
@@ -194,7 +194,7 @@ def test_criterion_6_optimality_witnesses():
     concavity_failures = []
     info_convex_at = []
     for disturbance in d_grid:
-        witnesses = optimality_witnesses(disturbance, step=1e-5)
+        witnesses = optimality_witnesses(disturbance)
         stationarity = maximize_w(ProtocolSpec(3, 2), disturbance).stationarity_residual
         stationarity_ok &= stationarity <= 1e-6
         ratio_ok &= witnesses.derivative_ratio <= 1e-4
@@ -232,7 +232,7 @@ def test_criterion_7_monte_carlo_oracle_equivalence():
             spec=spec, disturbance=disturbance, w=w, rounds=rounds, seed=20260809, shards=4
         )
         stats = simulate(config)
-        verdict = compare_to_analytic(stats, spec, disturbance, w)
+        verdict = compare_to_analytic(stats)
         assert verdict.passed, f"(d={dim}, D={disturbance}): {verdict.to_dict()}"
         worst_z = max(worst_z, max(abs(c.z) for c in verdict.checks))
         worst_mi = max(

@@ -159,8 +159,9 @@ def test_eve_states_normalisation_and_measured_overlaps():
 
 
 def test_identity_attack_states():
-    eve = build_eve_states(AttackParams(3, 2, 0.0, 0.5))
-    u, v, _, _ = eve.coeffs
+    params = AttackParams(3, 2, 0.0, 0.5)
+    eve = build_eve_states(params)
+    (u, v), _ = params.coeff_pairs()
     assert u == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     assert v == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     for i in range(3):
@@ -275,7 +276,7 @@ def test_perturbed_s_breaks_fourier_symmetry():
     for i in range(3):
         states[i, i, :3] = v
         states[i, i, i] = u
-    bad = EveStateSet(dim=3, states=states, coeffs=(u, v, *good.coeffs[2:]))
+    bad = EveStateSet(dim=3, states=states)
     iso = isometry_from_states(bad, params.disturbance)
     assert iso.unitarity_residual() <= 1e-12  # still a valid channel
     dist = disturbance_per_state(iso, fourier_basis(3))
@@ -367,7 +368,7 @@ def orthonormal_layout(d: int) -> EveStateSet:
     for i in range(d):
         for j in range(d):
             states[i, j, d * ((j - i) % d) + i] = 1.0
-    return EveStateSet(dim=d, states=states, coeffs=(1.0, 0.0, 1.0, 0.0))
+    return EveStateSet(dim=d, states=states)
 
 
 # group -> (perturbed state E_ab, state E_pq on whose coordinate it gains 0.5j)
@@ -389,7 +390,7 @@ def test_profile_reports_a_perturbed_pair_in_its_group(group):
     (a, b), (p, q) = PERTURBATIONS[group]
     states = np.array(eve.states)
     states[a, b, d * ((q - p) % d) + p] += 0.5j
-    perturbed = EveStateSet(dim=d, states=states, coeffs=eve.coeffs)
+    perturbed = EveStateSet(dim=d, states=states)
     profile = scalar_product_profile(perturbed)
     oracle = profile_by_pairs(perturbed)
     for name in GROUPS:

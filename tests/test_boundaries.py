@@ -13,7 +13,7 @@ from mub_eve import (
     ProtocolSpec,
     SimConfig,
     build_isometry,
-    critical_disturbance,
+    empirical_mutual_information,
     guess_probability,
     i_ab,
     i_ae,
@@ -28,7 +28,6 @@ from mub_eve import (
     simulate,
     w_bar,
 )
-from mub_eve.cli import main
 
 NAN = math.nan
 # Arrays in which only the last element is bad.
@@ -51,8 +50,6 @@ BAD_INPUTS = [
     bad(lambda: i_ae(ProtocolSpec(3, 3), NAN, 0.5), "i_ae-three-bases-D-nan"),
     bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, NAN), "i_ae-three-bases-w-nan"),
     bad(lambda: guess_probability(ProtocolSpec(3), 0.1, NAN), "guess-w-nan"),
-    bad(lambda: critical_disturbance(ProtocolSpec(3), tol=NAN), "critical-tol-nan"),
-    bad(lambda: maximize_w(ProtocolSpec(3), 0.1, tol=NAN), "maximize-tol-nan"),
     bad(lambda: maximize_w(ProtocolSpec(3, 3), 0.8), "maximize-three-bases-D-too-big"),
     bad(lambda: i_ae_optimal(ProtocolSpec(3, 3), NAN), "i_ae_optimal-three-bases-D-nan"),
     bad(lambda: w_bar(3, NAN), "w_bar-D-nan"),
@@ -61,6 +58,17 @@ BAD_INPUTS = [
     bad(lambda: ProtocolSpec(3, 2.0), "spec-float-bases"),
     bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=1.5), "sim-fractional-rounds"),
     bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=0.5), "sim-fractional-seed"),
+    bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=True), "sim-bool-rounds"),
+    bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=False), "sim-bool-seed"),
+    bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, shards=True), "sim-bool-shards"),
+    bad(lambda: empirical_mutual_information([[2, 0], [0, -1]], 2), "mi-negative-count"),
+    bad(lambda: empirical_mutual_information([[3, -1], [-1, 3]], 2), "mi-negative-off-diagonal"),
+    bad(lambda: empirical_mutual_information([[1, NAN], [0, 1]], 2), "mi-nan-count"),
+    bad(lambda: empirical_mutual_information([[1, math.inf], [0, 1]], 2), "mi-inf-count"),
+    bad(lambda: empirical_mutual_information([1, 2, 3], 3), "mi-one-dimensional"),
+    bad(lambda: empirical_mutual_information(np.ones((2, 2, 2)), 2), "mi-three-dimensional"),
+    bad(lambda: empirical_mutual_information([[1, 0], [0, 1]], 1), "mi-base-one"),
+    bad(lambda: empirical_mutual_information([[1, 0], [0, 1]], NAN), "mi-base-nan"),
     bad(lambda: AttackParams(8, 2, 0.1, 1.0 + 2e-14), "attack-w-above-one"),
     bad(lambda: i_ae(ProtocolSpec(3), D_NAN, W_HALF), "array-i_ae-D-nan"),
     bad(lambda: i_ae(ProtocolSpec(3), D_OK, W_NAN), "array-i_ae-w-nan"),
@@ -102,11 +110,6 @@ def test_numpy_integers_accepted():
     assert build_isometry(params).unitarity_residual() <= 1e-12
     config = SimConfig(spec, 0.1, rounds=np.int64(1000), seed=np.uint32(1), shards=np.int8(2))
     json.dumps(simulate(config).to_dict())
-
-
-def test_critical_cli_rejects_nan_tol(capsys):
-    assert main(["critical", "--dim", "3", "--tol", "nan"]) == 2
-    assert "tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("disturbance", [1e-7, 6e-6])

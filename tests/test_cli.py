@@ -189,6 +189,18 @@ def test_verify_suboptimal_w_flagged_informational_only(capsys):
     assert not by_name["w_is_stationary_optimum"]["passed"]
 
 
+@pytest.mark.parametrize("D, w, residual", [("0.1", "-0.5", 1.35), ("0.1", "1", 0.15), ("0", "-0.5", 1.5 - 1e-9)])
+def test_verify_w_beyond_an_edge_is_not_a_stationary_optimum(capsys, D, w, residual):
+    # No difference step fits at or beyond an edge of the admissible interval;
+    # the residual is then the distance from the optimiser's w.
+    code, out, _ = run(capsys, "verify", "--dim", "3", "--disturbance", D, "--w", w)
+    assert code == 0
+    doc = json.loads(out)
+    check = {c["name"]: c for c in doc["checks"]}["w_is_stationary_optimum"]
+    assert doc["passed"] and check["informational"] and not check["passed"]
+    assert check["residual"] == pytest.approx(residual, abs=1e-12)
+
+
 def test_verify_domain_failure_reported_not_raised(capsys):
     code, out, _ = run(
         capsys, "verify", "--dim", "3", "--bases", "2", "--disturbance", "0.9", "--w", "auto"

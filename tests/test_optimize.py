@@ -73,8 +73,17 @@ def test_golden_section_agrees_with_analytic_optimum(D):
     # analytic optimisers must agree
     spec = ProtocolSpec(3, 2)
     lo, hi = admissible_w_interval(spec, D)
-    wg = golden_section_maximize(lambda w: i_ae(spec, D, w), lo, hi, 1e-10)
+    wg = golden_section_maximize(lambda w: i_ae(spec, D, w), lo, hi)
     assert abs(wg - w_bar(3, D)) <= 1e-6
+
+
+def test_golden_section_stops_where_the_bracket_stops_shrinking():
+    # At 1e7 the float spacing, 1.9e-9, is wider than GOLDEN_TOL: the bracket never gets that narrow.
+    f = lambda w: -((w - (1e7 + 0.3)) ** 2)
+    w = golden_section_maximize(f, 1e7, 1e7 + 1.0)
+    assert w == pytest.approx(1e7 + 0.3, abs=1e-8)
+    lockstep = golden_section_maximize(f, np.array([1e7, 0.0]), np.array([1e7 + 1.0, 1.0]))
+    assert lockstep.tolist() == [w, golden_section_maximize(f, 0.0, 1.0)]
 
 
 @pytest.mark.parametrize("D", [0.02, 0.05, 0.10])
@@ -103,13 +112,13 @@ def test_stationary_overlap_local_shape_of_information(D, sign):
 
 @pytest.mark.parametrize("d", range(2, 11))
 def test_critical_disturbance_matches_closed_form(d):
-    point = critical_disturbance(ProtocolSpec(d, 2), tol=1e-6)
+    point = critical_disturbance(ProtocolSpec(d, 2))
     assert abs(point.d_c - d_c_closed_form(d)) <= 1e-6
     assert abs(point.gap_at_dc) <= 1e-9
 
 
 def test_critical_disturbance_three_bases():
-    point = critical_disturbance(ProtocolSpec(3, 3), tol=1e-6)
+    point = critical_disturbance(ProtocolSpec(3, 3))
     assert abs(point.d_c - 0.2247) <= 5e-4
     assert abs(point.gap_at_dc) <= 1e-9
 
@@ -129,13 +138,6 @@ def test_critical_disturbance_requires_sign_change(monkeypatch):
     monkeypatch.setattr(optimize_mod, "i_ab", lambda d, D: 2.0)
     with pytest.raises(AnalysisError):
         critical_disturbance(ProtocolSpec(3, 2))
-
-
-def test_tolerance_validation():
-    with pytest.raises(DomainError):
-        critical_disturbance(ProtocolSpec(3, 2), tol=0.0)
-    with pytest.raises(DomainError):
-        maximize_w(ProtocolSpec(3, 2), 0.1, tol=-1.0)
 
 
 def test_optimal_curve_nondecreasing_up_to_crossing():

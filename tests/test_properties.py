@@ -175,7 +175,7 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
     # checked against the group definitions, not against the layout's zeros.
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((d, d, d * d)) + 1j * rng.standard_normal((d, d, d * d))
-    eve = EveStateSet(dim=d, states=states, coeffs=(0.0,) * 4)
+    eve = EveStateSet(dim=d, states=states)
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12

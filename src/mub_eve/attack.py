@@ -108,7 +108,7 @@ class EveStateSet:
     """The d^2 ancilla output states, indexed as states[i, j] = E_ij."""
 
     dim: int
-    states: np.ndarray = field(repr=False)  # (d, d, d^2) complex
+    states: np.ndarray = field(repr=False)  # (d, d, d^2), float64 as built; complex sets work too
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     """Lay out the ancilla output states in orthogonal coordinate blocks."""
     d = params.dim
     (u, v), (r, q) = params.coeff_pairs()
-    states = np.zeros((d, d, d * d), dtype=complex)
+    states = np.zeros((d, d, d * d))
     # E_{i, i+m} fills block m of the coordinates: the minor coefficient, and the major on coordinate i.
     i, m = np.arange(d)[:, None], np.arange(d)
     blocks = states.reshape(d, d, d, d)  # [sender, receiver, block, coordinate in block]
@@ -158,25 +158,27 @@ def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
     """Measure the six scalar-product groups from the constructed states.
 
     Every one of the d^2 (d^2 - 1)/2 state pairs is measured from the concrete
-    states; no group is assumed to vanish because of the block layout. For
-    each block m of the layout, the d states E_{i, i+m} are taken against all
-    d^2 states in one BLAS product, d^6 complex multiply-adds over the d
-    blocks, and each group is selected from the product by the indices
-    (i, m', k) of the pair <E_{i, i+m}|E_{k, k+m'}>. Extra memory is O(d^3):
-    one product and its index masks at a time, with running maxima for z and t.
+    states; no group is assumed to vanish because of the block layout. The
+    states are gathered once in block order, and for each block m of the
+    layout the d states E_{i, i+m} are taken against the states of blocks
+    m..d-1 in one BLAS product: about d^6/2 multiply-adds over the d blocks,
+    real for the built (real) states and complex for a complex set. Each
+    group is selected from the product by the indices (i, m', k) of the pair
+    <E_{i, i+m}|E_{k, k+m'}>. Extra memory is one block-ordered copy of the
+    states (d^4 entries) plus O(d^3): one product at a time, with running
+    maxima for z and t.
     """
     d = eve.dim
     idx = np.arange(d)
-    states = eve.states.reshape(d * d, d * d)
     receiver = (idx[:, None] + idx) % d  # receiver[m, k] = k + m mod d
+    by_block = eve.states[idx, receiver]  # by_block[m, k] = E_{k, k+m}
     i, k = idx[:, None, None], idx[None, None, :]
     later_sender = idx[:, None] < idx  # [i, k]: k > i
+    other_sender = np.broadcast_to(i != k, (d, d - 1, d))  # [i, n, k]: k != i, sliced per block
 
     def block_gram(m: int) -> np.ndarray:
         """g[i, n, k] = <E_{i, i+m}|E_{k, k+m+n}> for every later block m + n."""
-        rows = eve.states[idx, receiver[m]]
-        g = (rows.conj() @ states.T).reshape(d, d, d)
-        return g[:, idx, receiver[m:]]
+        return (by_block[m].conj() @ by_block[m:].reshape(-1, d * d).T).reshape(d, d - m, d)
 
     g = block_gram(0)
     s_vals = g[:, 0][later_sender]
@@ -189,9 +191,8 @@ def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
         g = block_gram(m)
         w_vals.append(g[:, 0][later_sender])
         later = g[:, 1:]
-        same_sender = np.broadcast_to(i == k, later.shape)
-        z = _first_max_abs(later[same_sender], z)
-        t = _first_max_abs(later[~same_sender], t)
+        z = _first_max_abs(later[idx, :, idx], z)  # [i, n]: the same sender i
+        t = _first_max_abs(later[other_sender[:, : d - 1 - m]], t)
     w_vals = np.concatenate(w_vals)
 
     s_mean = float(np.mean(s_vals.real))

@@ -227,6 +227,19 @@ def test_isometry_matches_column_by_column_assembly(d, bases_count):
         assert np.array_equal(matrix, isometry_by_columns(eve, D))
 
 
+def test_states_are_real_and_the_isometry_complex():
+    # simulate's products read the isometry, so its dtype keeps every simulate digest;
+    # the profile reads the states, whose real dtype sends it to a real product.
+    for d, bases_count in ((2, 2), (3, 3), (8, 2)):
+        params = AttackParams(d, bases_count, 0.15, 0.3)
+        eve = build_eve_states(params)
+        assert eve.states.dtype == np.float64
+        assert not eve.states.flags.writeable
+        matrix = isometry_from_states(eve, params.disturbance).matrix
+        assert matrix.dtype == np.complex128
+        assert matrix.flags.c_contiguous
+
+
 def test_unitarity_relation_terms_vanish():
     # sqrt(D(1-D)/2)(<E_ij|E_jj> + <E_ii|E_ji>) + (D/2)<E_ik|E_jk> = 0,
     # each term individually zero in the block construction
@@ -360,6 +373,21 @@ def test_profile_matches_pair_by_pair_oracle(d, bases_count):
             assert getattr(kernel, group) == getattr(oracle, group)
         for name in ("s", "w", "s_max_dev", "w_max_dev"):
             assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 4 * EPS
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (16, 2), (3, 3)])
+def test_profile_of_real_states_equals_profile_of_their_complex_cast(d, bases_count):
+    # the built states take a real product, a complex set the complex one: same pairs, same groups
+    spec = ProtocolSpec(d, bases_count)
+    for disturbance in (0.0, 0.1, 0.3):
+        w = resolve_w(spec, disturbance, "auto")
+        eve = build_eve_states(AttackParams(d, bases_count, disturbance, w))
+        real = scalar_product_profile(eve)
+        cast = scalar_product_profile(EveStateSet(dim=d, states=eve.states.astype(np.complex128)))
+        for group in GROUPS:
+            assert getattr(real, group) == getattr(cast, group)
+        for name in ("s", "w", "s_max_dev", "w_max_dev"):
+            assert abs(getattr(real, name) - getattr(cast, name)) <= 4 * EPS
 
 
 def orthonormal_layout(d: int) -> EveStateSet:

@@ -179,3 +179,14 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_profile_kernel_equals_pair_by_pair_on_arbitrary_real_states(d, seed):
+    # real states, like the built ones, take the kernel's real product
+    rng = np.random.default_rng(seed)
+    eve = EveStateSet(dim=d, states=rng.standard_normal((d, d, d * d)))
+    kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
+    for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
+        assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12

@@ -41,7 +41,6 @@ from .information import (
     i_ae,
     i_d,
     lambda_d,
-    mu_nu_threebasis,
     phi_d,
 )
 from .optimize import (
@@ -111,7 +110,6 @@ __all__ = [
     "isometry_from_states",
     "lambda_d",
     "maximize_w",
-    "mu_nu_threebasis",
     "optimal_w",
     "optimality_witnesses",
     "outcome_distribution",

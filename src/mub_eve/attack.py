@@ -4,17 +4,17 @@ In the Weyl-operator form of Cerf, Bourennane, Karlsson and Gisin (PRL 88,
 127902, 2002) the attack applies X^m Z^n to the qudit, correlated with the
 ancilla, with weight p_mn. The symmetric attack with equal disturbance D on
 every basis of the protocol leaves one overlap w free. The weight z^2 on each
-non-identity point of the Z line (m = 0) is shared with the X line for two
-bases (any d), and with the XZ and XZ^2 lines, whose eigenbases are the other
-two qutrit bases, for three:
+non-identity point of the Z line (m = 0) is
 
-    two bases:    z^2 = D (1 + (d-1) w) / (d (d-1)),
-    three bases:  z^2 = D (1 - w) / (d (d-1)),   d = 3.
+    z^2 = D (1 + (d-1) c w) / (d (d-1)),   c = ProtocolSpec.z_factor,
 
-That is the only difference between the protocols. The eavesdropper's d^2
-output states are laid out in d mutually orthogonal coordinate blocks of size
-d, block m = (receiver - sender) mod d. Each block's Gram matrix is circulant,
-so its eigenvalues are d p_mn over the block's total weight:
+with c = 1 for two bases (any d), where Z shares its weight with the X line,
+and c = -1/2 for three (d = 3), where it shares with the XZ and XZ^2 lines,
+whose eigenbases are the other two qutrit bases. That is the only difference
+between the protocols. The eavesdropper's d^2 output states are laid out in d
+mutually orthogonal coordinate blocks of size d, block m = (receiver - sender)
+mod d. Each block's Gram matrix is circulant, so its eigenvalues are d p_mn
+over the block's total weight:
 
 * block 0 holds the "no error" states E_ii, with pairwise overlap s and
   eigenvalues 1 - s = d z^2 / (1 - D) (d - 1 times) and 1 + (d-1) s;
@@ -88,8 +88,8 @@ class AttackParams:
     def no_error_eigenvalues(self) -> tuple[float, float]:
         """Gram eigenvalues (1 + (d-1) s, 1 - s) of the no-error block, from the Z-line weight z^2."""
         d, disturbance = self.dim, self.disturbance
-        shared = 1.0 + (d - 1) * self.w if self.bases_count == 2 else 1.0 - self.w
-        z2 = disturbance * shared / (d * (d - 1))
+        c = ProtocolSpec(d, self.bases_count).z_factor
+        z2 = disturbance * (1.0 + (d - 1) * c * self.w) / (d * (d - 1))
         minus = d * z2 / (1.0 - disturbance)
         return d - (d - 1) * minus, minus
 

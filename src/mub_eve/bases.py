@@ -7,6 +7,7 @@ i-th state of the basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -41,6 +42,11 @@ class ProtocolSpec:
     @property
     def max_disturbance(self) -> float:
         return (self.dim - 1) / self.dim
+
+    @cached_property  # read on every closed-form evaluation
+    def z_factor(self) -> float:
+        """c in the attack's Z-line weight z^2 = D (1 + (d-1) c w) / (d (d-1)): 1 for two bases, -1/2 for three."""
+        return 1.0 if self.bases_count == 2 else -0.5
 
     def check_disturbance(self, disturbance: float | np.ndarray) -> None:
         """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK on every element (NaN fails)."""

@@ -3,7 +3,10 @@
 Two routes exist to the eavesdropper's guess probabilities: the closed forms
 below and the constructive path through ``AttackParams.coeff_pairs``, which
 reads each block's coefficients from its Gram eigenvalues. They agree to 1e-12
-away from the zeros of the radicands; the test suite enforces this.
+away from the zeros of the radicands; the test suite enforces this. Both
+protocols share the closed forms: with c = ``ProtocolSpec.z_factor``, the
+no-error guess probability is ``phi_d`` at the overlap c w (c = -1/2 gives the
+three-basis qutrit protocol), and the error one is ``lambda_d`` at w.
 
 The closed forms take D and w as floats or as numpy arrays of one shape and
 return the same kind; an array call equals the element-wise float calls bit
@@ -14,6 +17,8 @@ float's class before ``isinstance``, which costs several times more and
 would slow the float inner loops of ``critical``. Range tests are written
 ``holds((lo <= x) & (x <= hi))``, so NaN fails them, on any element, and
 their messages name an array's first failing element (``failed_value``).
+The helpers on the path of every ``i_ae`` call skip the call to ``holds``
+when a float's test is ``True``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ Real = float | np.ndarray
 
 def _clamp_probability(x: Real, what: str) -> Real:
     in_range = (-RADICAND_SLACK <= x) & (x <= 1.0 + RADICAND_SLACK)
-    if not holds(in_range):
+    if in_range is not True and not holds(in_range):
         raise DomainError(f"{what} = {failed_value(x, in_range)} is outside [0, 1]")
     # min(max(x, 0.0), 1.0), spelled out: it keeps a -0.0 as max does, where np.maximum gives 0.0
     if x.__class__ is not float and isinstance(x, np.ndarray):
@@ -42,7 +47,7 @@ def _clamp_probability(x: Real, what: str) -> Real:
 
 def _sqrt_radicand(value: Real, what: str) -> Real:
     in_range = value >= -RADICAND_SLACK
-    if not holds(in_range):
+    if in_range is not True and not holds(in_range):
         raise DomainError(f"radicand {what} = {failed_value(value, in_range)} is not >= 0")
     if value.__class__ is not float and isinstance(value, np.ndarray):
         return np.sqrt(np.where(value < 0.0, 0.0, value))
@@ -54,8 +59,9 @@ def _x_log_x_over(x: Real, c: int) -> Real:
     if x.__class__ is not float and isinstance(x, np.ndarray):
         out = np.zeros_like(x)
         positive = x > 0.0
-        ratios = (x[positive] / c).tolist()
-        out[positive] = x[positive] * np.fromiter(map(math.log, ratios), float, len(ratios))
+        xs = x[positive]
+        ratios = (xs / c).tolist()
+        out[positive] = xs * np.fromiter(map(math.log, ratios), float, len(ratios))
         return out
     return x * math.log(x / c) if x > 0.0 else 0.0
 
@@ -73,14 +79,11 @@ def i_d(x: Real, d: int) -> Real:
 def phi_d(disturbance: Real, w: Real, d: int) -> Real:
     """Eavesdropper's correct-guess probability when the qudit arrived intact."""
     in_range = disturbance < 1.0
-    if not holds(in_range):
+    if in_range is not True and not holds(in_range):
         raise DomainError(f"disturbance must be < 1, got {failed_value(disturbance, in_range)}")
-    rad = (
-        (d - 1)
-        * disturbance
-        * (1.0 + (d - 1) * w)
-        * (d - disturbance * (1.0 + d + (d - 1) * w))
-    )
+    d = float(d)  # float-only arithmetic is faster than mixed; the values are those of the int d
+    spread = (d - 1) * w
+    rad = (d - 1) * disturbance * (1.0 + spread) * (d - disturbance * (1.0 + d + spread))
     root = _sqrt_radicand(rad, "D [1 + (d-1) w] {d - D [1 + d + (d-1) w]}")
     value = (d + disturbance * (-2.0 + (d - 2) * (d - 1) * w) + 2.0 * root) / (
         d * d * (1.0 - disturbance)
@@ -91,28 +94,16 @@ def phi_d(disturbance: Real, w: Real, d: int) -> Real:
 def lambda_d(w: Real, d: int) -> Real:
     """Eavesdropper's correct-guess probability when the receiver got an error."""
     in_range = (-1.0 / (d - 1) - RADICAND_SLACK <= w) & (w <= 1.0 + RADICAND_SLACK)
-    if not holds(in_range):
+    if in_range is not True and not holds(in_range):
         raise DomainError(f"w = {failed_value(w, in_range)} outside [{-1.0 / (d - 1)}, 1]")
     root = _sqrt_radicand((1.0 - w) * (1.0 + (d - 1) * w), "(1 - w)(1 + (d-1) w)")
     value = ((1.0 + (d - 1) * w) + (d - 1) ** 2 * (1.0 - w) + 2.0 * (d - 1) * root) / (d * d)
     return _clamp_probability(value, "lambda_d")
 
 
-def mu_nu_threebasis(disturbance: Real, w: Real) -> tuple[Real, Real]:
-    """Guess-probability pair (mu, nu) of the three-basis qutrit protocol."""
-    in_range = disturbance < 1.0
-    if not holds(in_range):
-        raise DomainError(f"disturbance must be < 1, got {failed_value(disturbance, in_range)}")
-    rad = 2.0 * disturbance * (3.0 + disturbance * (w - 4.0)) * (1.0 - w)
-    root = _sqrt_radicand(rad, "2 D [3 + D (w - 4)] (1 - w)")
-    mu = ((3.0 - disturbance * (w + 2.0)) + 2.0 * root) / (9.0 * (1.0 - disturbance))
-    return _clamp_probability(mu, "mu"), lambda_d(w, 3)
-
-
 def _guess_pair(spec: ProtocolSpec, disturbance: Real, w: Real) -> tuple[Real, Real]:
-    if spec.bases_count == 2:
-        return phi_d(disturbance, w, spec.dim), lambda_d(w, spec.dim)
-    return mu_nu_threebasis(disturbance, w)
+    """(no-error, error) guess probabilities: phi_d at the overlap c w (c = spec.z_factor), lambda_d at w."""
+    return phi_d(disturbance, spec.z_factor * w, spec.dim), lambda_d(w, spec.dim)
 
 
 def guess_probability(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
@@ -140,7 +131,7 @@ def guess_probability_constructive(spec: ProtocolSpec, disturbance: float, w: fl
     """(major^2 for the no-error block, major^2 for the error blocks) via the Gram route.
 
     Independent of the closed forms: goes through the attack's Gram eigenvalues
-    and coefficients. phi_d/lambda_d (or mu/nu) must match these squares.
+    and coefficients. phi_d (at the overlap z_factor * w) and lambda_d must match these squares.
     """
     (major_s, _), (major_w, _) = AttackParams(spec.dim, spec.bases_count, disturbance, w).coeff_pairs()
     return major_s**2, major_w**2

@@ -63,26 +63,23 @@ def d_c_closed_form(d: int) -> float:
 def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, Real]:
     """w-interval on which all guess-probability radicands are nonnegative.
 
-    Endpoints are shrunk by a small margin because the derivatives are
-    singular where a radicand vanishes. For an array of D, the arrays of the
-    interval's ends.
+    lambda's interval [-1/(d-1), 1] meets the preimage under w -> c w
+    (c = spec.z_factor) of phi's [-1/(d-1), (d/D - 1 - d)/(d-1)], whose top
+    is +inf at D = 0. Endpoints are shrunk by a small margin because the
+    derivatives are singular where a radicand vanishes. For an array of D,
+    the arrays of the interval's ends.
     """
     if isinstance(disturbance, np.ndarray):
         bounds = [admissible_w_interval(spec, D) for D in disturbance.ravel().tolist()]
         lo, hi = np.array(bounds).T.reshape((2,) + disturbance.shape)
         return lo, hi
-    d = spec.dim
-    lo = -1.0 / (d - 1)
-    hi = 1.0
-    if disturbance > 0.0:
-        if spec.bases_count == 2:
-            # phi radicand needs d - D [1 + d + (d-1) w] >= 0
-            hi = min(hi, (d / disturbance - 1.0 - d) / (d - 1.0))
-        else:
-            # mu radicand needs 3 + D (w - 4) >= 0
-            lo = max(lo, 4.0 - 3.0 / disturbance)
-    lo += EDGE_SHRINK
-    hi -= EDGE_SHRINK
+    d, c = spec.dim, spec.z_factor
+    bottom = -1.0 / (d - 1)
+    # phi's radicand needs d - D [1 + d + (d-1) c w] >= 0
+    top = (d / disturbance - 1.0 - d) / (d - 1.0) if disturbance > 0.0 else math.inf
+    lo, hi = (bottom / c, top / c) if c > 0.0 else (top / c, bottom / c)
+    lo = max(bottom, lo) + EDGE_SHRINK
+    hi = min(1.0, hi) - EDGE_SHRINK
     if not lo < hi:
         raise DomainError(
             f"empty admissible w-interval for d={d}, bases={spec.bases_count}, D={disturbance}"

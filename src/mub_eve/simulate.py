@@ -35,6 +35,9 @@ from .optimize import optimal_w
 # probability zero.
 CELL_FLOOR = 1e-18
 
+# The largest round count a multinomial draw can take: counts are int64.
+MAX_ROUNDS = 2**63 - 1
+
 Z_LIMIT = 4.0
 MI_ABS_TOL = 5e-3
 
@@ -88,6 +91,8 @@ class SimConfig:
             if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy integers do not serialise to JSON
+        if self.rounds > MAX_ROUNDS:
+            raise DomainError(f"rounds must be at most {MAX_ROUNDS}, the int64 count limit, got {self.rounds}")
 
 
 @dataclass(frozen=True)
@@ -302,10 +307,8 @@ def simulate(config: SimConfig) -> SessionStats:
     counts = np.zeros(flat.size, dtype=np.int64)
     base_rounds = config.rounds // config.shards
     remainder = config.rounds % config.shards
-    for shard in range(config.shards):
+    for shard in range(min(config.shards, config.rounds)):  # later shards draw no round
         n_shard = base_rounds + (1 if shard < remainder else 0)
-        if n_shard == 0:
-            continue
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, shard])))
         counts += rng.multinomial(n_shard, flat)
 

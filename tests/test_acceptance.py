@@ -25,12 +25,12 @@ from mub_eve import (
     critical_disturbance,
     d_c_closed_form,
     disturbance_per_state,
+    guess_probability,
     guess_probability_constructive,
     i_ab,
     i_ae,
     lambda_d,
     maximize_w,
-    mu_nu_threebasis,
     optimality_witnesses,
     phi_d,
     protocol_bases,
@@ -165,10 +165,12 @@ def test_criterion_5_formula_cross_checks():
             worst = max(worst, abs(phi_d(D, w, 3) - intact), abs(phi_d(D, w, 3) - phi3(D, w)))
             worst = max(worst, abs(lambda_d(w, 3) - error), abs(lambda_d(w, 3) - lam3(w)))
             spec3 = ProtocolSpec(3, 3)
-            mu, nu = mu_nu_threebasis(D, w)
+            mu = phi_d(D, -w / 2, 3)  # the three-basis mu is phi_3 at the overlap -w/2
             intact3, error3 = guess_probability_constructive(spec3, D, w)
             worst = max(worst, abs(mu - intact3), abs(mu - mu3(D, w)))
-            worst = max(worst, abs(nu - error3), abs(nu - lam3(w)))
+            guess3 = guess_probability(spec3, D, w)
+            worst = max(worst, abs(guess3 - ((1 - D) * intact3 + D * error3)))
+            worst = max(worst, abs(guess3 - ((1 - D) * mu3(D, w) + D * lam3(w))))
     for D in np.linspace(0.02, 0.7, 12):
         for w in np.linspace(-0.3, min(1.0 - 1e-4, (4 / D - 5) / 3 - 1e-4), 12):
             D, w = float(D), float(w)

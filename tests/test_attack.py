@@ -11,6 +11,7 @@ from mub_eve import (
     ProtocolError,
     ProtocolSpec,
     ScalarProductProfile,
+    admissible_w_interval,
     build_eve_states,
     build_isometry,
     coeff_pair,
@@ -82,6 +83,22 @@ def test_s_three_bases_matches_form():
         for w in (-0.4, 0.0, 0.7):
             expected = 0.5 * (w * D + 2 - 3 * D) / (1 - D)
             assert AttackParams(3, 3, D, w).s == pytest.approx(expected, abs=1e-14)
+
+
+def _no_error_eigenvalues_by_protocol(d, bases_count, D, w):
+    """Oracle: the no-error Gram eigenvalues with the Z-line weight written out per protocol."""
+    shared = 1.0 + (d - 1) * w if bases_count == 2 else 1.0 - w
+    minus = d * (D * shared / (d * (d - 1))) / (1.0 - D)
+    return d - (d - 1) * minus, minus
+
+
+@pytest.mark.parametrize("d,bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
+def test_no_error_eigenvalues_equal_per_protocol_form_bit_for_bit(d, bases_count):
+    spec = ProtocolSpec(d, bases_count)
+    for D in np.linspace(0.0, spec.max_disturbance, 25).tolist():
+        for w in np.linspace(*admissible_w_interval(spec, D), 17).tolist():
+            got = AttackParams(d, bases_count, D, w).no_error_eigenvalues()
+            assert got == _no_error_eigenvalues_by_protocol(d, bases_count, D, w), (D, w)
 
 
 def test_s_errors():

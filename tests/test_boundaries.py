@@ -21,7 +21,6 @@ from mub_eve import (
     i_d,
     lambda_d,
     maximize_w,
-    mu_nu_threebasis,
     optimal_w,
     optimality_witnesses,
     phi_d,
@@ -82,7 +81,7 @@ BAD_INPUTS = [
         r"got 0\.7 at index 1$"),
     bad(lambda: i_ae(ProtocolSpec(4), 0.1, W_ABOVE_ONE), "array-i_ae-w-above-one"),
     bad(lambda: phi_d(D_ONE, W_HALF, 3), "array-phi-D-one"),
-    bad(lambda: mu_nu_threebasis(D_ONE, W_HALF), "array-mu-nu-D-one"),
+    bad(lambda: guess_probability(ProtocolSpec(3, 3), D_ONE, W_HALF), "array-mu-nu-D-one"),
     bad(lambda: i_ab(3, D_NAN), "array-i_ab-D-nan"),
     bad(lambda: i_d(np.array([0.0, 1.0, 1.5]), 3), "array-i_d-above-one"),
     bad(lambda: w_bar(3, D_NAN), "array-w_bar-D-nan"),

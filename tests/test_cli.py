@@ -238,6 +238,19 @@ def test_simulate_zero_rounds_usage_error(tmp_path, capsys):
     assert "rounds" in err
 
 
+def test_simulate_rounds_above_int64_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, stdout, err = run(
+        capsys,
+        "simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", "100000000000000000000",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: rounds must be at most 9223372036854775807")
+    assert err.count("\n") == 1
+
+
 def test_simulate_identity_attack_exact(tmp_path, capsys):
     out = tmp_path / "id.json"
     code, _, _ = run(

@@ -15,7 +15,6 @@ from mub_eve import (
     i_ae,
     i_d,
     lambda_d,
-    mu_nu_threebasis,
     phi_d,
     w_bar,
 )
@@ -115,15 +114,18 @@ def test_lambda_matches_literal_forms_and_endpoints():
 
 
 def test_mu_nu_values():
+    # The three-basis pair (mu, nu) is phi_d at the overlap -w/2, and lambda_d.
+    spec = ProtocolSpec(3, 3)
     for w in np.linspace(-0.45, 0.95, 20):
-        mu, nu = mu_nu_threebasis(0.0, float(w))
+        mu, nu = phi_d(0.0, -float(w) / 2, 3), lambda_d(float(w), 3)
         assert mu == pytest.approx(1.0 / 3.0, abs=1e-14)
         assert nu == pytest.approx(lambda3_literal(float(w)), abs=1e-12)
+        assert guess_probability(spec, 0.0, float(w)) == pytest.approx(1.0 / 3.0, abs=1e-14)
     for D in (0.1, 0.25, 0.45):
         for w in np.linspace(-0.45, 0.95, 20):
-            mu, nu = mu_nu_threebasis(D, float(w))
+            mu, nu = phi_d(D, -float(w) / 2, 3), lambda_d(float(w), 3)
             assert mu == pytest.approx(mu_literal(D, float(w)), abs=1e-12)
-            assert nu == pytest.approx(lambda_d(float(w), 3), abs=1e-15)
+            assert guess_probability(spec, D, float(w)) == pytest.approx((1 - D) * mu + D * nu, abs=1e-15)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -144,7 +146,7 @@ def test_three_basis_closed_forms_match_constructive_route():
     for D in np.linspace(0.02, 0.6, 9):
         for w in np.linspace(-0.49, 0.99, 9):
             intact, error = guess_probability_constructive(spec, float(D), float(w))
-            mu, nu = mu_nu_threebasis(float(D), float(w))
+            mu, nu = phi_d(float(D), -float(w) / 2, 3), lambda_d(float(w), 3)
             assert mu == pytest.approx(intact, abs=1e-12)
             assert nu == pytest.approx(error, abs=1e-12)
 

@@ -194,6 +194,26 @@ def test_witness_domain():
         optimality_witnesses(0.8, d=5)
 
 
+def _interval_by_protocol(spec, D):
+    """Oracle: the admissible w-interval with each protocol's radicand bound written out."""
+    d = spec.dim
+    lo, hi = -1.0 / (d - 1), 1.0
+    if D > 0.0:
+        if spec.bases_count == 2:
+            hi = min(hi, (d / D - 1.0 - d) / (d - 1.0))  # phi: d - D [1 + d + (d-1) w] >= 0
+        else:
+            lo = max(lo, 4.0 - 3.0 / D)  # mu: 3 + D (w - 4) >= 0
+    return lo + optimize_mod.EDGE_SHRINK, hi - optimize_mod.EDGE_SHRINK
+
+
+@pytest.mark.parametrize("spec", [ProtocolSpec(d) for d in (2, 3, 4, 5, 8, 16)] + [ProtocolSpec(3, 3)])
+def test_admissible_interval_equals_per_protocol_form_bit_for_bit(spec):
+    top = spec.max_disturbance
+    draws = np.random.default_rng(spec.dim + 10 * spec.bases_count).uniform(0.0, top, 2000)
+    for D in [0.0, 5e-324, 1e-12, top, np.nextafter(top, 0.0)] + draws.tolist():
+        assert admissible_w_interval(spec, D) == _interval_by_protocol(spec, D), D
+
+
 def test_admissible_interval_empty():
     with pytest.raises(DomainError):
         admissible_w_interval(ProtocolSpec(3, 2), 1.5)

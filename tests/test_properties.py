@@ -22,7 +22,6 @@ from mub_eve import (
     i_ae,
     i_d,
     lambda_d,
-    mu_nu_threebasis,
     phi_d,
     protocol_bases,
     resolve_w,
@@ -84,10 +83,8 @@ def gram_rounding(spec, disturbance, w):
 @given(attacks())
 def test_closed_form_equals_constructive(attack):
     spec, disturbance, w = attack
-    if spec.bases_count == 2:
-        closed = phi_d(disturbance, w, spec.dim), lambda_d(w, spec.dim)
-    else:
-        closed = mu_nu_threebasis(disturbance, w)
+    w_intact = w if spec.bases_count == 2 else -w / 2  # three bases: mu = phi_3(D, -w/2)
+    closed = phi_d(disturbance, w_intact, spec.dim), lambda_d(w, spec.dim)
     constructive = guess_probability_constructive(spec, disturbance, w)
     deviation = np.max(np.abs(np.subtract(closed, constructive)))
     assert deviation <= 1e-12 + gram_rounding(spec, disturbance, w)
@@ -118,8 +115,7 @@ def closed_forms(spec):
     if spec.bases_count == 2:
         forms["phi_d"] = lambda D, w: phi_d(D, w, d)
     else:
-        forms["mu"] = lambda D, w: mu_nu_threebasis(D, w)[0]
-        forms["nu"] = lambda D, w: mu_nu_threebasis(D, w)[1]
+        forms["mu"] = lambda D, w: phi_d(D, -w / 2, d)
     return forms
 
 

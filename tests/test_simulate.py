@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import math
 
@@ -177,6 +178,14 @@ def test_three_basis_session():
     assert report.passed
 
 
+def test_three_basis_counts_are_pinned():
+    # SHA-256 of the (3, 3) session's counts at the parent's auto overlap: the outcome
+    # table, and so every count, must not move when the attack's Z-line weight is rewritten.
+    stats = simulate(SimConfig(ProtocolSpec(3, 3), 0.15, -0.1098589865142163, 1_000_000, 42, 2))
+    digest = hashlib.sha256(stats.counts.tobytes()).hexdigest()
+    assert digest == "a4b4bb1c0b701f9cdca180268651bcf6fbb15a62b9452ab4cf72b821fb4dfa02"
+
+
 def test_empirical_mi_perfect_and_uniform():
     diagonal = np.eye(4, dtype=int) * 250
     assert empirical_mutual_information(diagonal, 4) == pytest.approx(1.0, abs=1e-12)
@@ -206,6 +215,10 @@ def test_config_validation():
         SimConfig(spec=spec, disturbance=0.1, rounds=10, shards=0)
     with pytest.raises(DomainError):
         SimConfig(spec=spec, disturbance=0.1, rounds=10, seed=-1)
+    # Counts are int64: the multinomial draw takes at most 2**63 - 1 rounds.
+    assert SimConfig(spec=spec, disturbance=0.1, rounds=2**63 - 1).rounds == 2**63 - 1
+    with pytest.raises(DomainError, match="int64"):
+        SimConfig(spec=spec, disturbance=0.1, rounds=2**63)
 
 
 def test_resolve_w():
@@ -219,6 +232,13 @@ def test_rounds_split_over_shards():
     stats = session(rounds=10, seed=1, shards=3)
     assert stats.counts.sum() == 10
     assert stats.rounds_per_basis.sum() == 10
+
+
+def test_shards_beyond_rounds_draw_nothing():
+    # Shards past the round count hold no round; the session visits none of them.
+    many = session(rounds=3, seed=42, shards=10**12)
+    assert np.array_equal(many.counts, session(rounds=3, seed=42, shards=3).counts)
+    assert many.shards == 10**12
 
 
 def _two_pass_information(hists, base):

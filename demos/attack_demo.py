@@ -11,6 +11,7 @@ import numpy as np
 
 from mub_eve import (
     AttackParams,
+    ProtocolSpec,
     build_eve_states,
     build_isometry,
     disturbance_per_state,
@@ -42,6 +43,6 @@ print(f"  w={profile.w:.12f} (expected {params.w:.12f})")
 
 iso = build_isometry(params)
 print(f"\nisometry shape {iso.matrix.shape}, unitarity residual {iso.unitarity_residual():.2e}")
-for basis in protocol_bases(3, 2):
+for basis in protocol_bases(ProtocolSpec(3, 2)):
     dist = disturbance_per_state(iso, basis)
     print(f"per-state disturbance in {basis.label:13s} basis: {np.array_str(dist, precision=12)}")

@@ -27,7 +27,6 @@ from .bases import (
     computational_basis,
     fourier_basis,
     is_mutually_unbiased,
-    overlap,
     protocol_bases,
     qutrit_three_basis_set,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "optimal_w",
     "optimality_witnesses",
     "outcome_distribution",
-    "overlap",
     "phi_d",
     "protocol_bases",
     "qutrit_three_basis_set",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +80,21 @@ class AttackParams:
     w: float
 
     def __post_init__(self):
-        ProtocolSpec(self.dim, self.bases_count).check_disturbance(self.disturbance)
+        self.spec.check_disturbance(self.disturbance)
         try:
             self.coeff_pairs()
         except DomainError as exc:
             raise DomainError(f"no valid attack with D={self.disturbance}, w={self.w}: {exc}") from None
 
+    @cached_property
+    def spec(self) -> ProtocolSpec:
+        """The checked protocol key, built once per parameter set."""
+        return ProtocolSpec(self.dim, self.bases_count)
+
     def no_error_eigenvalues(self) -> tuple[float, float]:
         """Gram eigenvalues (1 + (d-1) s, 1 - s) of the no-error block, from the Z-line weight z^2."""
         d, disturbance = self.dim, self.disturbance
-        c = ProtocolSpec(d, self.bases_count).z_factor
+        c = self.spec.z_factor
         z2 = disturbance * (1.0 + (d - 1) * c * self.w) / (d * (d - 1))
         minus = d * z2 / (1.0 - disturbance)
         return d - (d - 1) * minus, minus
@@ -107,8 +113,11 @@ class AttackParams:
 class EveStateSet:
     """The d^2 ancilla output states, indexed as states[i, j] = E_ij."""
 
-    dim: int
     states: np.ndarray = field(repr=False)  # (d, d, d^2), float64 as built; complex sets work too
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     blocks[i, (i + m) % d, m] = np.where(m == 0, v, q)[:, None]
     blocks[i, (i + m) % d, m, i] = np.where(m == 0, u, r)
     states.setflags(write=False)
-    return EveStateSet(dim=d, states=states)
+    return EveStateSet(states)
 
 
 def _first_max_abs(values: np.ndarray, best: complex = 0j) -> complex:
@@ -217,8 +226,11 @@ class AttackIsometry:
     coordinate e.
     """
 
-    dim: int
     matrix: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def unitarity_residual(self) -> float:
         v = self.matrix
@@ -235,7 +247,7 @@ def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry
     np.multiply(scale.T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
     v = v.reshape(d * d * d, d)
     v.setflags(write=False)
-    return AttackIsometry(dim=d, matrix=v)
+    return AttackIsometry(v)
 
 
 def build_isometry(params: AttackParams) -> AttackIsometry:

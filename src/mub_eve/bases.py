@@ -82,11 +82,6 @@ class Basis:
         object.__setattr__(self, "vectors", vecs)
 
 
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
-    return complex(np.vdot(a, b))
-
-
 def computational_basis(d: int) -> Basis:
     """Standard basis e_0 .. e_{d-1}."""
     d = ProtocolSpec(d).dim
@@ -125,12 +120,11 @@ def is_mutually_unbiased(a: Basis, b: Basis) -> bool:
     return bool(np.max(np.abs(mags - 1.0 / np.sqrt(a.dim))) <= ORTHONORMALITY_TOL)
 
 
-def protocol_bases(dim: int, bases_count: int) -> list[Basis]:
-    """The ordered basis set of the (dim, bases_count) protocol.
+def protocol_bases(spec: ProtocolSpec) -> list[Basis]:
+    """The ordered basis set of the protocol; the spec has already checked (d, bases).
 
     Two bases: computational + Fourier, any d. Three bases: the qutrit set.
     """
-    spec = ProtocolSpec(dim, bases_count)
     if spec.bases_count == 3:
         return qutrit_three_basis_set()
     return [computational_basis(spec.dim), fourier_basis(spec.dim)]

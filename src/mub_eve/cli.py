@@ -213,7 +213,7 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
     profile = scalar_product_profile(eve)
 
     gate_ok = add_check("isometry_unitarity", isometry.unitarity_residual(), GATE_TOL)
-    for basis in protocol_bases(spec.dim, spec.bases_count):
+    for basis in protocol_bases(spec):
         deviation = float(np.max(np.abs(disturbance_per_state(isometry, basis) - args.disturbance)))
         gate_ok &= add_check(f"equal_disturbance_{basis.label}", deviation, GATE_TOL)
     for name in ("x", "y", "z", "t"):

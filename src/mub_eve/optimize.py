@@ -25,7 +25,6 @@ EDGE_SHRINK = 1e-9
 class OptimumReport:
     """Result of maximising the eavesdropper's information over w at fixed D."""
 
-    D: float
     w_opt: float
     i_ae_opt: float
     method: str  # "analytic" or "golden-section"
@@ -41,8 +40,6 @@ class OptimumReport:
 class CriticalPoint:
     """Disturbance where the eavesdropper's curve crosses the receiver's."""
 
-    dim: int
-    bases_count: int
     d_c: float
     gap_at_dc: float
 
@@ -189,7 +186,6 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     f = lambda w: i_ae(spec, disturbance, w)
     step, residual = stationarity(spec, disturbance, w_opt)
     return OptimumReport(
-        D=disturbance,
         w_opt=w_opt,
         i_ae_opt=f(w_opt),
         method="analytic" if spec.bases_count == 2 else "golden-section",
@@ -243,7 +239,7 @@ def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
         else:
             hi = mid
     d_c = 0.5 * (lo + hi)
-    return CriticalPoint(dim=spec.dim, bases_count=spec.bases_count, d_c=d_c, gap_at_dc=gap(d_c))
+    return CriticalPoint(d_c=d_c, gap_at_dc=gap(d_c))
 
 
 @dataclass(frozen=True)
@@ -265,7 +261,6 @@ class OptimalityWitnesses:
         concave near the w = 1 radical boundary.
     """
 
-    D: float
     phi_equals_lambda: float
     derivative_ratio: float
     guess_concavity: float
@@ -291,7 +286,6 @@ def optimality_witnesses(disturbance: float, d: int = 3) -> OptimalityWitnesses:
     ratio_residual = abs(dphi / dlam - disturbance / (disturbance - 1.0))
 
     return OptimalityWitnesses(
-        D=disturbance,
         phi_equals_lambda=equality,
         derivative_ratio=ratio_residual,
         guess_concavity=_worst_grid_second_difference(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mub_eve import (
+    AttackIsometry,
     AttackParams,
     DimensionError,
     DomainError,
@@ -292,7 +293,7 @@ def test_disturbance_equal_on_all_three_qutrit_bases():
         for w in (-0.2, 0.3, 0.8):
             params = AttackParams(3, 3, D, w)
             iso = build_isometry(params)
-            for basis in protocol_bases(3, 3):
+            for basis in protocol_bases(ProtocolSpec(3, 3)):
                 dist = disturbance_per_state(iso, basis)
                 assert np.max(np.abs(dist - D)) <= 1e-12
 
@@ -306,7 +307,7 @@ def test_perturbed_s_breaks_fourier_symmetry():
     for i in range(3):
         states[i, i, :3] = v
         states[i, i, i] = u
-    bad = EveStateSet(dim=3, states=states)
+    bad = EveStateSet(states=states)
     iso = isometry_from_states(bad, params.disturbance)
     assert iso.unitarity_residual() <= 1e-12  # still a valid channel
     dist = disturbance_per_state(iso, fourier_basis(3))
@@ -324,6 +325,15 @@ def test_ancilla_dimension_is_d_squared():
         params = AttackParams(d, 2, 0.1, w_bar(d, 0.1))
         assert build_eve_states(params).states.shape[2] == d * d
         assert build_isometry(params).matrix.shape == (d**3, d)
+
+
+def test_records_take_dim_from_their_arrays():
+    # The state set and the isometry store no dimension of their own: it is read off the array.
+    for d in (2, 3, 5):
+        assert EveStateSet(states=np.zeros((d, d, d * d))).dim == d
+        assert AttackIsometry(np.zeros((d**3, d), dtype=complex)).dim == d
+        params = AttackParams(d, 2, 0.1, w_bar(d, 0.1))
+        assert build_eve_states(params).dim == build_isometry(params).dim == d
 
 
 def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
@@ -400,7 +410,7 @@ def test_profile_of_real_states_equals_profile_of_their_complex_cast(d, bases_co
         w = resolve_w(spec, disturbance, "auto")
         eve = build_eve_states(AttackParams(d, bases_count, disturbance, w))
         real = scalar_product_profile(eve)
-        cast = scalar_product_profile(EveStateSet(dim=d, states=eve.states.astype(np.complex128)))
+        cast = scalar_product_profile(EveStateSet(states=eve.states.astype(np.complex128)))
         for group in GROUPS:
             assert getattr(real, group) == getattr(cast, group)
         for name in ("s", "w", "s_max_dev", "w_max_dev"):
@@ -413,7 +423,7 @@ def orthonormal_layout(d: int) -> EveStateSet:
     for i in range(d):
         for j in range(d):
             states[i, j, d * ((j - i) % d) + i] = 1.0
-    return EveStateSet(dim=d, states=states)
+    return EveStateSet(states=states)
 
 
 # group -> (perturbed state E_ab, state E_pq on whose coordinate it gains 0.5j)
@@ -435,7 +445,7 @@ def test_profile_reports_a_perturbed_pair_in_its_group(group):
     (a, b), (p, q) = PERTURBATIONS[group]
     states = np.array(eve.states)
     states[a, b, d * ((q - p) % d) + p] += 0.5j
-    perturbed = EveStateSet(dim=d, states=states)
+    perturbed = EveStateSet(states=states)
     profile = scalar_product_profile(perturbed)
     oracle = profile_by_pairs(perturbed)
     for name in GROUPS:

@@ -3,10 +3,10 @@ import pytest
 
 from mub_eve import (
     DimensionError,
+    ProtocolSpec,
     computational_basis,
     fourier_basis,
     is_mutually_unbiased,
-    overlap,
     protocol_bases,
     qutrit_three_basis_set,
 )
@@ -90,22 +90,12 @@ def test_fourier_five_unbiased_with_computational():
     assert is_mutually_unbiased(fourier_basis(5), computational_basis(5))
 
 
-def test_overlap_conjugate_symmetric():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.normal(size=4) + 1j * rng.normal(size=4)
-        b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert abs(overlap(a, b) - overlap(b, a).conjugate()) <= 1e-15 * max(
-            1.0, abs(overlap(a, b))
-        )
-
-
 def test_protocol_bases():
-    labels = [b.label for b in protocol_bases(4, 2)]
+    labels = [b.label for b in protocol_bases(ProtocolSpec(4, 2))]
     assert labels == ["computational", "fourier"]
-    labels = [b.label for b in protocol_bases(3, 3)]
+    labels = [b.label for b in protocol_bases(ProtocolSpec(3, 3))]
     assert labels == ["computational", "alpha", "alpha-star"]
     with pytest.raises(ProtocolError):
-        protocol_bases(4, 3)
+        protocol_bases(ProtocolSpec(4, 3))
     with pytest.raises(ProtocolError):
-        protocol_bases(3, 5)
+        protocol_bases(ProtocolSpec(3, 5))

@@ -59,7 +59,7 @@ def test_isometry_is_unitary(attack):
 def test_disturbance_equal_on_every_basis(attack):
     spec, disturbance, w = attack
     isometry = build_isometry(AttackParams(spec.dim, spec.bases_count, disturbance, w))
-    for basis in protocol_bases(spec.dim, spec.bases_count):
+    for basis in protocol_bases(spec):
         assert np.max(np.abs(disturbance_per_state(isometry, basis) - disturbance)) <= 1e-12
 
 
@@ -171,7 +171,7 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
     # checked against the group definitions, not against the layout's zeros.
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((d, d, d * d)) + 1j * rng.standard_normal((d, d, d * d))
-    eve = EveStateSet(dim=d, states=states)
+    eve = EveStateSet(states=states)
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
@@ -182,7 +182,7 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
 def test_profile_kernel_equals_pair_by_pair_on_arbitrary_real_states(d, seed):
     # real states, like the built ones, take the kernel's real product
     rng = np.random.default_rng(seed)
-    eve = EveStateSet(dim=d, states=rng.standard_normal((d, d, d * d)))
+    eve = EveStateSet(states=rng.standard_normal((d, d, d * d)))
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12

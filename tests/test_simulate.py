@@ -9,8 +9,10 @@ import pytest
 from mub_eve import (
     AnalysisError,
     AttackParams,
+    ComparisonReport,
     DomainError,
     ProtocolSpec,
+    SessionStats,
     SimConfig,
     build_isometry,
     compare_to_analytic,
@@ -26,7 +28,7 @@ from mub_eve import (
     simulate,
     w_bar,
 )
-from mub_eve.simulate import CELL_FLOOR
+from mub_eve.simulate import CELL_FLOOR, ComparisonCheck
 
 
 def session(dim=3, bases=2, D=0.1, w=0.85, rounds=10**6, seed=11, shards=2):
@@ -93,7 +95,7 @@ def test_bob_errors_uniform_over_wrong_symbols():
 def outcome_distribution_by_ancilla(spec, disturbance, w):
     """Oracle: P[basis, symbol, receiver outcome, ancilla coordinate], every ancilla cell apart."""
     isometry = build_isometry(AttackParams(spec.dim, spec.bases_count, disturbance, w))
-    bases = protocol_bases(spec.dim, spec.bases_count)
+    bases = protocol_bases(spec)
     d = spec.dim
     table = np.zeros((len(bases), d, d, d * d))
     for b_idx, basis in enumerate(bases):
@@ -167,6 +169,39 @@ def test_comparison_fails_on_mismatched_disturbance():
     assert not report.passed
     z_d = next(c.z for c in report.checks if c.name == "disturbance")
     assert abs(z_d) > 4
+
+
+@pytest.mark.parametrize("dim,bases,D", [(3, 2, 0.1), (3, 3, 0.15), (8, 2, 0.2)])
+def test_correct_sessions_pass_at_ten_thousand_rounds(dim, bases, D):
+    # Every check of these 40 sessions has |z| <= 4; an absolute 5e-3 bound on the
+    # informations, on top of the z-test, used to fail most of them at 10^4 rounds.
+    spec = ProtocolSpec(dim, bases)
+    failed = [
+        seed for seed in range(40)
+        if not compare_to_analytic(simulate(SimConfig(spec, D, rounds=10**4, seed=seed))).passed
+    ]
+    assert failed == []
+
+
+def test_report_passes_only_when_every_check_does():
+    good = ComparisonCheck("disturbance", 0.1, 0.1, 0.0, 4.0, True)
+    bad = ComparisonCheck("i_ab_dits", 0.5, 0.4, 5.0, 4.0, False)
+    assert ComparisonReport((good, good)).passed
+    assert not ComparisonReport((good, bad)).passed
+    assert ComparisonReport((good, bad)).to_dict()["passed"] is False
+
+
+def test_session_record_is_its_config_plus_counts():
+    own = {f.name for f in dataclasses.fields(SessionStats)}
+    assert own - {f.name for f in dataclasses.fields(SimConfig)} == {"counts"}
+    config = SimConfig(ProtocolSpec(3, 3), 0.15, "auto", 10**5, 5, 3)
+    stats = simulate(config)
+    assert stats.spec is config.spec
+    assert isinstance(stats.w, float)
+    # The record is a config: passing it back replays the session at its resolved w.
+    replay = simulate(stats)
+    assert np.array_equal(replay.counts, stats.counts)
+    assert replay.to_dict() == stats.to_dict()
 
 
 def test_three_basis_session():

@@ -16,7 +16,7 @@ for dim, bases in ((3, 2), (3, 3), (4, 2)):
     print(f"{'D':>6} {'w_opt':>9} {'I_AB':>10} {'I_AE':>10}")
     grid = np.linspace(0.0, 0.5, 26)
     w_opt = optimal_w(spec, grid)
-    rows = list(zip(*(column.tolist() for column in (grid, w_opt, i_ab(dim, grid), i_ae(spec, grid, w_opt)))))
+    rows = list(zip(*(column.tolist() for column in (grid, w_opt, i_ab(spec, grid), i_ae(spec, grid, w_opt)))))
     for D, w, ab, ae in rows:
         print(f"{D:6.2f} {w:9.4f} {ab:10.6f} {ae:10.6f}")
     gaps = [ae - ab for _, _, ab, ae in rows]

@@ -1,6 +1,7 @@
 """Batch command-line front end: curves, critical points, attack verification, Monte Carlo.
 
-Exit codes: 0 success, 1 verification/analysis failure, 2 usage error.
+Exit codes: 0 success, 1 verification/analysis failure, 2 usage error (NaN and
+infinite numbers included).
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,13 +39,19 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_w(text: str) -> float | str:
-    if text == "auto":
-        return "auto"
+def _finite_float(text: str, invalid: str = "invalid float value: {!r}") -> float:
+    """argparse type of every real-valued option: NaN and infinities are usage errors."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"w must be 'auto' or a real number, got {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(invalid.format(text)) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite real number, got {text!r}")
+    return value
+
+
+def _parse_w(text: str) -> float | str:
+    return "auto" if text == "auto" else _finite_float(text, "w must be 'auto' or a real number, got {!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,35 +62,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("curves", help="Tabulate I_AB and optimal I_AE over a disturbance grid.")
-    c.add_argument("--dim", type=int, required=True)
-    c.add_argument("--bases", type=int, default=2)
-    c.add_argument("--d-min", type=float, default=0.0)
-    c.add_argument("--d-max", type=float, required=True)
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--dim", type=int, required=True)
+    protocol.add_argument("--bases", type=int, default=2)
+    attack = argparse.ArgumentParser(add_help=False)
+    attack.add_argument("--disturbance", type=_finite_float, required=True)
+    attack.add_argument("--w", type=_parse_w, default="auto")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=Path, required=True)
+
+    c = sub.add_parser("curves", parents=[protocol, output],
+                       help="Tabulate I_AB and optimal I_AE over a disturbance grid.")
+    c.add_argument("--d-min", type=_finite_float, default=0.0)
+    c.add_argument("--d-max", type=_finite_float, required=True)
     c.add_argument("--steps", type=int, required=True)
-    c.add_argument("--out", type=Path, required=True)
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("--no-timestamp", action="store_true")
+    c.set_defaults(run=cmd_curves)
 
-    k = sub.add_parser("critical", help="Locate the critical disturbance by bisection.")
-    k.add_argument("--dim", type=int, required=True)
-    k.add_argument("--bases", type=int, default=2)
+    k = sub.add_parser("critical", parents=[protocol], help="Locate the critical disturbance by bisection.")
+    k.set_defaults(run=cmd_critical)
 
-    v = sub.add_parser("verify", help="Check every attack constraint for given parameters.")
-    v.add_argument("--dim", type=int, required=True)
-    v.add_argument("--bases", type=int, default=2)
-    v.add_argument("--disturbance", type=float, required=True)
-    v.add_argument("--w", type=_parse_w, default="auto")
+    v = sub.add_parser("verify", parents=[protocol, attack],
+                       help="Check every attack constraint for given parameters.")
+    v.set_defaults(run=cmd_verify)
 
-    s = sub.add_parser("simulate", help="Run the Monte Carlo oracle and compare to closed forms.")
-    s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--bases", type=int, default=2)
-    s.add_argument("--disturbance", type=float, required=True)
-    s.add_argument("--w", type=_parse_w, default="auto")
+    s = sub.add_parser("simulate", parents=[protocol, attack, output],
+                       help="Run the Monte Carlo oracle and compare to closed forms.")
     s.add_argument("--rounds", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--shards", type=int, default=1)
-    s.add_argument("--out", type=Path, required=True)
+    s.set_defaults(run=cmd_simulate)
 
     return parser
 
@@ -92,19 +102,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _metadata(args, spec: ProtocolSpec) -> dict:
-    meta = {
-        "version": __version__,
-        "dim": spec.dim,
-        "bases": spec.bases_count,
-        "d_min": args.d_min,
-        "d_max": args.d_max,
-        "steps": args.steps,
-        "w_mode": "auto",
-    }
-    if not args.no_timestamp:
-        meta["generated"] = datetime.now(timezone.utc).isoformat()
-    return meta
+def _write(path: Path, text: str) -> bool:
+    """Write text and a final newline as UTF-8 with LF line ends; False, after one error line, if that fails."""
+    try:
+        path.write_text(text + "\n", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_curves(args, spec: ProtocolSpec) -> int:
@@ -124,35 +129,24 @@ def cmd_curves(args, spec: ProtocolSpec) -> int:
 
     grid = np.linspace(args.d_min, args.d_max, args.steps)
     w_opt = optimal_w(spec, grid)
-    info = (i_ab(spec.dim, grid), i_ae(spec, grid, w_opt))
+    info = (i_ab(spec, grid), i_ae(spec, grid, w_opt))
     rows = np.column_stack((grid, w_opt, *info, *(dits_to_bits(x, spec.dim) for x in info))).tolist()
 
-    write = _write_curves_csv if args.format == "csv" else _write_curves_json
-    try:
-        write(args.out, _metadata(args, spec), rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    metadata = {"version": __version__, "dim": spec.dim, "bases": spec.bases_count, "d_min": args.d_min,
+                "d_max": args.d_max, "steps": args.steps, "w_mode": "auto"}
+    if not args.no_timestamp:
+        metadata["generated"] = datetime.now(timezone.utc).isoformat()
+    if args.format == "csv":
+        lines = [*(f"# {key}={value}" for key, value in metadata.items()), CSV_HEADER]
+        text = "\n".join(lines + [",".join(fmt(v) for v in row) for row in rows])
+    else:
+        doc = {"schema": SCHEMA, "kind": "curves", "metadata": metadata, "columns": CSV_HEADER.split(","),
+               "rows": rows}
+        text = json.dumps(doc, indent=2)
+    if not _write(args.out, text):
         return 1
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
-
-
-def _write_curves_csv(path: Path, metadata: dict, rows: list[list[float]]) -> None:
-    lines = [f"# {key}={value}" for key, value in metadata.items()]
-    lines.append(CSV_HEADER)
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _write_curves_json(path: Path, metadata: dict, rows: list[list[float]]) -> None:
-    doc = {
-        "schema": SCHEMA,
-        "kind": "curves",
-        "metadata": metadata,
-        "columns": CSV_HEADER.split(","),
-        "rows": rows,
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def cmd_critical(args, spec: ProtocolSpec) -> int:
@@ -176,62 +170,46 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
 
 
 def cmd_verify(args, spec: ProtocolSpec) -> int:
+    disturbance = args.disturbance
     doc = {
         "schema": SCHEMA,
         "kind": "verify",
         "dim": spec.dim,
         "bases": spec.bases_count,
-        "disturbance": args.disturbance,
+        "disturbance": disturbance,
         "checks": [],
         "passed": False,
     }
-
-    def add_check(name: str, residual: float, threshold: float, informational: bool = False) -> bool:
-        ok = residual <= threshold
-        doc["checks"].append(
-            {
-                "name": name,
-                "residual": residual,
-                "threshold": threshold,
-                "passed": bool(ok),
-                "informational": informational,
-            }
-        )
-        return ok
-
     try:
-        w = resolve_w(spec, args.disturbance, args.w)
-        params = AttackParams(spec.dim, spec.bases_count, args.disturbance, w)
+        w = resolve_w(spec, disturbance, args.w)
+        params = AttackParams(spec.dim, spec.bases_count, disturbance, w)
     except DomainError as exc:
         doc["error"] = str(exc)
-        print(json.dumps(doc, indent=2))
-        return 1
-    doc["w"] = w
-
-    eve = build_eve_states(params)
-    isometry = isometry_from_states(eve, args.disturbance)
-    profile = scalar_product_profile(eve)
-
-    gate_ok = add_check("isometry_unitarity", isometry.unitarity_residual(), GATE_TOL)
-    for basis in protocol_bases(spec):
-        deviation = float(np.max(np.abs(disturbance_per_state(isometry, basis) - args.disturbance)))
-        gate_ok &= add_check(f"equal_disturbance_{basis.label}", deviation, GATE_TOL)
-    for name in ("x", "y", "z", "t"):
-        gate_ok &= add_check(f"profile_{name}_zero", abs(getattr(profile, name)), GATE_TOL)
-    gate_ok &= add_check(
-        "profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL
-    )
-    gate_ok &= add_check("profile_w_matches_input", abs(profile.w - w) + profile.w_max_dev, GATE_TOL)
-    gate_ok &= add_check(
-        "ancilla_dimension", float(abs(eve.states.shape[2] - spec.dim**2)), 0.0
-    )
-
-    _, residual = stationarity(spec, args.disturbance, w)
-    add_check("w_is_stationary_optimum", residual, STATIONARITY_TOL, informational=True)
-
-    doc["passed"] = bool(gate_ok)
+    else:
+        doc["w"] = w
+        eve = build_eve_states(params)
+        isometry = isometry_from_states(eve, disturbance)
+        profile = scalar_product_profile(eve)
+        # (name, residual, threshold, informational), in report order
+        checks = [
+            ("isometry_unitarity", isometry.unitarity_residual(), GATE_TOL, False),
+            *((f"equal_disturbance_{basis.label}",
+               float(np.max(np.abs(disturbance_per_state(isometry, basis) - disturbance))), GATE_TOL, False)
+              for basis in protocol_bases(spec)),
+            *((f"profile_{name}_zero", abs(getattr(profile, name)), GATE_TOL, False) for name in "xyzt"),
+            ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),
+            ("profile_w_matches_input", abs(profile.w - w) + profile.w_max_dev, GATE_TOL, False),
+            ("ancilla_dimension", float(abs(eve.states.shape[2] - spec.dim**2)), 0.0, False),
+            ("w_is_stationary_optimum", stationarity(spec, disturbance, w)[1], STATIONARITY_TOL, True),
+        ]
+        doc["checks"] = [
+            {"name": name, "residual": residual, "threshold": threshold,
+             "passed": bool(residual <= threshold), "informational": informational}
+            for name, residual, threshold, informational in checks
+        ]
+        doc["passed"] = all(check["passed"] for check in doc["checks"] if not check["informational"])
     print(json.dumps(doc, indent=2))
-    return 0 if gate_ok else 1
+    return 0 if doc["passed"] else 1
 
 
 def cmd_simulate(args, spec: ProtocolSpec) -> int:
@@ -245,10 +223,7 @@ def cmd_simulate(args, spec: ProtocolSpec) -> int:
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if not _write(args.out, json.dumps(doc, indent=2)):
         return 1
     print(f"verdict: {'pass' if verdict.passed else 'FAIL'} ({args.out})")
     return 0 if verdict.passed else 1
@@ -266,13 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
     except (DimensionError, DomainError, ProtocolError) as exc:
         return _usage_error(str(exc))
-    handlers = {
-        "curves": cmd_curves,
-        "critical": cmd_critical,
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-    }
-    return handlers[args.command](args, spec)
+    return args.run(args, spec)
 
 
 if __name__ == "__main__":

@@ -70,6 +70,7 @@ def i_d(x: Real, d: int) -> Real:
     """Mutual information (dits) of the symmetric d-ary channel with diagonal x.
 
     i_d(x) = 1 + x log_d x + (1 - x) log_d[(1 - x)/(d - 1)], with 0 log 0 := 0.
+    d is not checked here; the callers take it from a ProtocolSpec.
     """
     x = _clamp_probability(x, "probability")
     ln_d = math.log(d)
@@ -77,7 +78,7 @@ def i_d(x: Real, d: int) -> Real:
 
 
 def phi_d(disturbance: Real, w: Real, d: int) -> Real:
-    """Eavesdropper's correct-guess probability when the qudit arrived intact."""
+    """Eavesdropper's correct-guess probability when the qudit arrived intact; d is not checked here."""
     in_range = disturbance < 1.0
     if in_range is not True and not holds(in_range):
         raise DomainError(f"disturbance must be < 1, got {failed_value(disturbance, in_range)}")
@@ -92,7 +93,7 @@ def phi_d(disturbance: Real, w: Real, d: int) -> Real:
 
 
 def lambda_d(w: Real, d: int) -> Real:
-    """Eavesdropper's correct-guess probability when the receiver got an error."""
+    """Eavesdropper's correct-guess probability when the receiver got an error; d is not checked here."""
     in_range = (-1.0 / (d - 1) - RADICAND_SLACK <= w) & (w <= 1.0 + RADICAND_SLACK)
     if in_range is not True and not holds(in_range):
         raise DomainError(f"w = {failed_value(w, in_range)} outside [{-1.0 / (d - 1)}, 1]")
@@ -119,12 +120,12 @@ def i_ae(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
     return (1.0 - disturbance) * i_d(g_intact, d) + disturbance * i_d(g_error, d)
 
 
-def i_ab(d: int, disturbance: Real) -> Real:
-    """Sender-receiver mutual information (dits) of the symmetric channel."""
+def i_ab(spec: ProtocolSpec, disturbance: Real) -> Real:
+    """Sender-receiver mutual information (dits) of the symmetric channel in spec's dimension."""
     in_range = (0.0 <= disturbance) & (disturbance <= 1.0)
     if not holds(in_range):
         raise DomainError(f"disturbance must lie in [0, 1], got {failed_value(disturbance, in_range)}")
-    return i_d(1.0 - disturbance, d)
+    return i_d(1.0 - disturbance, spec.dim)
 
 
 def guess_probability_constructive(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:

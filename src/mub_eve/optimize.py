@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, DomainError
+from .errors import AnalysisError, DomainError, failed_value, holds
 from .bases import ProtocolSpec
 from .information import Real, guess_probability, i_ab, i_ae, lambda_d, phi_d
 
@@ -64,12 +64,18 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, 
     (c = spec.z_factor) of phi's [-1/(d-1), (d/D - 1 - d)/(d-1)], whose top
     is +inf at D = 0. Endpoints are shrunk by a small margin because the
     derivatives are singular where a radicand vanishes. For an array of D,
-    the arrays of the interval's ends.
+    the arrays of the interval's ends. D must lie in spec's range.
     """
+    spec.check_disturbance(disturbance)
     if isinstance(disturbance, np.ndarray):
-        bounds = [admissible_w_interval(spec, D) for D in disturbance.ravel().tolist()]
+        bounds = [_w_interval(spec, D) for D in disturbance.ravel().tolist()]
         lo, hi = np.array(bounds).T.reshape((2,) + disturbance.shape)
         return lo, hi
+    return _w_interval(spec, disturbance)
+
+
+def _w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float, float]:
+    """admissible_w_interval at one checked D."""
     d, c = spec.dim, spec.z_factor
     bottom = -1.0 / (d - 1)
     # phi's radicand needs d - D [1 + d + (d-1) c w] >= 0
@@ -77,7 +83,7 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, 
     lo, hi = (bottom / c, top / c) if c > 0.0 else (top / c, bottom / c)
     lo = max(bottom, lo) + EDGE_SHRINK
     hi = min(1.0, hi) - EDGE_SHRINK
-    if not lo < hi:
+    if not lo < hi:  # only where 1/(d-1) is near EDGE_SHRINK, d of order 1e9
         raise DomainError(
             f"empty admissible w-interval for d={d}, bases={spec.bases_count}, D={disturbance}"
         )
@@ -92,8 +98,14 @@ def golden_section_maximize(f, lo: Real, hi: Real) -> Real:
     bounds run one search per element in lockstep, on an f that maps arrays
     element-wise. Each element does the float loop's arithmetic, takes its
     own branch and stops at its own width, so it returns what a float call
-    on its bounds returns, bit for bit.
+    on its bounds returns, bit for bit. The bracket must be finite with
+    lo <= hi, on every element.
     """
+    in_range = (-math.inf < lo) & (lo <= hi) & (hi < math.inf)
+    if not holds(in_range):
+        raise DomainError(
+            f"need a finite bracket lo <= hi, got lo={failed_value(lo, in_range)}, hi={failed_value(hi, in_range)}"
+        )
     if isinstance(lo, np.ndarray):
         return _golden_section_lockstep(f, lo, hi)
     a, b = lo, hi
@@ -209,7 +221,6 @@ def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
         if isinstance(w, np.ndarray):
             return np.where(w < lo, lo, np.where(w > hi, hi, w))
         return lo if w < lo else hi if w > hi else w
-    spec.check_disturbance(disturbance)
     return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi)
 
 
@@ -225,7 +236,7 @@ def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
     end and positive at the high end. Bisection stops at a bracket width of
     BISECTION_WIDTH, so the residual gap at the returned point is negligible.
     """
-    gap = lambda disturbance: i_ae_optimal(spec, disturbance) - i_ab(spec.dim, disturbance)
+    gap = lambda disturbance: i_ae_optimal(spec, disturbance) - i_ab(spec, disturbance)
     lo = 1e-4
     hi = spec.max_disturbance - 1e-4
     if not gap(lo) < 0.0:

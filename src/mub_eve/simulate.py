@@ -376,7 +376,7 @@ def compare_to_analytic(stats: SessionStats) -> ComparisonReport:
         _check("eve_guess_probability", stats.p_eve_correct, guess, _binomial_se(guess, n_comp)),
         _check("i_ae_dits", stats.i_ae_hat, i_ae(spec, disturbance, w),
                max(stats.i_ae_hat_se, plug_in_bias_allowance(d, n_comp))),
-        _check("i_ab_dits", stats.i_ab_hat, i_ab(d, disturbance),
+        _check("i_ab_dits", stats.i_ab_hat, i_ab(spec, disturbance),
                max(stats.i_ab_hat_se, plug_in_bias_allowance(d, n_total))),
     )
     return ComparisonReport(checks)

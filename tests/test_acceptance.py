@@ -240,7 +240,7 @@ def test_criterion_7_monte_carlo_oracle_equivalence():
         worst_mi = max(
             worst_mi,
             abs(stats.i_ae_hat - i_ae(spec, disturbance, w)),
-            abs(stats.i_ab_hat - i_ab(dim, disturbance)),
+            abs(stats.i_ab_hat - i_ab(spec, disturbance)),
         )
         assert worst_mi <= 5e-3
         repeat = simulate(config)

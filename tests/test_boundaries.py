@@ -12,8 +12,10 @@ from mub_eve import (
     DomainError,
     ProtocolSpec,
     SimConfig,
+    admissible_w_interval,
     build_isometry,
     empirical_mutual_information,
+    golden_section_maximize,
     guess_probability,
     i_ab,
     i_ae,
@@ -36,6 +38,11 @@ W_HALF = np.array([0.5, 0.5, 0.5])
 W_NAN = np.array([0.5, 0.5, NAN])
 W_ABOVE_ONE = np.array([0.5, 0.5, 1.0 + 1e-13])
 D_ONE = np.array([0.1, 0.2, 1.0])
+ZEROS = np.zeros(3)
+
+
+def peak(w):
+    return -(w - 0.3) ** 2
 
 
 def bad(call, case_id, match=None):
@@ -76,17 +83,26 @@ BAD_INPUTS = [
     bad(lambda: guess_probability(ProtocolSpec(5), 0.1, W_NAN), "array-guess-w-nan"),
     bad(lambda: lambda_d(W_ABOVE_ONE, 3), "array-lambda-w-above-one", r"w = 1\.0000000000001 at index 2 outside"),
     bad(lambda: lambda_d(1.0 + 1e-13, 3), "lambda-w-above-one", r"^w = 1\.0000000000001 outside \[-0\.5, 1\]$"),
-    bad(lambda: i_ab(3, np.array([[0.1, 0.2], [NAN, 0.3]])), "array-i_ab-2d-D-nan", r"got nan at index \(1, 0\)$"),
+    bad(lambda: i_ab(ProtocolSpec(3), np.array([[0.1, 0.2], [NAN, 0.3]])), "array-i_ab-2d-D-nan", r"got nan at index \(1, 0\)$"),
     bad(lambda: ProtocolSpec(3).check_disturbance(np.array([0.1, 0.7, 0.9])), "array-spec-D-too-big",
         r"got 0\.7 at index 1$"),
     bad(lambda: i_ae(ProtocolSpec(4), 0.1, W_ABOVE_ONE), "array-i_ae-w-above-one"),
     bad(lambda: phi_d(D_ONE, W_HALF, 3), "array-phi-D-one"),
     bad(lambda: guess_probability(ProtocolSpec(3, 3), D_ONE, W_HALF), "array-mu-nu-D-one"),
-    bad(lambda: i_ab(3, D_NAN), "array-i_ab-D-nan"),
+    bad(lambda: i_ab(ProtocolSpec(3), D_NAN), "array-i_ab-D-nan"),
     bad(lambda: i_d(np.array([0.0, 1.0, 1.5]), 3), "array-i_d-above-one"),
     bad(lambda: w_bar(3, D_NAN), "array-w_bar-D-nan"),
     bad(lambda: optimal_w(ProtocolSpec(3, 3), D_NAN), "array-optimal_w-three-bases-D-nan"),
     bad(lambda: optimal_w(ProtocolSpec(3), np.array([0.1, 0.2, 0.7])), "array-optimal_w-D-too-big"),
+    bad(lambda: golden_section_maximize(peak, NAN, 1.0), "golden-lo-nan"),
+    bad(lambda: golden_section_maximize(peak, 1.0, 0.0), "golden-lo-above-hi", r"got lo=1\.0, hi=0\.0$"),
+    bad(lambda: golden_section_maximize(peak, 0.0, math.inf), "golden-hi-inf"),
+    bad(lambda: golden_section_maximize(peak, ZEROS, np.array([1.0, 1.0, NAN])), "array-golden-hi-nan",
+        r"hi=nan at index 2$"),
+    bad(lambda: golden_section_maximize(peak, np.array([0.0, 0.0, 1.0]), np.ones(3) * 0.5),
+        "array-golden-lo-above-hi"),
+    bad(lambda: admissible_w_interval(ProtocolSpec(3), NAN), "interval-D-nan"),
+    bad(lambda: admissible_w_interval(ProtocolSpec(3, 3), D_NAN), "array-interval-three-bases-D-nan"),
 ]
 
 

@@ -1,10 +1,14 @@
+import argparse
+import importlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mub_eve.cli import CSV_HEADER, fmt, main
+from mub_eve.cli import CSV_HEADER, build_parser, fmt, main
 
 
 def run(capsys, *argv):
@@ -289,3 +293,89 @@ def test_invalid_w_string_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--dim", "3", "--disturbance", "0.1", "--w", "best"])
     assert excinfo.value.code == 2
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or argparse raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Every real-valued option with the other arguments its command needs; critical takes none.
+REAL_OPTIONS = [
+    ("curves", "--d-min", ["--dim", "3", "--d-max", "0.5", "--steps", "5"]),
+    ("curves", "--d-max", ["--dim", "3", "--steps", "5"]),
+    ("verify", "--disturbance", ["--dim", "3"]),
+    ("verify", "--w", ["--dim", "3", "--disturbance", "0.1"]),
+    ("simulate", "--disturbance", ["--dim", "3", "--rounds", "100"]),
+    ("simulate", "--w", ["--dim", "3", "--disturbance", "0.1", "--rounds", "100"]),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option, rest", REAL_OPTIONS, ids=[c + o for c, o, _ in REAL_OPTIONS])
+def test_non_finite_number_is_a_usage_error(tmp_path, capsys, command, option, rest, value):
+    out = tmp_path / "x.out"
+    argv = [command, *rest, f"{option}={value}"] + (["--out", str(out)] if command != "verify" else [])
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def parsed_kind(action):
+    """The class an option's type makes of the text "2", so the converter's own name does not matter."""
+    if action.type is None:
+        return None
+    value = action.type("2")
+    return Path if isinstance(value, Path) else type(value)
+
+
+PROTOCOL = {"--dim": (None, True, int, None), "--bases": (2, False, int, None)}
+ATTACK = {"--disturbance": (None, True, float, None), "--w": ("auto", False, float, None)}
+OUT = {"--out": (None, True, Path, None)}
+# option -> (default, required, parsed kind, choices), per subcommand
+INVENTORY = {
+    "curves": {
+        **PROTOCOL, **OUT,
+        "--d-min": (0.0, False, float, None),
+        "--d-max": (None, True, float, None),
+        "--steps": (None, True, int, None),
+        "--format": ("csv", False, None, ("csv", "json")),
+        "--no-timestamp": (False, False, None, None),
+    },
+    "critical": PROTOCOL,
+    "verify": {**PROTOCOL, **ATTACK},
+    "simulate": {
+        **PROTOCOL, **ATTACK, **OUT,
+        "--rounds": (None, True, int, None),
+        "--seed": (0, False, int, None),
+        "--shards": (1, False, int, None),
+    },
+}
+
+
+def test_cli_option_inventory():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        command: {
+            action.option_strings[-1]: (action.default, action.required, parsed_kind(action), action.choices)
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for command, parser in sub.choices.items()
+    }
+    assert found == INVENTORY
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["mub-eve"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["mub-eve", "critical", "--dim", "3"])
+    assert entry() == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "critical" and doc["dim"] == 3

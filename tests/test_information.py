@@ -68,20 +68,20 @@ def test_i_d_domain():
 
 
 def test_i_ab_endpoints():
-    assert i_ab(3, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert i_ab(3, 2.0 / 3.0) == pytest.approx(0.0, abs=1e-14)
+    assert i_ab(ProtocolSpec(3), 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert i_ab(ProtocolSpec(3), 2.0 / 3.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_i_ab_ququart_quarter():
     direct = 1 + 0.75 * math.log(0.75, 4) + 0.25 * math.log(0.25 / 3, 4)
     assert direct == pytest.approx(0.396240625180289, abs=1e-14)
-    assert i_ab(4, 0.25) == pytest.approx(direct, abs=1e-14)
+    assert i_ab(ProtocolSpec(4), 0.25) == pytest.approx(direct, abs=1e-14)
 
 
 def test_i_ab_strictly_decreasing():
     for d in (2, 3, 4, 6):
         grid = np.linspace(1e-3, (d - 1) / d - 1e-3, 50)
-        vals = [i_ab(d, float(D)) for D in grid]
+        vals = [i_ab(ProtocolSpec(d), float(D)) for D in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -165,9 +165,9 @@ def test_i_ae_no_interaction():
 def test_i_ae_meets_i_ab_at_critical_values():
     spec = ProtocolSpec(3, 2)
     D = 0.2113
-    assert abs(i_ae(spec, D, w_bar(3, D)) - i_ab(3, D)) <= 1e-4
+    assert abs(i_ae(spec, D, w_bar(3, D)) - i_ab(spec, D)) <= 1e-4
     spec = ProtocolSpec(4, 2)
-    assert abs(i_ae(spec, 0.25, w_bar(4, 0.25)) - i_ab(4, 0.25)) <= 1e-6
+    assert abs(i_ae(spec, 0.25, w_bar(4, 0.25)) - i_ab(spec, 0.25)) <= 1e-6
 
 
 def test_three_basis_crossing_near_published_value():
@@ -176,7 +176,7 @@ def test_three_basis_crossing_near_published_value():
 
     D = 0.2247
     report = maximize_w(spec, D)
-    assert abs(report.i_ae_opt - i_ab(3, D)) <= 5e-4
+    assert abs(report.i_ae_opt - i_ab(spec, D)) <= 5e-4
 
 
 def test_guess_probability():
@@ -200,7 +200,7 @@ def test_information_values_stay_in_unit_interval():
                 wb = 0.2
             val = i_ae(spec, float(D), wb)
             assert -1e-12 <= val <= 1.0 + 1e-12
-            assert -1e-12 <= i_ab(spec.dim, float(D)) <= 1.0 + 1e-12
+            assert -1e-12 <= i_ab(spec, float(D)) <= 1.0 + 1e-12
 
 
 def test_phi_domain_error_names_radicand():

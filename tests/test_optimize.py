@@ -135,7 +135,7 @@ def test_critical_disturbance_increases_with_dimension():
 
 
 def test_critical_disturbance_requires_sign_change(monkeypatch):
-    monkeypatch.setattr(optimize_mod, "i_ab", lambda d, D: 2.0)
+    monkeypatch.setattr(optimize_mod, "i_ab", lambda spec, D: 2.0)
     with pytest.raises(AnalysisError):
         critical_disturbance(ProtocolSpec(3, 2))
 
@@ -221,5 +221,5 @@ def test_admissible_interval_empty():
 
 def test_gap_definition():
     point = critical_disturbance(ProtocolSpec(5, 2))
-    gap = i_ae_optimal(ProtocolSpec(5, 2), point.d_c) - i_ab(5, point.d_c)
+    gap = i_ae_optimal(ProtocolSpec(5, 2), point.d_c) - i_ab(ProtocolSpec(5, 2), point.d_c)
     assert gap == pytest.approx(point.gap_at_dc, abs=1e-15)

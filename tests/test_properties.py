@@ -109,7 +109,7 @@ def closed_forms(spec):
     forms = {
         "guess_probability": lambda D, w: guess_probability(spec, D, w),
         "i_ae": lambda D, w: i_ae(spec, D, w),
-        "i_ab": lambda D, w: i_ab(d, D),
+        "i_ab": lambda D, w: i_ab(spec, D),
         "lambda_d": lambda D, w: lambda_d(w, d),
     }
     if spec.bases_count == 2:

@@ -44,5 +44,5 @@ print(f"  w={profile.w:.12f} (expected {params.w:.12f})")
 iso = build_isometry(params)
 print(f"\nisometry shape {iso.matrix.shape}, unitarity residual {iso.unitarity_residual():.2e}")
 for basis in protocol_bases(ProtocolSpec(3, 2)):
-    dist = disturbance_per_state(iso, basis)
+    dist = disturbance_per_state(eve, D, basis)
     print(f"per-state disturbance in {basis.label:13s} basis: {np.array_str(dist, precision=12)}")

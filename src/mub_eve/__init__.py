@@ -20,6 +20,7 @@ from .attack import (
     disturbance_per_state,
     error_set_partition,
     isometry_from_states,
+    isometry_residual,
     scalar_product_profile,
 )
 from .bases import (
@@ -107,6 +108,7 @@ __all__ = [
     "i_d",
     "is_mutually_unbiased",
     "isometry_from_states",
+    "isometry_residual",
     "lambda_d",
     "maximize_w",
     "optimal_w",

@@ -28,7 +28,10 @@ Each block's coefficients are read from its two eigenvalues, so no gap is
 formed by cancellation as s nears 1. Placing the blocks on disjoint coordinate
 ranges realises all the required vanishing scalar products exactly instead of
 solving Gram constraints numerically.
-"""
+
+Every constraint check reads the states and their Gram matrix, formed once
+(``EveStateSet.gram``); the dense (d^3 x d) isometry serves the Monte Carlo
+oracle and the tests."""
 
 from __future__ import annotations
 
@@ -111,7 +114,7 @@ class AttackParams:
 
 @dataclass(frozen=True)
 class EveStateSet:
-    """The d^2 ancilla output states, indexed as states[i, j] = E_ij."""
+    """The d^2 ancilla output states, indexed as states[i, j] = E_ij, with their Gram matrix formed once."""
 
     states: np.ndarray = field(repr=False)  # (d, d, d^2), float64 as built; complex sets work too
 
@@ -119,15 +122,26 @@ class EveStateSet:
     def dim(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """gram[m, i, m', k] = <E_{i, i+m}|E_{k, k+m'}>, from one BLAS product of the block-ordered states b;
+        for real states numpy sends b @ b.T to syrk, which forms one triangle in d^6/2 multiply-adds."""
+        d = self.dim
+        idx = np.arange(d)
+        b = self.states[idx, (idx[:, None] + idx) % d].reshape(d * d, d * d)  # row m d + k is E_{k, k+m}
+        g = (b @ b.T if np.isrealobj(b) else b.conj() @ b.T).reshape(d, d, d, d)
+        g.setflags(write=False)
+        return g
+
 
 @dataclass(frozen=True)
 class ScalarProductProfile:
     """The six scalar-product group values measured from a concrete state set.
 
     x, y, z, t are the groups that must vanish for a valid symmetric attack
-    (reported as the maximum-modulus member of each group); w and s are the
-    common intra-block overlaps, reported as means with their maximum
-    deviations.
+    (each reported as its first member of largest modulus in the profile's
+    listing); w and s are the common intra-block overlaps, reported as means
+    with their maximum deviations.
     """
 
     x: complex
@@ -154,63 +168,32 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     return EveStateSet(states)
 
 
-def _first_max_abs(values: np.ndarray, best: complex = 0j) -> complex:
-    """The first member of largest modulus among ``best`` and ``values``, ``best`` first."""
-    if values.size:
-        top = values.flat[np.argmax(np.abs(values))]
-        if abs(top) > abs(best):
-            return complex(top)
-    return best
-
-
 def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
     """Measure the six scalar-product groups from the constructed states.
 
     Every one of the d^2 (d^2 - 1)/2 state pairs is measured from the concrete
-    states; no group is assumed to vanish because of the block layout. The
-    states are gathered once in block order, and for each block m of the
-    layout the d states E_{i, i+m} are taken against the states of blocks
-    m..d-1 in one BLAS product: about d^6/2 multiply-adds over the d blocks,
-    real for the built (real) states and complex for a complex set. Each
-    group is selected from the product by the indices (i, m', k) of the pair
-    <E_{i, i+m}|E_{k, k+m'}>. Extra memory is one block-ordered copy of the
-    states (d^4 entries) plus O(d^3): one product at a time, with running
-    maxima for z and t.
+    states; no group is assumed to vanish because of the block layout. Each
+    group is sliced from the block-order upper triangle of ``eve.gram``
+    [m, i, m', k]: s and w from the diagonal blocks m = m' (k > i), x and y
+    from block row m = 0, and z (k = i) and t (k != i) from the block pairs
+    1 <= m < m', listed pair by pair.
     """
-    d = eve.dim
+    d, g = eve.dim, eve.gram
     idx = np.arange(d)
-    receiver = (idx[:, None] + idx) % d  # receiver[m, k] = k + m mod d
-    by_block = eve.states[idx, receiver]  # by_block[m, k] = E_{k, k+m}
-    i, k = idx[:, None, None], idx[None, None, :]
     later_sender = idx[:, None] < idx  # [i, k]: k > i
-    other_sender = np.broadcast_to(i != k, (d, d - 1, d))  # [i, n, k]: k != i, sliced per block
-
-    def block_gram(m: int) -> np.ndarray:
-        """g[i, n, k] = <E_{i, i+m}|E_{k, k+m+n}> for every later block m + n."""
-        return (by_block[m].conj() @ by_block[m:].reshape(-1, d * d).T).reshape(d, d - m, d)
-
-    g = block_gram(0)
-    s_vals = g[:, 0][later_sender]
-    on_pair = (i == k) | (i == receiver[1:])  # E_ii against an error state E_ij or E_ji
-    x = _first_max_abs(g[:, 1:][on_pair])
-    y = _first_max_abs(g[:, 1:][~on_pair])
-
-    w_vals, z, t = [], 0j, 0j
-    for m in range(1, d):
-        g = block_gram(m)
-        w_vals.append(g[:, 0][later_sender])
-        later = g[:, 1:]
-        z = _first_max_abs(later[idx, :, idx], z)  # [i, n]: the same sender i
-        t = _first_max_abs(later[other_sender[:, : d - 1 - m]], t)
-    w_vals = np.concatenate(w_vals)
-
+    diagonal = g[idx, :, idx]  # [m, i, k]
+    s_vals, w_vals = diagonal[0][later_sender], diagonal[1:, later_sender]
+    i, n, k = np.ix_(idx, idx[1:], idx)
+    on_pair = (i == k) | (i == (k + n) % d)  # [i, m' - 1, k]: E_ii against an error state E_ij or E_ji
+    first, second = np.triu_indices(d - 1, 1)
+    pairs = g[first + 1, :, second + 1, :].reshape(-1, d * d)  # [block pair, i d + k]
+    # Views, no copies: the k = i entries are every (d+1)-th; after each, d entries with k != i.
+    same_sender, other_sender = pairs[:, :: d + 1], pairs[:, 1:].reshape(-1, d - 1, d + 1)[:, :, :d]
+    groups = (g[0, :, 1:][on_pair], g[0, :, 1:][~on_pair], same_sender, other_sender)
     s_mean = float(np.mean(s_vals.real))
     w_mean = float(np.mean(w_vals.real))
     return ScalarProductProfile(
-        x=x,
-        y=y,
-        z=z,
-        t=t,
+        *(complex(v.flat[np.argmax(np.abs(v))]) if v.size else 0j for v in groups),  # x, y, z, t
         w=w_mean,
         s=s_mean,
         w_max_dev=float(np.max(np.abs(w_vals - w_mean))),
@@ -237,14 +220,17 @@ class AttackIsometry:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
+def _isometry_scale(d: int, disturbance: float) -> np.ndarray:
+    """scale[a, b], the weight of E_ab in the isometry: sqrt(1 - D) for b = a, sqrt(D/(d-1)) otherwise."""
+    return np.where(np.eye(d, dtype=bool), math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1)))
+
+
 def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry:
     """Assemble the attack isometry from an explicit ancilla state set."""
     d = eve.dim
-    scale = np.full((d, d), math.sqrt(disturbance / (d - 1)))
-    np.fill_diagonal(scale, math.sqrt(1.0 - disturbance))
     # V[b d^2 + e, a] = scale[a, b] E_ab[e], written straight into (receiver, ancilla, sender) order.
     v = np.empty((d, d * d, d), dtype=complex)
-    np.multiply(scale.T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
+    np.multiply(_isometry_scale(d, disturbance).T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
     v = v.reshape(d * d * d, d)
     v.setflags(write=False)
     return AttackIsometry(v)
@@ -255,17 +241,25 @@ def build_isometry(params: AttackParams) -> AttackIsometry:
     return isometry_from_states(build_eve_states(params), params.disturbance)
 
 
-def disturbance_per_state(isometry: AttackIsometry, basis: Basis) -> np.ndarray:
-    """Disturbance 1 - <psi| rho_B |psi> for each state of the given basis.
+def isometry_residual(eve: EveStateSet, disturbance: float) -> float:
+    """max |V^dagger V - I| of the attack isometry V, read from ``eve.gram`` without forming V:
+    (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>."""
+    d = eve.dim
+    a, a2, b = np.ix_(np.arange(d), np.arange(d), np.arange(d))
+    overlaps = eve.gram[(b - a) % d, a, (b - a2) % d, a2]  # [a, a', b] = <E_ab|E_a'b>
+    scale = _isometry_scale(d, disturbance)
+    return float(np.max(np.abs(np.einsum("ab,cb,acb->ac", scale, scale, overlaps) - np.eye(d))))
 
-    rho_B is the receiver's reduced state after the attack (ancilla traced out).
-    """
-    d = isometry.dim
+
+def disturbance_per_state(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
+    """Disturbance 1 - <psi| rho_B |psi> for each state of the given basis, read from the states;
+    rho_B is the receiver's reduced state after the attack (ancilla traced out)."""
+    d = eve.dim
     if basis.dim != d:
         raise DimensionError(f"basis dimension {basis.dim} != attack dimension {d}")
-    # <psi|rho_B|psi> = ||psi^dagger J||^2 with rho_B = J J^dagger, J = (V psi) as (d, d^2):
-    # amp[n, e] = sum_{b, a} conj(psi_n[b]) V[b d^2 + e, a] psi_n[a]. One product contracts
-    # the receiver index b; contracting the sender index a then needs no BLAS call.
-    projected = (basis.vectors.conj() @ isometry.matrix.reshape(d, -1)).reshape(d, d * d, d)
-    amp = np.einsum("nea,na->ne", projected, basis.vectors)
+    # ||amp||^2, amp = sum_{a, b} psi[a] conj(psi[b]) scale[a, b] E_ab: real states stay real in the product.
+    psi = basis.vectors
+    coeff = (psi[:, :, None] * psi[:, None, :].conj() * _isometry_scale(d, disturbance)).reshape(d, d * d)
+    parts = np.concatenate((coeff.real, coeff.imag)) @ eve.states.reshape(d * d, d * d)
+    amp = parts[:d] + 1j * parts[d:]
     return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)

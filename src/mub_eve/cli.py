@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_from_states, scalar_product_profile
+from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_residual, scalar_product_profile
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
 from .information import dits_to_bits, i_ab, i_ae
@@ -188,13 +188,12 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
     else:
         doc["w"] = w
         eve = build_eve_states(params)
-        isometry = isometry_from_states(eve, disturbance)
-        profile = scalar_product_profile(eve)
+        profile = scalar_product_profile(eve)  # forms the states' Gram, which the unitarity gate reads too
         # (name, residual, threshold, informational), in report order
         checks = [
-            ("isometry_unitarity", isometry.unitarity_residual(), GATE_TOL, False),
+            ("isometry_unitarity", isometry_residual(eve, disturbance), GATE_TOL, False),
             *((f"equal_disturbance_{basis.label}",
-               float(np.max(np.abs(disturbance_per_state(isometry, basis) - disturbance))), GATE_TOL, False)
+               float(np.max(np.abs(disturbance_per_state(eve, disturbance, basis) - disturbance))), GATE_TOL, False)
               for basis in protocol_bases(spec)),
             *((f"profile_{name}_zero", abs(getattr(profile, name)), GATE_TOL, False) for name in "xyzt"),
             ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),

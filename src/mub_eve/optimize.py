@@ -48,7 +48,12 @@ def w_bar(d: int, disturbance: Real) -> Real:
     """Optimal overlap for the two-basis protocol: w = (d/(d-1)) ((d-1)/d - D)."""
     spec = ProtocolSpec(d)
     spec.check_disturbance(disturbance)
-    return (d / (d - 1.0)) * (spec.max_disturbance - disturbance)
+    return _w_bar(spec, disturbance)
+
+
+def _w_bar(spec: ProtocolSpec, disturbance: Real) -> Real:
+    """w_bar on a checked spec and D, unchecked."""
+    return (spec.dim / (spec.dim - 1.0)) * (spec.max_disturbance - disturbance)
 
 
 def d_c_closed_form(d: int) -> float:
@@ -216,7 +221,7 @@ def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
     """
     lo, hi = admissible_w_interval(spec, disturbance)
     if spec.bases_count == 2:
-        w = w_bar(spec.dim, disturbance)
+        w = _w_bar(spec, disturbance)
         # min(max(w, lo), hi); lo < hi
         if isinstance(w, np.ndarray):
             return np.where(w < lo, lo, np.where(w > hi, hi, w))
@@ -287,7 +292,7 @@ def optimality_witnesses(disturbance: float, d: int = 3) -> OptimalityWitnesses:
     if not 0.0 < disturbance < spec.max_disturbance:
         raise DomainError(f"disturbance must lie in (0, {spec.max_disturbance}), got {disturbance}")
     d = spec.dim
-    wb = w_bar(d, disturbance)
+    wb = _w_bar(spec, disturbance)
     equality = abs(phi_d(disturbance, wb, d) - lambda_d(wb, d))
 
     lo, hi = admissible_w_interval(spec, disturbance)

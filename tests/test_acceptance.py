@@ -101,7 +101,7 @@ def test_criterion_4_attack_validity_suite():
                 isometry = build_isometry(params)
                 worst_unitarity = max(worst_unitarity, isometry.unitarity_residual())
                 for basis in protocol_bases(ProtocolSpec(dim, bases_count)):
-                    dev = np.max(np.abs(disturbance_per_state(isometry, basis) - disturbance))
+                    dev = np.max(np.abs(disturbance_per_state(eve, disturbance, basis) - disturbance))
                     worst_disturbance = max(worst_disturbance, float(dev))
                 profile = scalar_product_profile(eve)
                 worst_profile = max(

@@ -21,6 +21,7 @@ from mub_eve import (
     error_set_partition,
     fourier_basis,
     isometry_from_states,
+    isometry_residual,
     protocol_bases,
     resolve_w,
     scalar_product_profile,
@@ -269,10 +270,75 @@ def test_unitarity_relation_terms_vanish():
         assert abs(np.vdot(st[i, k], st[j, k])) <= 1e-13
 
 
+def disturbance_by_isometry(isometry: AttackIsometry, basis) -> np.ndarray:
+    """Oracle for `disturbance_per_state`: 1 - <psi| rho_B |psi> from the dense isometry.
+
+    <psi|rho_B|psi> = ||psi^dagger J||^2 with rho_B = J J^dagger, J = (V psi) as (d, d^2):
+    amp[n, e] = sum_{b, a} conj(psi_n[b]) V[b d^2 + e, a] psi_n[a].
+    """
+    d = isometry.dim
+    projected = (basis.vectors.conj() @ isometry.matrix.reshape(d, -1)).reshape(d, d * d, d)
+    amp = np.einsum("nea,na->ne", projected, basis.vectors)
+    return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)
+
+
+def built_and_cast_sets(d, bases_count):
+    """(spec, D, state set) over a few disturbances: each built set and its complex cast."""
+    spec = ProtocolSpec(d, bases_count)
+    for D in (0.0, 0.1, 0.3):
+        eve = build_eve_states(AttackParams(d, bases_count, D, resolve_w(spec, D, "auto")))
+        for states in (eve.states, eve.states.astype(np.complex128)):
+            yield spec, D, EveStateSet(states=states)
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
+def test_disturbance_from_states_matches_dense_isometry(d, bases_count):
+    for spec, D, eve in built_and_cast_sets(d, bases_count):
+        iso = isometry_from_states(eve, D)
+        for basis in protocol_bases(spec):
+            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - disturbance_by_isometry(iso, basis))) <= 1e-15
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
+def test_unitarity_from_gram_matches_dense_isometry(d, bases_count):
+    for _, D, eve in built_and_cast_sets(d, bases_count):
+        assert abs(isometry_residual(eve, D) - isometry_from_states(eve, D).unitarity_residual()) <= 1e-15
+
+
+@pytest.mark.parametrize("group", ["x", "t"])
+def test_unitarity_from_gram_sees_a_perturbed_pair(group):
+    # negative control: the orthonormal layout gives V^dagger V = I, and the entry that makes
+    # one pair nonzero also lengthens a state, which both routes must report alike
+    d = 4
+    (a, b), (p, q) = PERTURBATIONS[group]
+    states = np.array(orthonormal_layout(d).states)
+    assert isometry_residual(EveStateSet(states=states), 0.1) <= 1e-15
+    states[a, b, d * ((q - p) % d) + p] += 0.5j
+    eve = EveStateSet(states=states)
+    for D in (0.1, 0.3):
+        dense = isometry_from_states(eve, D).unitarity_residual()
+        assert dense > 1e-3
+        assert abs(isometry_residual(eve, D) - dense) <= 1e-15
+
+
+def test_gram_is_formed_once_and_read_by_every_gate():
+    params = AttackParams(3, 2, 0.1, 0.85)
+    eve = build_eve_states(params)
+    scalar_product_profile(eve)
+    gram = vars(eve)["gram"]
+    assert eve.gram is gram and not gram.flags.writeable
+    assert isometry_residual(eve, params.disturbance) <= 1e-15
+    # the residual reads the cached array: a planted entry of equal receiver shows in it
+    planted = np.array(gram)
+    planted[0, 0, 1, 2] = 0.25  # <E_00|E_20>
+    vars(eve)["gram"] = planted
+    assert isometry_residual(eve, params.disturbance) > 1e-2
+
+
 def test_disturbance_computational_is_exact():
     params = AttackParams(3, 2, 0.17, 0.5)
-    iso = build_isometry(params)
-    dist = disturbance_per_state(iso, computational_basis(3))
+    eve = build_eve_states(params)
+    dist = disturbance_per_state(eve, params.disturbance, computational_basis(3))
     assert np.max(np.abs(dist - 0.17)) <= 1e-14
 
 
@@ -282,9 +348,9 @@ def test_disturbance_equal_on_fourier_basis(d):
         if D > (d - 1) / d - 1e-9:
             continue
         params = AttackParams(d, 2, D, w_bar(d, D))
-        iso = build_isometry(params)
+        eve = build_eve_states(params)
         for basis in (computational_basis(d), fourier_basis(d)):
-            dist = disturbance_per_state(iso, basis)
+            dist = disturbance_per_state(eve, D, basis)
             assert np.max(np.abs(dist - D)) <= 1e-12
 
 
@@ -292,9 +358,9 @@ def test_disturbance_equal_on_all_three_qutrit_bases():
     for D in (0.05, 0.15, 0.3, 0.5):
         for w in (-0.2, 0.3, 0.8):
             params = AttackParams(3, 3, D, w)
-            iso = build_isometry(params)
+            eve = build_eve_states(params)
             for basis in protocol_bases(ProtocolSpec(3, 3)):
-                dist = disturbance_per_state(iso, basis)
+                dist = disturbance_per_state(eve, D, basis)
                 assert np.max(np.abs(dist - D)) <= 1e-12
 
 
@@ -310,14 +376,18 @@ def test_perturbed_s_breaks_fourier_symmetry():
     bad = EveStateSet(states=states)
     iso = isometry_from_states(bad, params.disturbance)
     assert iso.unitarity_residual() <= 1e-12  # still a valid channel
-    dist = disturbance_per_state(iso, fourier_basis(3))
+    assert isometry_residual(bad, params.disturbance) <= 1e-12
+    dist = disturbance_per_state(bad, params.disturbance, fourier_basis(3))
     assert np.max(np.abs(dist - params.disturbance)) > 1e-4
+    for basis in (computational_basis(3), fourier_basis(3)):
+        oracle = disturbance_by_isometry(iso, basis)
+        assert np.max(np.abs(disturbance_per_state(bad, params.disturbance, basis) - oracle)) <= 1e-15
 
 
 def test_disturbance_dimension_mismatch():
-    iso = build_isometry(AttackParams(3, 2, 0.1, 0.85))
+    eve = build_eve_states(AttackParams(3, 2, 0.1, 0.85))
     with pytest.raises(DimensionError):
-        disturbance_per_state(iso, computational_basis(4))
+        disturbance_per_state(eve, 0.1, computational_basis(4))
 
 
 def test_ancilla_dimension_is_d_squared():

@@ -179,6 +179,36 @@ def test_verify_large_dimension_passes_every_gate(capsys):
     assert all(c["passed"] for c in doc["checks"] if not c["informational"])
 
 
+def verify_checks(bases_labels):
+    """(name, threshold, informational) of every verify check, in report order."""
+    return [
+        ("isometry_unitarity", 1e-12, False),
+        *((f"equal_disturbance_{label}", 1e-12, False) for label in bases_labels),
+        *((f"profile_{group}_zero", 1e-12, False) for group in "xyzt"),
+        ("profile_s_matches_relation", 1e-12, False),
+        ("profile_w_matches_input", 1e-12, False),
+        ("ancilla_dimension", 0.0, False),
+        ("w_is_stationary_optimum", 1e-6, True),
+    ]
+
+
+@pytest.mark.parametrize("dim, bases", [(8, 2), (12, 2), (16, 2), (20, 2), (3, 3)])
+def test_verify_forms_no_dense_isometry(capsys, monkeypatch, dim, bases):
+    # every gate reads the states and their Gram matrix; verify builds no dense isometry
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify formed the dense isometry")
+
+    for module in ("mub_eve.attack", "mub_eve.cli"):
+        for name in ("isometry_from_states", "build_isometry", "AttackIsometry"):
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    code, out, _ = run(capsys, "verify", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.15")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    labels = ("computational", "alpha", "alpha-star") if bases == 3 else ("computational", "fourier")
+    assert [(c["name"], c["threshold"], c["informational"]) for c in checks] == verify_checks(labels)
+    assert all(c["residual"] <= 1e-12 for c in checks if not c["informational"])
+
+
 def test_verify_suboptimal_w_flagged_informational_only(capsys):
     code, out, _ = run(
         capsys, "verify", "--dim", "3", "--bases", "2", "--disturbance", "0.1", "--w", "0.99"

@@ -13,6 +13,7 @@ from mub_eve import (
     ProtocolSpec,
     SimConfig,
     admissible_w_interval,
+    build_eve_states,
     build_isometry,
     disturbance_per_state,
     golden_section_maximize,
@@ -58,9 +59,9 @@ def test_isometry_is_unitary(attack):
 @given(attacks())
 def test_disturbance_equal_on_every_basis(attack):
     spec, disturbance, w = attack
-    isometry = build_isometry(AttackParams(spec.dim, spec.bases_count, disturbance, w))
+    eve = build_eve_states(AttackParams(spec.dim, spec.bases_count, disturbance, w))
     for basis in protocol_bases(spec):
-        assert np.max(np.abs(disturbance_per_state(isometry, basis) - disturbance)) <= 1e-12
+        assert np.max(np.abs(disturbance_per_state(eve, disturbance, basis) - disturbance)) <= 1e-12
 
 
 def gram_rounding(spec, disturbance, w):

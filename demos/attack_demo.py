@@ -15,7 +15,6 @@ from mub_eve import (
     build_eve_states,
     build_isometry,
     disturbance_per_state,
-    error_set_partition,
     protocol_bases,
     scalar_product_profile,
     w_bar,
@@ -28,11 +27,8 @@ print(f"attack parameters: d=3, two bases, D={D}, w={params.w:.4f} -> s={params.
 print(f"state coefficients: u={u:.6f} v={v:.6f} (no-error block), r={r:.6f} q={q:.6f} (error blocks)")
 
 print("\nerror-state blocks (receiver shift mod d):")
-blocks = {}
-for pair, m in error_set_partition(3).items():
-    blocks.setdefault(m, []).append(pair)
-for m in sorted(blocks):
-    print(f"  block {m}: {sorted(blocks[m])}")
+for m in range(1, 3):
+    print(f"  block {m}: {[(i, j) for i in range(3) for j in range(3) if j != i and (j - i) % 3 == m]}")
 
 eve = build_eve_states(params)
 profile = scalar_product_profile(eve)

@@ -18,7 +18,6 @@ from .attack import (
     build_isometry,
     coeff_pair,
     disturbance_per_state,
-    error_set_partition,
     isometry_from_states,
     isometry_residual,
     scalar_product_profile,
@@ -27,7 +26,6 @@ from .bases import (
     Basis,
     computational_basis,
     fourier_basis,
-    is_mutually_unbiased,
     protocol_bases,
     qutrit_three_basis_set,
 )
@@ -36,7 +34,6 @@ from .information import (
     ProtocolSpec,
     dits_to_bits,
     guess_probability,
-    guess_probability_constructive,
     i_ab,
     i_ae,
     i_d,
@@ -45,7 +42,6 @@ from .information import (
 )
 from .optimize import (
     CriticalPoint,
-    OptimalityWitnesses,
     OptimumReport,
     admissible_w_interval,
     critical_disturbance,
@@ -54,7 +50,6 @@ from .optimize import (
     i_ae_optimal,
     maximize_w,
     optimal_w,
-    optimality_witnesses,
     w_bar,
 )
 from .simulate import (
@@ -79,7 +74,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "EveStateSet",
-    "OptimalityWitnesses",
     "OptimumReport",
     "ProtocolError",
     "ProtocolSpec",
@@ -97,22 +91,18 @@ __all__ = [
     "disturbance_per_state",
     "dits_to_bits",
     "empirical_mutual_information",
-    "error_set_partition",
     "fourier_basis",
     "golden_section_maximize",
     "guess_probability",
-    "guess_probability_constructive",
     "i_ab",
     "i_ae",
     "i_ae_optimal",
     "i_d",
-    "is_mutually_unbiased",
     "isometry_from_states",
     "isometry_residual",
     "lambda_d",
     "maximize_w",
     "optimal_w",
-    "optimality_witnesses",
     "outcome_distribution",
     "phi_d",
     "protocol_bases",

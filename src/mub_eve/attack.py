@@ -41,21 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import Basis, ProtocolSpec
+from .bases import RADICAND_SLACK, Basis, ProtocolSpec
 from .errors import DimensionError, DomainError
-
-# Round-off guard for radicands that are exact zeros at domain endpoints.
-RADICAND_SLACK = 1e-14
-
-
-def error_set_partition(d: int) -> dict[tuple[int, int], int]:
-    """Assign each off-diagonal pair (i, j) to its orthogonal block (j - i) mod d.
-
-    The d(d-1) error states split into d-1 blocks of d states; block m collects
-    the states where the receiver's symbol is shifted by m from the sender's.
-    """
-    d = ProtocolSpec(d).dim
-    return {(i, (i + m) % d): m for m in range(1, d) for i in range(d)}
 
 
 def coeff_pair(plus: float, minus: float, d: int) -> tuple[float, float]:

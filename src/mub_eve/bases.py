@@ -1,4 +1,4 @@
-"""Protocol key and bases in dimension d, and the unbiasedness checks between them.
+"""Protocol key and bases in dimension d, and the round-off slacks of the domain checks.
 
 Vectors are rows of a (d, d) complex array, so ``basis.vectors[i]`` is the
 i-th state of the basis.
@@ -18,6 +18,8 @@ ORTHONORMALITY_TOL = 1e-12
 
 # Round-off allowed above the largest disturbance (d-1)/d, about 50 ulps there.
 DISTURBANCE_SLACK = 1e-14
+# Round-off guard for radicands that are exact zeros at domain endpoints.
+RADICAND_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,6 @@ def qutrit_three_basis_set() -> list[Basis]:
         Basis(dim=3, vectors=vecs, label="alpha"),
         Basis(dim=3, vectors=vecs.conj(), label="alpha-star"),
     ]
-
-
-def is_mutually_unbiased(a: Basis, b: Basis) -> bool:
-    """True iff every cross overlap magnitude is within ORTHONORMALITY_TOL of 1/sqrt(d)."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    mags = np.abs(a.vectors.conj() @ b.vectors.T)
-    return bool(np.max(np.abs(mags - 1.0 / np.sqrt(a.dim))) <= ORTHONORMALITY_TOL)
 
 
 def protocol_bases(spec: ProtocolSpec) -> list[Basis]:

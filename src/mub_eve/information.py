@@ -1,12 +1,12 @@
 """Closed-form information quantities of the attack, in dits (log base d).
 
-Two routes exist to the eavesdropper's guess probabilities: the closed forms
-below and the constructive path through ``AttackParams.coeff_pairs``, which
-reads each block's coefficients from its Gram eigenvalues. They agree to 1e-12
-away from the zeros of the radicands; the test suite enforces this. Both
-protocols share the closed forms: with c = ``ProtocolSpec.z_factor``, the
-no-error guess probability is ``phi_d`` at the overlap c w (c = -1/2 gives the
-three-basis qutrit protocol), and the error one is ``lambda_d`` at w.
+Both protocols share the closed forms: with c = ``ProtocolSpec.z_factor``,
+the no-error guess probability is ``phi_d`` at the overlap c w (c = -1/2
+gives the three-basis qutrit protocol), and the error one is ``lambda_d`` at
+w. The tests check them against a second route, which reads each block's
+coefficients from its Gram eigenvalues (``AttackParams.coeff_pairs``, through
+``tests/oracles.py``): the two agree to 1e-12 away from the zeros of the
+radicands.
 
 The closed forms take D and w as floats or as numpy arrays of one shape and
 return the same kind; an array call equals the element-wise float calls bit
@@ -27,8 +27,7 @@ import math
 
 import numpy as np
 
-from .attack import RADICAND_SLACK, AttackParams
-from .bases import ProtocolSpec
+from .bases import RADICAND_SLACK, ProtocolSpec
 from .errors import DomainError, failed_value, holds
 
 # A float, or a numpy array of floats that the closed forms map element-wise.
@@ -122,20 +121,8 @@ def i_ae(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
 
 def i_ab(spec: ProtocolSpec, disturbance: Real) -> Real:
     """Sender-receiver mutual information (dits) of the symmetric channel in spec's dimension."""
-    in_range = (0.0 <= disturbance) & (disturbance <= 1.0)
-    if not holds(in_range):
-        raise DomainError(f"disturbance must lie in [0, 1], got {failed_value(disturbance, in_range)}")
+    spec.check_disturbance(disturbance)
     return i_d(1.0 - disturbance, spec.dim)
-
-
-def guess_probability_constructive(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
-    """(major^2 for the no-error block, major^2 for the error blocks) via the Gram route.
-
-    Independent of the closed forms: goes through the attack's Gram eigenvalues
-    and coefficients. phi_d (at the overlap z_factor * w) and lambda_d must match these squares.
-    """
-    (major_s, _), (major_w, _) = AttackParams(spec.dim, spec.bases_count, disturbance, w).coeff_pairs()
-    return major_s**2, major_w**2
 
 
 def dits_to_bits(value: float, d: int) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AnalysisError, DomainError, failed_value, holds
 from .bases import ProtocolSpec
-from .information import Real, guess_probability, i_ab, i_ae, lambda_d, phi_d
+from .information import Real, i_ab, i_ae
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket widths at which the golden-section search over w and the bisection over D stop.
@@ -178,13 +178,6 @@ def _second_difference(f, x: Real, step: float) -> Real:
     return f(x + step) - 2.0 * f(x) + f(x - step)
 
 
-def _worst_grid_second_difference(f, lo: float, hi: float) -> float:
-    """Largest second difference of f over 100 interior grid points, half-step each; f maps arrays."""
-    n = 100
-    h = (hi - lo) / (n + 1)
-    return float(np.max(_second_difference(f, lo + np.arange(1, n + 1) * h, 0.5 * h)))
-
-
 def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     """Maximise the eavesdropper's information over w at fixed disturbance.
 
@@ -192,7 +185,7 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     verifies stationarity by a central finite difference; every downstream
     quantity (information curves, critical disturbances) is defined on this
     stationary curve. w_bar is the global maximiser of the guess probability
-    (see optimality_witnesses), not of i_ae: i_ae(D, w) is not concave near
+    (the tests witness it), not of i_ae: i_ae(D, w) is not concave near
     w = 1, for small D it exceeds the stationary value there by up to a few
     1e-5 dits (d = 3; more for d >= 4), and for d = 3 w_bar is a local
     minimum of i_ae for D < 0.0642 and a strict local maximum above — see the
@@ -256,56 +249,3 @@ def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
             hi = mid
     d_c = 0.5 * (lo + hi)
     return CriticalPoint(d_c=d_c, gap_at_dc=gap(d_c))
-
-
-@dataclass(frozen=True)
-class OptimalityWitnesses:
-    """Numeric evidence that w_bar maximises the two-basis guess probability.
-
-    The guess probability G = (1-D) phi + D lambda is stationary at w_bar
-    (phi'/lambda' = D/(D-1)) and concave on the admissible interval, so w_bar
-    is its global maximiser; there phi = lambda, where i_ae meets its lower
-    bound i_d(G). G is affine in w plus square roots of quadratics in w that
-    are concave on the interval, so it is concave for every d.
-
-    phi_equals_lambda: |phi(D, w_bar) - lambda(w_bar)|.
-    derivative_ratio: |d_w phi / d_w lambda at w_bar - D/(D-1)| by finite differences.
-    guess_concavity: max second difference of G over an interior w-grid; the
-        optimality witness (< 0 for every D in (0, (d-1)/d)).
-    concavity: max second difference of I_AE over the same grid; a shape
-        diagnostic only, positive for d = 3 and D <= 0.30 because I_AE is not
-        concave near the w = 1 radical boundary.
-    """
-
-    phi_equals_lambda: float
-    derivative_ratio: float
-    guess_concavity: float
-    concavity: float
-
-
-def optimality_witnesses(disturbance: float, d: int = 3) -> OptimalityWitnesses:
-    """Finite-difference checks of the two-basis optimum structure in dimension d.
-
-    The step shrinks below 1e-5 where w_bar = (d/(d-1)) ((d-1)/d - D) nears the w = 1 radical zero.
-    """
-    spec = ProtocolSpec(dim=d, bases_count=2)
-    if not 0.0 < disturbance < spec.max_disturbance:
-        raise DomainError(f"disturbance must lie in (0, {spec.max_disturbance}), got {disturbance}")
-    d = spec.dim
-    wb = _w_bar(spec, disturbance)
-    equality = abs(phi_d(disturbance, wb, d) - lambda_d(wb, d))
-
-    lo, hi = admissible_w_interval(spec, disturbance)
-    step = _fd_step(wb, lo - EDGE_SHRINK, hi + EDGE_SHRINK)
-    dphi = _central_difference(lambda w: phi_d(disturbance, w, d), wb, step)
-    dlam = _central_difference(lambda w: lambda_d(w, d), wb, step)
-    ratio_residual = abs(dphi / dlam - disturbance / (disturbance - 1.0))
-
-    return OptimalityWitnesses(
-        phi_equals_lambda=equality,
-        derivative_ratio=ratio_residual,
-        guess_concavity=_worst_grid_second_difference(
-            lambda w: guess_probability(spec, disturbance, w), lo, hi
-        ),
-        concavity=_worst_grid_second_difference(lambda w: i_ae(spec, disturbance, w), lo, hi),
-    )

@@ -121,10 +121,6 @@ class SessionStats(SimConfig):
     def rounds_per_basis(self) -> np.ndarray:
         return self._receiver_histograms.sum(axis=(1, 2))
 
-    def symbol_receiver_histogram(self, basis_index: int) -> np.ndarray:
-        """(symbol, receiver outcome) counts on rounds of one basis."""
-        return self._receiver_histograms[basis_index]
-
     @property
     def bob_error_rate(self) -> np.ndarray:
         """Receiver error rate per basis; 0 for a basis with no rounds."""
@@ -287,9 +283,15 @@ def _information(hists, base: int) -> tuple[float, float]:
     return float(info), math.sqrt(max(second - mean**2, 0.0) / total) if total > 1 else 0.0
 
 
-def plug_in_bias_allowance(d: int, rounds: int) -> float:
-    """First-order plug-in bias bound for the d x d mutual information, in dits."""
-    return (d - 1) ** 2 / (2.0 * max(rounds, 1) * math.log(d))
+def plug_in_bias_allowance(hists, d: int) -> float:
+    """First-order plug-in bias of ``_information`` over d x d regime count tables, in dits.
+
+    A non-empty table of n of the N counts has bias (d-1)^2 / (2 n ln d) and
+    weighs n / N, so each adds (d-1)^2 / (2 N ln d): the share-weighted sum.
+    """
+    sizes = [int(hist.sum()) for hist in hists]
+    total = sum(sizes)
+    return sum(n / total * (d - 1) ** 2 / (2.0 * n * math.log(d)) for n in sizes if n)
 
 
 def simulate(config: SimConfig) -> SessionStats:
@@ -360,12 +362,12 @@ def compare_to_analytic(stats: SessionStats) -> ComparisonReport:
     """z-scores of the empirical estimates against the closed forms at the session's own spec, D and w.
 
     Passing requires |z| <= 4 on every check. The rates' SE is binomial. The
-    plug-in informations' SE is the delta-method SE floored by the
-    first-order bias allowance: near zero information that SE collapses while
-    the estimate sits in its chi-square regime. Below about 10^3 rounds the
-    normal approximation behind the z-test is itself unreliable, and correct
-    sessions can fail. A session without computational-basis rounds raises
-    ``AnalysisError``.
+    plug-in informations' SE is the delta-method SE floored by their
+    first-order bias, one allowance per non-empty regime table: near zero
+    information that SE collapses while the estimate sits in its chi-square
+    regime. Below about 10^3 rounds the normal approximation behind the
+    z-test is itself unreliable, and correct sessions can fail. A session
+    without computational-basis rounds raises ``AnalysisError``.
     """
     spec, disturbance, w = stats.spec, stats.disturbance, stats.w
     d, n_total, n_comp = spec.dim, int(stats.counts.sum()), int(stats.counts[0].sum())
@@ -375,8 +377,8 @@ def compare_to_analytic(stats: SessionStats) -> ComparisonReport:
         # p_eve_correct raises AnalysisError before the SE can divide by n_comp = 0
         _check("eve_guess_probability", stats.p_eve_correct, guess, _binomial_se(guess, n_comp)),
         _check("i_ae_dits", stats.i_ae_hat, i_ae(spec, disturbance, w),
-               max(stats.i_ae_hat_se, plug_in_bias_allowance(d, n_comp))),
+               max(stats.i_ae_hat_se, plug_in_bias_allowance(stats.eve_joint_given_bob, d))),
         _check("i_ab_dits", stats.i_ab_hat, i_ab(spec, disturbance),
-               max(stats.i_ab_hat_se, plug_in_bias_allowance(d, n_total))),
+               max(stats.i_ab_hat_se, plug_in_bias_allowance([stats._pooled_histogram], d))),
     )
     return ComparisonReport(checks)

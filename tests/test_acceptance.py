@@ -26,12 +26,10 @@ from mub_eve import (
     d_c_closed_form,
     disturbance_per_state,
     guess_probability,
-    guess_probability_constructive,
     i_ab,
     i_ae,
     lambda_d,
     maximize_w,
-    optimality_witnesses,
     phi_d,
     protocol_bases,
     scalar_product_profile,
@@ -39,6 +37,7 @@ from mub_eve import (
     w_bar,
 )
 from mub_eve.cli import CSV_HEADER, main
+from oracles import guess_probability_constructive, optimality_witnesses
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float) -> None:

@@ -18,7 +18,6 @@ from mub_eve import (
     coeff_pair,
     computational_basis,
     disturbance_per_state,
-    error_set_partition,
     fourier_basis,
     isometry_from_states,
     isometry_residual,
@@ -37,8 +36,20 @@ def pair_for_overlap(overlap, d):
     return coeff_pair(1.0 + (d - 1) * overlap, 1.0 - overlap, d)
 
 
+def error_blocks(d):
+    """(sender, receiver) -> the coordinate block that holds error state E_ij, read from the built states."""
+    eve = build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1)))
+    blocks = {}
+    for i in range(d):
+        for j in range(d):
+            if j != i:
+                (block,) = set(np.flatnonzero(eve.states[i, j]) // d)  # one block holds all of E_ij
+                blocks[(i, j)] = int(block)
+    return blocks
+
+
 def test_partition_qutrit_blocks():
-    blocks = error_set_partition(3)
+    blocks = error_blocks(3)
     by_index = {}
     for pair, m in blocks.items():
         by_index.setdefault(m, set()).add(pair)
@@ -48,7 +59,7 @@ def test_partition_qutrit_blocks():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_partition_is_valid(d):
-    blocks = error_set_partition(d)
+    blocks = error_blocks(d)
     # brute-force validity: every off-diagonal pair exactly once, d per block
     all_pairs = {(i, j) for i in range(d) for j in range(d) if i != j}
     assert set(blocks) == all_pairs
@@ -59,11 +70,6 @@ def test_partition_is_valid(d):
         receivers = {j for _, j in members}
         assert senders == set(range(d)) and receivers == set(range(d))
         assert all((j - i) % d == m for i, j in members)
-
-
-def test_partition_rejects_bad_dimension():
-    with pytest.raises(DimensionError):
-        error_set_partition(1)
 
 
 def test_s_zero_disturbance_is_one():
@@ -202,16 +208,19 @@ def test_identity_attack_isometry_columns():
 
 
 def eve_states_by_pairs(params: AttackParams) -> np.ndarray:
-    """Reference layout: one (sender, receiver) pair at a time, over the error-set partition."""
+    """Reference layout: one (sender, receiver) pair at a time, error state E_ij in block (j - i) mod d."""
     d = params.dim
     (u, v), (r, q) = params.coeff_pairs()
     states = np.zeros((d, d, d * d), dtype=complex)
     for i in range(d):
         states[i, i, :d] = v
         states[i, i, i] = u
-    for (i, j), m in error_set_partition(d).items():
-        states[i, j, m * d : (m + 1) * d] = q
-        states[i, j, m * d + i] = r
+    for i in range(d):
+        for j in range(d):
+            if j != i:
+                m = (j - i) % d
+                states[i, j, m * d : (m + 1) * d] = q
+                states[i, j, m * d + i] = r
     return states
 
 
@@ -415,7 +424,6 @@ def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
     """
     d = eve.dim
     st = eve.states
-    blocks = error_set_partition(d)
 
     def max_abs(values: list[complex]) -> complex:
         if not values:
@@ -424,7 +432,7 @@ def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
 
     x_vals, y_vals, z_vals, t_vals = [], [], [], []
     w_vals, s_vals = [], []
-    pairs = list(blocks)
+    pairs = [(i, (i + m) % d) for m in range(1, d) for i in range(d)]  # error states, block by block
     for i in range(d):
         for j in range(d):
             if j == i:
@@ -438,7 +446,7 @@ def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
     for a_idx, pa in enumerate(pairs):
         for pb in pairs[a_idx + 1 :]:
             ov = np.vdot(st[pa], st[pb])
-            if blocks[pa] == blocks[pb]:
+            if (pa[1] - pa[0]) % d == (pb[1] - pb[0]) % d:
                 w_vals.append(ov)
             elif pa[0] == pb[0]:
                 z_vals.append(ov)

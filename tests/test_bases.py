@@ -6,11 +6,11 @@ from mub_eve import (
     ProtocolSpec,
     computational_basis,
     fourier_basis,
-    is_mutually_unbiased,
     protocol_bases,
     qutrit_three_basis_set,
 )
 from mub_eve.errors import ProtocolError
+from oracles import is_mutually_unbiased
 
 ALPHA = np.exp(2j * np.pi / 3)
 

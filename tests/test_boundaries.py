@@ -24,11 +24,11 @@ from mub_eve import (
     lambda_d,
     maximize_w,
     optimal_w,
-    optimality_witnesses,
     phi_d,
     simulate,
     w_bar,
 )
+from oracles import optimality_witnesses
 
 NAN = math.nan
 # Arrays in which only the last element is bad.
@@ -90,6 +90,7 @@ BAD_INPUTS = [
     bad(lambda: phi_d(D_ONE, W_HALF, 3), "array-phi-D-one"),
     bad(lambda: guess_probability(ProtocolSpec(3, 3), D_ONE, W_HALF), "array-mu-nu-D-one"),
     bad(lambda: i_ab(ProtocolSpec(3), D_NAN), "array-i_ab-D-nan"),
+    bad(lambda: i_ab(ProtocolSpec(3), 0.9), "i_ab-D-too-big", r"^disturbance must lie in \[0, 0\.6666666666666666\], got 0\.9$"),
     bad(lambda: i_d(np.array([0.0, 1.0, 1.5]), 3), "array-i_d-above-one"),
     bad(lambda: w_bar(3, D_NAN), "array-w_bar-D-nan"),
     bad(lambda: optimal_w(ProtocolSpec(3, 3), D_NAN), "array-optimal_w-three-bases-D-nan"),

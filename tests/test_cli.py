@@ -409,3 +409,23 @@ def test_console_script_entry_point(monkeypatch, capsys):
     assert entry() == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "critical" and doc["dim"] == 3
+
+
+PUBLIC_NAMES = [
+    "AnalysisError", "AttackIsometry", "AttackParams", "Basis", "ComparisonReport", "CriticalPoint",
+    "DimensionError", "DomainError", "EveStateSet", "OptimumReport", "ProtocolError", "ProtocolSpec",
+    "ScalarProductProfile", "SessionStats", "SimConfig", "__version__", "admissible_w_interval",
+    "build_eve_states", "build_isometry", "coeff_pair", "compare_to_analytic", "computational_basis",
+    "critical_disturbance", "d_c_closed_form", "disturbance_per_state", "dits_to_bits",
+    "empirical_mutual_information", "fourier_basis", "golden_section_maximize", "guess_probability",
+    "i_ab", "i_ae", "i_ae_optimal", "i_d", "isometry_from_states", "isometry_residual", "lambda_d",
+    "maximize_w", "optimal_w", "outcome_distribution", "phi_d", "protocol_bases",
+    "qutrit_three_basis_set", "resolve_w", "scalar_product_profile", "simulate", "w_bar",
+]
+
+
+def test_public_name_inventory():
+    # A name joins or leaves the package's surface only with an edit here.
+    mub_eve = importlib.import_module("mub_eve")
+    assert sorted(mub_eve.__all__) == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(mub_eve, name)] == []

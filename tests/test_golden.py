@@ -91,7 +91,7 @@ DIGESTS = {
     "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",
     "simulate-16-2": "7e3d57357fa6dda4d4c5c5176920f1eaf6a192b18b1ddc3620bacbd77891bea4",
     "simulate-5-2-no-error": "df9866af8e60be21847cf35b9163e7450b0c594f377aa3dc53f7840a967ca95e",
-    "simulate-4-2-7-rounds": "bbb6de8d6c1a83051933c924aa01f100018aa6ef282161d8a08396eb33349341",
+    "simulate-4-2-7-rounds": "45b662959fe05c89505e72a6e623c2752ae4840c7dd412aaf84e79b5f5aa3dc3",
     "simulate-3-2-1-round": "e09587b84c2705968230ab95b34c823b97f9abb0c60f029421eaef283856e5f7",
 }
 

@@ -10,7 +10,6 @@ from mub_eve import (
     ProtocolSpec,
     dits_to_bits,
     guess_probability,
-    guess_probability_constructive,
     i_ab,
     i_ae,
     i_d,
@@ -18,6 +17,7 @@ from mub_eve import (
     phi_d,
     w_bar,
 )
+from oracles import guess_probability_constructive
 
 # reference closed forms written out independently, used as oracles
 

@@ -15,9 +15,9 @@ from mub_eve import (
     i_ae_optimal,
     maximize_w,
     optimal_w,
-    optimality_witnesses,
     w_bar,
 )
+from oracles import optimality_witnesses
 
 
 def test_w_bar_values():

@@ -18,7 +18,6 @@ from mub_eve import (
     disturbance_per_state,
     golden_section_maximize,
     guess_probability,
-    guess_probability_constructive,
     i_ab,
     i_ae,
     i_d,
@@ -29,6 +28,7 @@ from mub_eve import (
     scalar_product_profile,
     simulate,
 )
+from oracles import guess_probability_constructive
 from test_attack import profile_by_pairs
 
 EPS = np.finfo(float).eps

@@ -17,8 +17,8 @@ from mub_eve import (
     build_isometry,
     compare_to_analytic,
     empirical_mutual_information,
-    error_set_partition,
     guess_probability,
+    i_ae,
     i_d,
     lambda_d,
     outcome_distribution,
@@ -76,7 +76,7 @@ def test_bob_errors_uniform_over_wrong_symbols():
     D = 0.2
     stats = session(D=D, w=w_bar(3, D), rounds=10**6, seed=9, shards=1)
     for b_idx in range(2):
-        hist = stats.symbol_receiver_histogram(b_idx)
+        hist = stats.counts[b_idx].sum(axis=2)  # (symbol, receiver outcome)
         wrong = hist.copy()
         np.fill_diagonal(wrong, 0)
         errors = wrong.sum()
@@ -129,7 +129,6 @@ def test_eve_block_predicts_receiver_shift_exactly():
         block = ancilla // dim
         assert np.any(block > 0)
         assert np.array_equal(receiver, (symbol + block) % dim)
-    assert error_set_partition(3)[(0, 1)] == 1
 
 
 def test_counts_are_the_sufficient_statistics():
@@ -189,6 +188,23 @@ def test_report_passes_only_when_every_check_does():
     assert ComparisonReport((good, good)).passed
     assert not ComparisonReport((good, bad)).passed
     assert ComparisonReport((good, bad)).to_dict()["passed"] is False
+
+
+def test_information_se_floor_is_one_allowance_per_nonempty_regime():
+    # Both receiver regimes hold guesses independent of the symbol, so each plug-in
+    # information and its delta-method SE are 0, and the z-score reads the floor.
+    d, D = 3, 0.1
+    spec, w = ProtocolSpec(d), w_bar(d, D)
+    symbol, guess = np.arange(d)[:, None], np.arange(d)
+    for shifts in ((0, 1), (0,)):  # both regimes, then the receiver-correct one only
+        counts = np.zeros((2, d, d, d), dtype=np.int64)
+        for shift in shifts:
+            counts[0, symbol, (symbol + shift) % d, guess] = 1
+        stats = SessionStats(spec, D, w, int(counts.sum()), 0, 1, counts=counts)
+        assert stats.i_ae_hat == 0.0 and stats.i_ae_hat_se == 0.0
+        allowance = (d - 1) ** 2 / (2.0 * counts.sum() * math.log(d))  # every round is a computational one
+        check = next(c for c in compare_to_analytic(stats).checks if c.name == "i_ae_dits")
+        assert check.z == pytest.approx(-i_ae(spec, D, w) / (len(shifts) * allowance), rel=1e-12)
 
 
 def test_session_record_is_its_config_plus_counts():

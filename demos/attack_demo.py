@@ -1,10 +1,10 @@
 """Anatomy of the symmetric attack.
 
-Builds the eavesdropping isometry for a qutrit protocol at a chosen
+Builds the eavesdropper's ancilla states for a qutrit protocol at a chosen
 disturbance, then verifies every structural constraint numerically: column
-orthonormality, equal disturbance on every basis state of both protocol
-bases, vanishing cross-block scalar products, and the no-error/error overlap
-values s and w.
+orthonormality of the attack isometry (read from the states' Gram matrix),
+equal disturbance on every basis state of both protocol bases, vanishing
+cross-block scalar products, and the no-error/error overlap values s and w.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ from mub_eve import (
     AttackParams,
     ProtocolSpec,
     build_eve_states,
-    build_isometry,
     disturbance_per_state,
+    isometry_residual,
     protocol_bases,
     scalar_product_profile,
     w_bar,
@@ -37,8 +37,7 @@ print(f"  x={abs(profile.x):.2e} y={abs(profile.y):.2e} z={abs(profile.z):.2e} t
 print(f"  s={profile.s:.12f} (expected {params.s:.12f})")
 print(f"  w={profile.w:.12f} (expected {params.w:.12f})")
 
-iso = build_isometry(params)
-print(f"\nisometry shape {iso.matrix.shape}, unitarity residual {iso.unitarity_residual():.2e}")
+print(f"\nstate array shape {eve.states.shape}, unitarity residual {isometry_residual(eve, D):.2e}")
 for basis in protocol_bases(ProtocolSpec(3, 2)):
     dist = disturbance_per_state(eve, D, basis)
     print(f"per-state disturbance in {basis.label:13s} basis: {np.array_str(dist, precision=12)}")

@@ -10,15 +10,12 @@ cross-checks the closed forms.
 __version__ = "0.1.0"
 
 from .attack import (
-    AttackIsometry,
     AttackParams,
     EveStateSet,
     ScalarProductProfile,
     build_eve_states,
-    build_isometry,
     coeff_pair,
     disturbance_per_state,
-    isometry_from_states,
     isometry_residual,
     scalar_product_profile,
 )
@@ -66,7 +63,6 @@ from .simulate import (
 __all__ = [
     "__version__",
     "AnalysisError",
-    "AttackIsometry",
     "AttackParams",
     "Basis",
     "ComparisonReport",
@@ -82,7 +78,6 @@ __all__ = [
     "SimConfig",
     "admissible_w_interval",
     "build_eve_states",
-    "build_isometry",
     "coeff_pair",
     "compare_to_analytic",
     "computational_basis",
@@ -98,7 +93,6 @@ __all__ = [
     "i_ae",
     "i_ae_optimal",
     "i_d",
-    "isometry_from_states",
     "isometry_residual",
     "lambda_d",
     "maximize_w",

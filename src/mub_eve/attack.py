@@ -30,8 +30,8 @@ ranges realises all the required vanishing scalar products exactly instead of
 solving Gram constraints numerically.
 
 Every constraint check reads the states and their Gram matrix, formed once
-(``EveStateSet.gram``); the dense (d^3 x d) isometry serves the Monte Carlo
-oracle and the tests."""
+(``EveStateSet.gram``), and the Monte Carlo simulator reads the states too; no
+command forms the dense (d^3 x d) isometry, which the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -193,7 +193,8 @@ class AttackIsometry:
     """The (d * d^2) x d matrix taking the sender's qudit to the Bob x Eve state.
 
     Rows are indexed Bob-major: row b * d^2 + e is Bob outcome b, ancilla
-    coordinate e.
+    coordinate e. No command builds one; the tests build it as the dense oracle, and it
+    stays here because the benchmark's tracer wraps ``unitarity_residual`` by name.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -210,22 +211,6 @@ class AttackIsometry:
 def _isometry_scale(d: int, disturbance: float) -> np.ndarray:
     """scale[a, b], the weight of E_ab in the isometry: sqrt(1 - D) for b = a, sqrt(D/(d-1)) otherwise."""
     return np.where(np.eye(d, dtype=bool), math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1)))
-
-
-def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry:
-    """Assemble the attack isometry from an explicit ancilla state set."""
-    d = eve.dim
-    # V[b d^2 + e, a] = scale[a, b] E_ab[e], written straight into (receiver, ancilla, sender) order.
-    v = np.empty((d, d * d, d), dtype=complex)
-    np.multiply(_isometry_scale(d, disturbance).T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
-    v = v.reshape(d * d * d, d)
-    v.setflags(write=False)
-    return AttackIsometry(v)
-
-
-def build_isometry(params: AttackParams) -> AttackIsometry:
-    """Assemble the attack isometry for the given parameters."""
-    return isometry_from_states(build_eve_states(params), params.disturbance)
 
 
 def isometry_residual(eve: EveStateSet, disturbance: float) -> float:

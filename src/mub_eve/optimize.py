@@ -1,4 +1,4 @@
-"""Maximisation of the eavesdropper's information and critical-disturbance search."""
+"""The eavesdropper's optimal w (guess probability for two bases, I_AE for (3,3)) and the D_c search."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ EDGE_SHRINK = 1e-9
 
 @dataclass(frozen=True)
 class OptimumReport:
-    """Result of maximising the eavesdropper's information over w at fixed D."""
+    """maximize_w's result at fixed D: the w maximising the guess probability (two bases) or I_AE (3,3)."""
 
     w_opt: float
     i_ae_opt: float
@@ -179,7 +179,7 @@ def _second_difference(f, x: Real, step: float) -> Real:
 
 
 def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
-    """Maximise the eavesdropper's information over w at fixed disturbance.
+    """The eavesdropper's w at fixed D: maximiser of the guess probability (two bases) or of I_AE (3,3).
 
     The two-basis route returns the closed-form stationary overlap w_bar and
     verifies stationarity by a central finite difference; every downstream
@@ -223,7 +223,7 @@ def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
 
 
 def i_ae_optimal(spec: ProtocolSpec, disturbance: Real) -> Real:
-    """Optimal eavesdropper information at the given disturbance (dits); maximize_w's w."""
+    """The eavesdropper's information (dits) at optimal_w's w, the w "auto" means."""
     return i_ae(spec, disturbance, optimal_w(spec, disturbance))
 
 

@@ -1,11 +1,12 @@
 """Monte Carlo protocol simulator used as an independent check of the closed forms.
 
-Each round: the sender draws a basis and a symbol uniformly, the attack
-isometry acts, and the receiver (in the sender's basis) and the eavesdropper
-(in the fixed ancilla coordinate basis) measure jointly. The eavesdropper's
-guess is the coordinate index inside her outcome's block, the ancilla
-coordinate mod d (the sender symbol, by construction of the state layout),
-and every tallied statistic reads only that guess. So rounds are drawn as one
+Each round: the sender draws a basis and a symbol uniformly, the attack maps
+her qudit to receiver x ancilla (the ancilla states weighted by the
+disturbance amplitudes), and the receiver (in the sender's basis) and the
+eavesdropper (in the fixed ancilla coordinate basis) measure jointly. The
+eavesdropper's guess is the coordinate index inside her outcome's block, the
+ancilla coordinate mod d (the sender symbol, by construction of the state
+layout), and every tallied statistic reads only that guess. So rounds are drawn as one
 exact multinomial per shard over the sufficient statistics (basis, symbol,
 receiver outcome, guess): the joint outcome distribution, computed from the
 state vector without approximation, summed over the ancilla blocks. A
@@ -24,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .attack import AttackParams, build_isometry
+from .attack import AttackParams, _isometry_scale, build_eve_states
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DomainError
 from .information import guess_probability, i_ab, i_ae
@@ -42,7 +43,7 @@ Z_LIMIT = 4.0
 
 
 def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
-    """Resolve the overlap parameter; "auto" gives maximize_w's w: for two bases w_bar,
+    """Resolve the overlap parameter; "auto" gives optimal_w's w: for two bases w_bar,
     which maximises the guess probability (not I_AE); for three, the maximiser of I_AE."""
     if isinstance(w, str):
         if w != "auto":
@@ -57,14 +58,18 @@ def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np
     The guess is the ancilla coordinate mod d; each cell sums |amplitude|^2
     over the d ancilla blocks (receiver shifts) that share it.
     """
-    params = AttackParams(spec.dim, spec.bases_count, disturbance, w)
-    isometry = build_isometry(params)
-    bases = protocol_bases(spec)
     d = spec.dim
+    params = AttackParams(d, spec.bases_count, disturbance, w)
+    # weighted[a, b d^2 + e] = scale[a, b] E_ab[e]. E_{a, a+m} lives in block m, so each column has one
+    # nonzero sender a: psi @ weighted sums one term, and its bits do not depend on the summation order.
+    weighted = np.empty((d, d, d * d), dtype=complex)
+    np.multiply(_isometry_scale(d, disturbance)[:, :, None], build_eve_states(params).states, out=weighted)
+    weighted = weighted.reshape(d, d**3)
+    bases = protocol_bases(spec)
     table = np.zeros((len(bases), d, d, d))
     for b_idx, basis in enumerate(bases):
         for symbol in range(d):
-            joint = (isometry.matrix @ basis.vectors[symbol]).reshape(d, d * d)
+            joint = (basis.vectors[symbol] @ weighted).reshape(d, d * d)
             amplitudes = basis.vectors.conj() @ joint
             cell = np.abs(amplitudes) ** 2
             cell[cell < CELL_FLOOR] = 0.0

@@ -4,11 +4,16 @@
   Gram eigenvalues and coefficients, a second route to the closed forms;
 - ``optimality_witnesses``: finite-difference evidence that w_bar maximises
   the two-basis guess probability;
-- ``is_mutually_unbiased``: the overlap test between two bases.
+- ``is_mutually_unbiased``: the overlap test between two bases;
+- the dense (d^3 x d) attack isometry, ``build_isometry`` and
+  ``isometry_from_states``, with a column-by-column reference assembly, and the
+  disturbance and outcome table read from it: a second route to everything
+  ``verify`` and ``simulate`` read from the ancilla states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +23,20 @@ from mub_eve import (
     Basis,
     DimensionError,
     DomainError,
+    EveStateSet,
     ProtocolSpec,
     admissible_w_interval,
+    build_eve_states,
     guess_probability,
     i_ae,
     lambda_d,
     phi_d,
+    protocol_bases,
 )
+from mub_eve.attack import AttackIsometry, _isometry_scale
 from mub_eve.bases import ORTHONORMALITY_TOL
 from mub_eve.optimize import EDGE_SHRINK, _central_difference, _fd_step, _second_difference, _w_bar
+from mub_eve.simulate import CELL_FLOOR
 
 
 def guess_probability_constructive(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
@@ -105,3 +115,60 @@ def optimality_witnesses(disturbance: float, d: int = 3) -> OptimalityWitnesses:
         ),
         concavity=_worst_grid_second_difference(lambda w: i_ae(spec, disturbance, w), lo, hi),
     )
+
+
+def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry:
+    """Assemble the attack isometry from an explicit ancilla state set."""
+    d = eve.dim
+    # V[b d^2 + e, a] = scale[a, b] E_ab[e], written straight into (receiver, ancilla, sender) order.
+    v = np.empty((d, d * d, d), dtype=complex)
+    np.multiply(_isometry_scale(d, disturbance).T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
+    v = v.reshape(d * d * d, d)
+    v.setflags(write=False)
+    return AttackIsometry(v)
+
+
+def build_isometry(params: AttackParams) -> AttackIsometry:
+    """Assemble the attack isometry for the given parameters."""
+    return isometry_from_states(build_eve_states(params), params.disturbance)
+
+
+def isometry_by_columns(eve: EveStateSet, disturbance: float) -> np.ndarray:
+    """Reference assembly: column i stacks sqrt(1-D) E_ii and sqrt(D/(d-1)) E_ij, receiver-major."""
+    d = eve.dim
+    keep, err = math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1))
+    v = np.zeros((d * d * d, d), dtype=complex)
+    for i in range(d):
+        col = np.zeros((d, d * d), dtype=complex)
+        for j in range(d):
+            col[j] = (keep if j == i else err) * eve.states[i, j]
+        v[:, i] = col.reshape(-1)
+    return v
+
+
+def disturbance_by_isometry(isometry: AttackIsometry, basis) -> np.ndarray:
+    """Oracle for `disturbance_per_state`: 1 - <psi| rho_B |psi> from the dense isometry.
+
+    <psi|rho_B|psi> = ||psi^dagger J||^2 with rho_B = J J^dagger, J = (V psi) as (d, d^2):
+    amp[n, e] = sum_{b, a} conj(psi_n[b]) V[b d^2 + e, a] psi_n[a].
+    """
+    d = isometry.dim
+    projected = (basis.vectors.conj() @ isometry.matrix.reshape(d, -1)).reshape(d, d * d, d)
+    amp = np.einsum("nea,na->ne", projected, basis.vectors)
+    return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)
+
+
+def outcome_distribution_by_ancilla(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
+    """Oracle: P[basis, symbol, receiver outcome, ancilla coordinate], every ancilla cell apart."""
+    isometry = build_isometry(AttackParams(spec.dim, spec.bases_count, disturbance, w))
+    bases = protocol_bases(spec)
+    d = spec.dim
+    table = np.zeros((len(bases), d, d, d * d))
+    for b_idx, basis in enumerate(bases):
+        for symbol in range(d):
+            joint = (isometry.matrix @ basis.vectors[symbol]).reshape(d, d * d)
+            amplitudes = basis.vectors.conj() @ joint
+            cell = np.abs(amplitudes) ** 2
+            cell[cell < CELL_FLOOR] = 0.0
+            table[b_idx, symbol] = cell / cell.sum()
+    return table / (len(bases) * d)

@@ -20,7 +20,6 @@ from mub_eve import (
     ProtocolSpec,
     SimConfig,
     build_eve_states,
-    build_isometry,
     compare_to_analytic,
     critical_disturbance,
     d_c_closed_form,
@@ -37,7 +36,7 @@ from mub_eve import (
     w_bar,
 )
 from mub_eve.cli import CSV_HEADER, main
-from oracles import guess_probability_constructive, optimality_witnesses
+from oracles import build_isometry, guess_probability_constructive, optimality_witnesses
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float) -> None:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mub_eve import (
-    AttackIsometry,
     AttackParams,
     DimensionError,
     DomainError,
@@ -14,18 +13,18 @@ from mub_eve import (
     ScalarProductProfile,
     admissible_w_interval,
     build_eve_states,
-    build_isometry,
     coeff_pair,
     computational_basis,
     disturbance_per_state,
     fourier_basis,
-    isometry_from_states,
     isometry_residual,
     protocol_bases,
     resolve_w,
     scalar_product_profile,
     w_bar,
 )
+from mub_eve.attack import AttackIsometry
+from oracles import build_isometry, disturbance_by_isometry, isometry_by_columns, isometry_from_states
 
 EPS = np.finfo(float).eps
 GROUPS = ("x", "y", "z", "t")
@@ -233,19 +232,6 @@ def test_eve_states_match_pair_by_pair_layout(d, bases_count):
         assert np.array_equal(eve.states, eve_states_by_pairs(params))
 
 
-def isometry_by_columns(eve: EveStateSet, disturbance: float) -> np.ndarray:
-    """Reference assembly: column i stacks sqrt(1-D) E_ii and sqrt(D/(d-1)) E_ij, receiver-major."""
-    d = eve.dim
-    keep, err = math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1))
-    v = np.zeros((d * d * d, d), dtype=complex)
-    for i in range(d):
-        col = np.zeros((d, d * d), dtype=complex)
-        for j in range(d):
-            col[j] = (keep if j == i else err) * eve.states[i, j]
-        v[:, i] = col.reshape(-1)
-    return v
-
-
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (8, 2), (16, 2), (32, 2), (3, 3)])
 def test_isometry_matches_column_by_column_assembly(d, bases_count):
     for D in (0.0, 0.15):
@@ -256,8 +242,8 @@ def test_isometry_matches_column_by_column_assembly(d, bases_count):
 
 
 def test_states_are_real_and_the_isometry_complex():
-    # simulate's products read the isometry, so its dtype keeps every simulate digest;
-    # the profile reads the states, whose real dtype sends it to a real product.
+    # The profile reads the states, whose real dtype sends it to a real product; the dense
+    # oracle is complex, as are the weighted states simulate's products read.
     for d, bases_count in ((2, 2), (3, 3), (8, 2)):
         params = AttackParams(d, bases_count, 0.15, 0.3)
         eve = build_eve_states(params)
@@ -277,18 +263,6 @@ def test_unitarity_relation_terms_vanish():
         assert abs(np.vdot(st[i, j], st[j, j])) <= 1e-13
         assert abs(np.vdot(st[i, i], st[j, i])) <= 1e-13
         assert abs(np.vdot(st[i, k], st[j, k])) <= 1e-13
-
-
-def disturbance_by_isometry(isometry: AttackIsometry, basis) -> np.ndarray:
-    """Oracle for `disturbance_per_state`: 1 - <psi| rho_B |psi> from the dense isometry.
-
-    <psi|rho_B|psi> = ||psi^dagger J||^2 with rho_B = J J^dagger, J = (V psi) as (d, d^2):
-    amp[n, e] = sum_{b, a} conj(psi_n[b]) V[b d^2 + e, a] psi_n[a].
-    """
-    d = isometry.dim
-    projected = (basis.vectors.conj() @ isometry.matrix.reshape(d, -1)).reshape(d, d * d, d)
-    amp = np.einsum("nea,na->ne", projected, basis.vectors)
-    return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)
 
 
 def built_and_cast_sets(d, bases_count):

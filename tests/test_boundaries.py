@@ -13,7 +13,6 @@ from mub_eve import (
     ProtocolSpec,
     SimConfig,
     admissible_w_interval,
-    build_isometry,
     empirical_mutual_information,
     golden_section_maximize,
     guess_probability,
@@ -28,7 +27,7 @@ from mub_eve import (
     simulate,
     w_bar,
 )
-from oracles import optimality_witnesses
+from oracles import build_isometry, optimality_witnesses
 
 NAN = math.nan
 # Arrays in which only the last element is bad.

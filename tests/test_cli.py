@@ -192,21 +192,40 @@ def verify_checks(bases_labels):
     ]
 
 
+def refuse_dense_isometry(monkeypatch, command):
+    """Make every route to the dense isometry raise, under each name a layer could bind."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} formed the dense isometry")
+
+    for module in ("mub_eve.attack", "mub_eve.cli", "mub_eve.simulate"):
+        for name in ("isometry_from_states", "build_isometry", "AttackIsometry"):
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+
+
 @pytest.mark.parametrize("dim, bases", [(8, 2), (12, 2), (16, 2), (20, 2), (3, 3)])
 def test_verify_forms_no_dense_isometry(capsys, monkeypatch, dim, bases):
     # every gate reads the states and their Gram matrix; verify builds no dense isometry
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify formed the dense isometry")
-
-    for module in ("mub_eve.attack", "mub_eve.cli"):
-        for name in ("isometry_from_states", "build_isometry", "AttackIsometry"):
-            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    refuse_dense_isometry(monkeypatch, "verify")
     code, out, _ = run(capsys, "verify", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.15")
     assert code == 0
     checks = json.loads(out)["checks"]
     labels = ("computational", "alpha", "alpha-star") if bases == 3 else ("computational", "fourier")
     assert [(c["name"], c["threshold"], c["informational"]) for c in checks] == verify_checks(labels)
     assert all(c["residual"] <= 1e-12 for c in checks if not c["informational"])
+
+
+@pytest.mark.parametrize("dim, bases", [(3, 2), (3, 3), (8, 2), (16, 2)])
+def test_simulate_forms_no_dense_isometry(tmp_path, capsys, monkeypatch, dim, bases):
+    # the outcome table reads the weighted ancilla states; simulate builds no dense isometry
+    refuse_dense_isometry(monkeypatch, "simulate")
+    out = tmp_path / "session.json"
+    code, _, _ = run(
+        capsys, "simulate", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.15",
+        "--rounds", "100000", "--seed", "1", "--out", str(out),
+    )
+    assert code == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["verdict"]["passed"] and doc["stats"]["rounds"] == 100000
 
 
 def test_verify_suboptimal_w_flagged_informational_only(capsys):
@@ -412,15 +431,15 @@ def test_console_script_entry_point(monkeypatch, capsys):
 
 
 PUBLIC_NAMES = [
-    "AnalysisError", "AttackIsometry", "AttackParams", "Basis", "ComparisonReport", "CriticalPoint",
-    "DimensionError", "DomainError", "EveStateSet", "OptimumReport", "ProtocolError", "ProtocolSpec",
+    "AnalysisError", "AttackParams", "Basis", "ComparisonReport", "CriticalPoint", "DimensionError",
+    "DomainError", "EveStateSet", "OptimumReport", "ProtocolError", "ProtocolSpec",
     "ScalarProductProfile", "SessionStats", "SimConfig", "__version__", "admissible_w_interval",
-    "build_eve_states", "build_isometry", "coeff_pair", "compare_to_analytic", "computational_basis",
+    "build_eve_states", "coeff_pair", "compare_to_analytic", "computational_basis",
     "critical_disturbance", "d_c_closed_form", "disturbance_per_state", "dits_to_bits",
     "empirical_mutual_information", "fourier_basis", "golden_section_maximize", "guess_probability",
-    "i_ab", "i_ae", "i_ae_optimal", "i_d", "isometry_from_states", "isometry_residual", "lambda_d",
-    "maximize_w", "optimal_w", "outcome_distribution", "phi_d", "protocol_bases",
-    "qutrit_three_basis_set", "resolve_w", "scalar_product_profile", "simulate", "w_bar",
+    "i_ab", "i_ae", "i_ae_optimal", "i_d", "isometry_residual", "lambda_d", "maximize_w",
+    "optimal_w", "outcome_distribution", "phi_d", "protocol_bases", "qutrit_three_basis_set",
+    "resolve_w", "scalar_product_profile", "simulate", "w_bar",
 ]
 
 

@@ -14,7 +14,6 @@ from mub_eve import (
     SimConfig,
     admissible_w_interval,
     build_eve_states,
-    build_isometry,
     disturbance_per_state,
     golden_section_maximize,
     guess_probability,
@@ -28,7 +27,7 @@ from mub_eve import (
     scalar_product_profile,
     simulate,
 )
-from oracles import guess_probability_constructive
+from oracles import build_isometry, guess_probability_constructive
 from test_attack import profile_by_pairs
 
 EPS = np.finfo(float).eps

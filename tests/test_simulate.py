@@ -8,13 +8,11 @@ import pytest
 
 from mub_eve import (
     AnalysisError,
-    AttackParams,
     ComparisonReport,
     DomainError,
     ProtocolSpec,
     SessionStats,
     SimConfig,
-    build_isometry,
     compare_to_analytic,
     empirical_mutual_information,
     guess_probability,
@@ -23,12 +21,12 @@ from mub_eve import (
     lambda_d,
     outcome_distribution,
     phi_d,
-    protocol_bases,
     resolve_w,
     simulate,
     w_bar,
 )
-from mub_eve.simulate import CELL_FLOOR, ComparisonCheck
+from mub_eve.simulate import ComparisonCheck
+from oracles import outcome_distribution_by_ancilla
 
 
 def session(dim=3, bases=2, D=0.1, w=0.85, rounds=10**6, seed=11, shards=2):
@@ -92,25 +90,10 @@ def test_bob_errors_uniform_over_wrong_symbols():
         assert errors > 0
 
 
-def outcome_distribution_by_ancilla(spec, disturbance, w):
-    """Oracle: P[basis, symbol, receiver outcome, ancilla coordinate], every ancilla cell apart."""
-    isometry = build_isometry(AttackParams(spec.dim, spec.bases_count, disturbance, w))
-    bases = protocol_bases(spec)
-    d = spec.dim
-    table = np.zeros((len(bases), d, d, d * d))
-    for b_idx, basis in enumerate(bases):
-        for symbol in range(d):
-            joint = (isometry.matrix @ basis.vectors[symbol]).reshape(d, d * d)
-            amplitudes = basis.vectors.conj() @ joint
-            cell = np.abs(amplitudes) ** 2
-            cell[cell < CELL_FLOOR] = 0.0
-            table[b_idx, symbol] = cell / cell.sum()
-    return table / (len(bases) * d)
-
-
-@pytest.mark.parametrize("dim,bases", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (3, 3)])
-@pytest.mark.parametrize("D", [0.05, 0.3])
+@pytest.mark.parametrize("dim,bases", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (16, 2), (3, 3)])
+@pytest.mark.parametrize("D", [0.0, 0.05, 0.3])
 def test_outcome_distribution_is_the_ancilla_block_sum(dim, bases, D):
+    # the weighted-states route against the dense oracle's Bob-major isometry products
     spec = ProtocolSpec(dim, bases)
     w = resolve_w(spec, D, "auto")
     by_ancilla = outcome_distribution_by_ancilla(spec, D, w)

@@ -3,17 +3,23 @@
 Each round: the sender draws a basis and a symbol uniformly, the attack maps
 her qudit to receiver x ancilla (the ancilla states weighted by the
 disturbance amplitudes), and the receiver (in the sender's basis) and the
-eavesdropper (in the fixed ancilla coordinate basis) measure jointly. The
-eavesdropper's guess is the coordinate index inside her outcome's block, the
-ancilla coordinate mod d (the sender symbol, by construction of the state
-layout), and every tallied statistic reads only that guess. So rounds are drawn as one
-exact multinomial per shard over the sufficient statistics (basis, symbol,
-receiver outcome, guess): the joint outcome distribution, computed from the
-state vector without approximation, summed over the ancilla blocks. A
-marginal of a multinomial is the multinomial of the marginal, so no estimate
-changes in distribution. Shards own counter-based generator streams keyed by
-(seed, shard), so results are reproducible and independent of scheduling.
-The eavesdropper's statistics are tallied on computational-basis rounds only.
+eavesdropper (in the fixed ancilla coordinate basis) measure jointly. Her guess
+is the ancilla coordinate mod d (the sender symbol, by the state layout), and
+every tallied statistic reads only that guess. So each shard draws one exact
+multinomial over (basis, symbol, receiver outcome, guess), whose distribution
+is computed from the states and summed over the ancilla blocks: a marginal of a
+multinomial is the multinomial of the marginal. Shards own counter-based
+generator streams keyed by (seed, shard), so results are reproducible and
+independent of scheduling. The eavesdropper's statistics are tallied on
+computational-basis rounds only.
+
+The attack is Weyl-covariant (Cerf, Bourennane, Karlsson and Gisin, PRL 88,
+127902, 2002), so P[k, s, r, g] = P[k, 0, r - s, g - s] mod d. X^s maps symbol
+0 to s in the computational and qutrit alpha bases, and shifts the receiver and
+the in-block coordinate by s. Z^s does so in the Fourier basis, shifting the
+receiver and putting a phase on each ancilla block; X covariance makes the
+Fourier rows flat in the guess. ``test_every_symbol_is_an_exact_shift_of_symbol_zero``
+pins the shift bit for bit.
 """
 
 from __future__ import annotations
@@ -55,27 +61,26 @@ def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
 def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
     """Joint probabilities P[basis, symbol, receiver outcome, eavesdropper's guess].
 
-    The guess is the ancilla coordinate mod d; each cell sums |amplitude|^2
-    over the d ancilla blocks (receiver shifts) that share it.
+    The guess is the ancilla coordinate mod d; each cell sums |amplitude|^2 over the d ancilla
+    blocks that share it. Symbol 0's row takes one product per basis; the others are its shifts.
     """
     d = spec.dim
-    params = AttackParams(d, spec.bases_count, disturbance, w)
-    # weighted[a, b d^2 + e] = scale[a, b] E_ab[e]. E_{a, a+m} lives in block m, so each column has one
-    # nonzero sender a: psi @ weighted sums one term, and its bits do not depend on the summation order.
-    weighted = np.empty((d, d, d * d), dtype=complex)
-    np.multiply(_isometry_scale(d, disturbance)[:, :, None], build_eve_states(params).states, out=weighted)
-    weighted = weighted.reshape(d, d**3)
+    states = build_eve_states(AttackParams(d, spec.bases_count, disturbance, w)).states
+    # Column (b, m d + j) of the weighted states has one nonzero sender a = b - m: E_ab lives in block m.
+    # weighted[b, m, j] = scale[a, b] E_ab[m d + j], real, formed as the dense isometry forms it.
+    b, m = np.arange(d)[:, None], np.arange(d)
+    a = (b - m) % d
+    weighted = _isometry_scale(d, disturbance)[a, b][:, :, None] * states.reshape(d, d, d, d)[a, b, m]
     bases = protocol_bases(spec)
-    table = np.zeros((len(bases), d, d, d))
+    rows = np.empty((len(bases), d, d))
     for b_idx, basis in enumerate(bases):
-        for symbol in range(d):
-            joint = (basis.vectors[symbol] @ weighted).reshape(d, d * d)
-            amplitudes = basis.vectors.conj() @ joint
-            cell = np.abs(amplitudes) ** 2
-            cell[cell < CELL_FLOOR] = 0.0
-            by_guess = cell.reshape(d, d, d).sum(axis=1)  # (receiver, block, guess) -> (receiver, guess)
-            table[b_idx, symbol] = by_guess / by_guess.sum()
-    return table / (len(bases) * d)
+        joint = (basis.vectors[0][a][:, :, None] * weighted).reshape(d, d * d)  # [receiver b, m d + j]
+        cell = np.abs(basis.vectors.conj() @ joint) ** 2
+        cell[cell < CELL_FLOOR] = 0.0
+        by_guess = cell.reshape(d, d, d).sum(axis=1)  # (receiver, block, guess) -> (receiver, guess)
+        rows[b_idx] = by_guess / by_guess.sum()
+    shift = a.T  # shift[s, r] = (r - s) mod d: P[k, s, r, g] = rows[k, shift[s, r], shift[s, g]]
+    return rows[:, shift[:, :, None], shift[:, None, :]] / (len(bases) * d)
 
 
 @dataclass(frozen=True)
@@ -347,15 +352,9 @@ class ComparisonReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def _z_score(empirical: float, target: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if empirical == target else math.inf
-    return (empirical - target) / se
-
-
 def _check(name: str, empirical: float, analytic: float, se: float) -> ComparisonCheck:
-    """|z| <= 4 for an estimate with standard error se."""
-    z = float(_z_score(empirical, analytic, se))
+    """|z| <= 4 for an estimate with standard error se; with se = 0, z is 0 on the target, inf off it."""
+    z = float((empirical - analytic) / se) if se != 0.0 else (0.0 if empirical == analytic else math.inf)
     return ComparisonCheck(name, float(empirical), analytic, z, Z_LIMIT, abs(z) <= Z_LIMIT)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,10 +91,15 @@ def test_bob_errors_uniform_over_wrong_symbols():
         assert errors > 0
 
 
-@pytest.mark.parametrize("dim,bases", [(2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (16, 2), (3, 3)])
-@pytest.mark.parametrize("D", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize(
+    "D,dim,bases",
+    [(D, dim, bases) for D in (0.0, 0.05, 0.3)
+     for dim, bases in ((2, 2), (3, 2), (4, 2), (5, 2), (8, 2), (16, 2), (3, 3))]
+    + [(0.1, 32, 2)],
+)
 def test_outcome_distribution_is_the_ancilla_block_sum(dim, bases, D):
-    # the weighted-states route against the dense oracle's Bob-major isometry products
+    # The shifted symbol-0 route against the dense oracle, which computes every symbol's
+    # table from the isometry; d = 32 checks the shift law at the largest d the tests reach.
     spec = ProtocolSpec(dim, bases)
     w = resolve_w(spec, D, "auto")
     by_ancilla = outcome_distribution_by_ancilla(spec, D, w)
@@ -101,6 +107,31 @@ def test_outcome_distribution_is_the_ancilla_block_sum(dim, bases, D):
     table = outcome_distribution(spec, D, w)
     assert table.shape == (bases, dim, dim, dim)
     assert np.max(np.abs(table - by_guess)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim,bases", [(2, 2), (3, 2), (3, 3), (8, 2), (16, 2)])
+@pytest.mark.parametrize("D", [0.0, 0.12])
+def test_every_symbol_is_an_exact_shift_of_symbol_zero(dim, bases, D):
+    # Weyl covariance: P[k, s, r, g] = P[k, 0, r - s, g - s] (mod d), bit for bit.
+    spec = ProtocolSpec(dim, bases)
+    table = outcome_distribution(spec, D, resolve_w(spec, D, "auto"))
+    for k in range(bases):
+        for s in range(dim):
+            assert np.array_equal(table[k, s], np.roll(table[k, 0], (s, s), axis=(0, 1)))
+
+
+def test_outcome_table_holds_no_copy_of_the_states():
+    # The states are the largest array the table needs; the weighted states it reads are d^3 entries.
+    d = 32
+    spec = ProtocolSpec(d)
+    outcome_distribution(spec, 0.1, w_bar(d, 0.1))  # warm up
+    tracemalloc.start()
+    try:
+        outcome_distribution(spec, 0.1, w_bar(d, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * d**4 * np.dtype(np.float64).itemsize
 
 
 def test_eve_block_predicts_receiver_shift_exactly():

@@ -1,7 +1,8 @@
 """Protocol key and bases in dimension d, and the round-off slacks of the domain checks.
 
 Vectors are rows of a (d, d) complex array, so ``basis.vectors[i]`` is the
-i-th state of the basis.
+i-th state of the basis. numpy is imported by the code that builds them, so
+the protocol key and its checks load without it.
 """
 
 from __future__ import annotations
@@ -9,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError, DomainError, ProtocolError, failed_value, holds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -58,12 +61,6 @@ class ProtocolSpec:
             raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {shown}")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Basis:
     """An ordered orthonormal set of d state vectors."""
@@ -73,7 +70,10 @@ class Basis:
     label: str = ""
 
     def __post_init__(self):
-        vecs = _frozen(self.vectors)
+        import numpy as np
+
+        vecs = np.array(self.vectors, dtype=complex)
+        vecs.setflags(write=False)
         if vecs.shape != (self.dim, self.dim):
             raise DimensionError(
                 f"basis '{self.label}' needs shape ({self.dim}, {self.dim}), got {vecs.shape}"
@@ -86,12 +86,16 @@ class Basis:
 
 def computational_basis(d: int) -> Basis:
     """Standard basis e_0 .. e_{d-1}."""
+    import numpy as np
+
     d = ProtocolSpec(d).dim
     return Basis(dim=d, vectors=np.eye(d, dtype=complex), label="computational")
 
 
 def fourier_basis(d: int) -> Basis:
     """Discrete-Fourier-transform basis: vector l has entries e^{2*pi*i*k*l/d}/sqrt(d)."""
+    import numpy as np
+
     d = ProtocolSpec(d).dim
     k = np.arange(d)
     vecs = np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
@@ -105,6 +109,8 @@ def qutrit_three_basis_set() -> list[Basis]:
     phase alpha = e^{2*pi*i/3} on the diagonal entry and the third basis is its
     complex conjugate.
     """
+    import numpy as np
+
     alpha = np.exp(2j * np.pi / 3)
     vecs = (np.ones((3, 3), dtype=complex) + (alpha - 1) * np.eye(3)) / np.sqrt(3)
     return [

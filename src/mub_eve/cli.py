@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 verification/analysis failure, 2 usage error (NaN and
 infinite numbers included).
+
+Only the closed forms are imported with this module; ``curves``, ``verify`` and
+``simulate`` import numpy and the attack and simulate layers when they run, so
+``critical`` starts without numpy.
 """
 
 from __future__ import annotations
@@ -11,18 +15,13 @@ import functools
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_residual, scalar_product_profile
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
 from .information import dits_to_bits, i_ab, i_ae
 from .optimize import critical_disturbance, d_c_closed_form, optimal_w, stationarity
-from .simulate import SimConfig, compare_to_analytic, resolve_w, simulate
 
 SCHEMA = "mub-eve/1"
 CSV_HEADER = "D,w_opt,I_AB_dits,I_AE_dits,I_AB_bits,I_AE_bits"
@@ -113,6 +112,10 @@ def _write(path: Path, text: str) -> bool:
 
 
 def cmd_curves(args, spec: ProtocolSpec) -> int:
+    from datetime import datetime, timezone
+
+    import numpy as np
+
     if args.steps < 2:
         return _usage_error(f"steps must be >= 2, got {args.steps}")
     try:
@@ -170,6 +173,11 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
 
 
 def cmd_verify(args, spec: ProtocolSpec) -> int:
+    import numpy as np
+
+    from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_residual, scalar_product_profile
+    from .simulate import resolve_w
+
     disturbance = args.disturbance
     doc = {
         "schema": SCHEMA,
@@ -212,6 +220,8 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
 
 
 def cmd_simulate(args, spec: ProtocolSpec) -> int:
+    from .simulate import SimConfig, compare_to_analytic, simulate
+
     try:
         stats = simulate(SimConfig(spec, args.disturbance, args.w, args.rounds, args.seed, args.shards))
     except DomainError as exc:

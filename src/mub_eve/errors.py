@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the verdict and message of a range test."""
 
-import numpy as np
+import sys
 
 
 class DimensionError(ValueError):
@@ -17,6 +17,13 @@ class ProtocolError(ValueError):
 
 class AnalysisError(RuntimeError):
     """A numeric analysis step failed (e.g. no sign change when bracketing a crossing)."""
+
+
+def is_array(value) -> bool:
+    """Whether value is a numpy array, without importing numpy (no array exists before it is).
+    Float paths test ``value.__class__ is not float`` first, which costs less."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.ndarray)
 
 
 def holds(test) -> bool:
@@ -36,5 +43,7 @@ def failed_value(value, test) -> str:
     """
     if test.__class__ is bool or not getattr(value, "ndim", 0):
         return f"{value}"
+    import numpy as np
+
     index = tuple(int(k) for k in np.unravel_index(np.argmin(test), test.shape))  # the first False
     return f"{value[index].item()!r} at index {index[0] if len(index) == 1 else index}"

@@ -13,8 +13,12 @@ return the same kind; an array call equals the element-wise float calls bit
 for bit. Only the leaf helpers branch on the kind: floats stay on ``math``,
 and arrays take their logarithms with ``math.log`` per element, because
 ``np.log`` may differ from it in the last bit. The helpers test for a
-float's class before ``isinstance``, which costs several times more and
-would slow the float inner loops of ``critical``. Range tests are written
+float's class before they ask ``is_array``, whose ``isinstance`` costs
+several times more and would slow the float inner loops of ``critical``.
+Any other kind, a numpy scalar or an int, takes the float branch
+(``tests/test_input_kinds.py`` pins what each returns). numpy is imported
+inside the array branches only, so the float path, and with it
+``critical``, runs without loading numpy. Range tests are written
 ``holds((lo <= x) & (x <= hi))``, so NaN fails them, on any element, and
 their messages name an array's first failing element (``failed_value``).
 The helpers on the path of every ``i_ae`` call skip the call to ``holds``
@@ -24,14 +28,16 @@ when a float's test is ``True``.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING, TypeAlias
 
 from .bases import RADICAND_SLACK, ProtocolSpec
-from .errors import DomainError, failed_value, holds
+from .errors import DomainError, failed_value, holds, is_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A float, or a numpy array of floats that the closed forms map element-wise.
-Real = float | np.ndarray
+Real: TypeAlias = "float | np.ndarray"
 
 
 def _clamp_probability(x: Real, what: str) -> Real:
@@ -39,7 +45,9 @@ def _clamp_probability(x: Real, what: str) -> Real:
     if in_range is not True and not holds(in_range):
         raise DomainError(f"{what} = {failed_value(x, in_range)} is outside [0, 1]")
     # min(max(x, 0.0), 1.0), spelled out: it keeps a -0.0 as max does, where np.maximum gives 0.0
-    if x.__class__ is not float and isinstance(x, np.ndarray):
+    if x.__class__ is not float and is_array(x):
+        import numpy as np
+
         return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
@@ -48,14 +56,18 @@ def _sqrt_radicand(value: Real, what: str) -> Real:
     in_range = value >= -RADICAND_SLACK
     if in_range is not True and not holds(in_range):
         raise DomainError(f"radicand {what} = {failed_value(value, in_range)} is not >= 0")
-    if value.__class__ is not float and isinstance(value, np.ndarray):
+    if value.__class__ is not float and is_array(value):
+        import numpy as np
+
         return np.sqrt(np.where(value < 0.0, 0.0, value))
     return math.sqrt(0.0 if value < 0.0 else value)
 
 
 def _x_log_x_over(x: Real, c: int) -> Real:
     """x ln(x / c) for x >= 0, with 0 ln 0 := 0."""
-    if x.__class__ is not float and isinstance(x, np.ndarray):
+    if x.__class__ is not float and is_array(x):
+        import numpy as np
+
         out = np.zeros_like(x)
         positive = x > 0.0
         xs = x[positive]

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import AnalysisError, DomainError, failed_value, holds
+from .errors import AnalysisError, DomainError, failed_value, holds, is_array
 from .bases import ProtocolSpec
 from .information import Real, i_ab, i_ae
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket widths at which the golden-section search over w and the bisection over D stop.
@@ -72,7 +74,9 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, 
     the arrays of the interval's ends. D must lie in spec's range.
     """
     spec.check_disturbance(disturbance)
-    if isinstance(disturbance, np.ndarray):
+    if disturbance.__class__ is not float and is_array(disturbance):
+        import numpy as np
+
         bounds = [_w_interval(spec, D) for D in disturbance.ravel().tolist()]
         lo, hi = np.array(bounds).T.reshape((2,) + disturbance.shape)
         return lo, hi
@@ -111,7 +115,7 @@ def golden_section_maximize(f, lo: Real, hi: Real) -> Real:
         raise DomainError(
             f"need a finite bracket lo <= hi, got lo={failed_value(lo, in_range)}, hi={failed_value(hi, in_range)}"
         )
-    if isinstance(lo, np.ndarray):
+    if lo.__class__ is not float and is_array(lo):
         return _golden_section_lockstep(f, lo, hi)
     a, b = lo, hi
     c = b - INV_GOLDEN * (b - a)
@@ -132,6 +136,8 @@ def golden_section_maximize(f, lo: Real, hi: Real) -> Real:
 
 
 def _golden_section_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     a, b = lo, hi
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
@@ -216,7 +222,9 @@ def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
     if spec.bases_count == 2:
         w = _w_bar(spec, disturbance)
         # min(max(w, lo), hi); lo < hi
-        if isinstance(w, np.ndarray):
+        if w.__class__ is not float and is_array(w):
+            import numpy as np
+
             return np.where(w < lo, lo, np.where(w > hi, hi, w))
         return lo if w < lo else hi if w > hi else w
     return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi)

@@ -2,6 +2,8 @@ import argparse
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -448,3 +450,74 @@ def test_public_name_inventory():
     mub_eve = importlib.import_module("mub_eve")
     assert sorted(mub_eve.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(mub_eve, name)] == []
+
+
+def fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+
+
+SIMULATE_RUN = (
+    "from mub_eve import cli\n"
+    "assert cli.main(['simulate', '--dim', '3', '--disturbance', '0.1', '--rounds', '1000', '--out', {out!r}]) == 0\n"
+)
+
+
+@pytest.mark.parametrize("first", [
+    pytest.param("from mub_eve import simulate\n", id="from-package"),
+    pytest.param(SIMULATE_RUN, id="simulate-command"),
+    pytest.param("from mub_eve.simulate import CELL_FLOOR\n", id="from-submodule"),
+    pytest.param("import mub_eve.simulate\n", id="import-submodule"),
+])
+def test_package_simulate_is_the_function_in_every_import_order(tmp_path, first):
+    # Loading the submodule binds it on the package; the package keeps the function there.
+    proc = fresh_interpreter(first.format(out=str(tmp_path / "session.json")) + (
+        "import importlib, inspect, sys\n"
+        "import mub_eve\n"
+        "from mub_eve import simulate\n"
+        "assert inspect.isfunction(simulate) and mub_eve.simulate is simulate, mub_eve.simulate\n"
+        "assert simulate is sys.modules['mub_eve.simulate'].simulate\n"
+        "assert importlib.import_module('mub_eve.simulate').CELL_FLOOR == 1e-18\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+
+
+CRITICAL_RUN = "from mub_eve import cli\nassert cli.main(['critical', '--dim', '{}', '--bases', '{}']) == 0\n"
+
+
+@pytest.mark.parametrize("code", [
+    *(pytest.param(CRITICAL_RUN.format(dim, bases), id=f"critical-{dim}-{bases}")
+      for dim, bases in [(3, 2), (8, 2), (3, 3)]),
+    pytest.param(
+        "from mub_eve import ProtocolSpec, critical_disturbance, i_ae, optimal_w\n"
+        "for spec in (ProtocolSpec(3), ProtocolSpec(3, 3)):\n"
+        "    assert 0.0 < i_ae(spec, 0.1, optimal_w(spec, 0.1)) < critical_disturbance(spec).d_c < 0.5\n",
+        id="closed-forms"),
+])
+def test_closed_forms_run_without_numpy(code):
+    proc = fresh_interpreter(code + "import sys\nassert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--dim", "3", "--bases", "3", "--d-max", "0.3", "--steps", "5", "--out", "{tmp}/curves.csv"],
+    ["verify", "--dim", "8", "--disturbance", "0.1"],
+    ["simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", "10000", "--out", "{tmp}/session.json"],
+], ids=lambda argv: argv[0])
+def test_numpy_commands_run_from_a_cold_interpreter(tmp_path, argv):
+    # These commands import numpy and the attack and simulate layers when they run.
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = fresh_interpreter(f"import sys\nfrom mub_eve import cli\nsys.exit(cli.main({argv!r}))\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_namespace_lists_reads_and_refuses_names():
+    mub_eve = importlib.import_module("mub_eve")
+    assert set(mub_eve.__all__) <= set(dir(mub_eve))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        mub_eve.no_such_name
+    # a layer reads as an attribute of the package before any of its names has been read
+    proc = fresh_interpreter("import mub_eve\nassert mub_eve.optimize.EDGE_SHRINK == 1e-9\n")
+    assert proc.returncode == 0, proc.stderr

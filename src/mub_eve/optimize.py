@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 from .errors import AnalysisError, DomainError, failed_value, holds, is_array
 from .bases import ProtocolSpec
-from .information import Real, i_ab, i_ae
+from .information import Real, _i_ae_at, i_ab, i_ae
 
 if TYPE_CHECKING:
     import numpy as np
@@ -215,8 +215,10 @@ def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
     """maximize_w's w, the w "auto" means, at each disturbance, a float or an array.
 
     For two bases it is w_bar (the guess-probability maximiser) clamped to the
-    admissible interval, for three the golden-section maximiser of i_ae; an
-    array of D is one lockstep search, not one per element.
+    admissible interval, for three the golden-section maximiser of i_ae. A
+    float D searches information._i_ae_at's fused objective, which forms the
+    terms of D once; an array of D is one lockstep search on i_ae, not one
+    per element.
     """
     lo, hi = admissible_w_interval(spec, disturbance)
     if spec.bases_count == 2:
@@ -227,6 +229,8 @@ def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
 
             return np.where(w < lo, lo, np.where(w > hi, hi, w))
         return lo if w < lo else hi if w > hi else w
+    if disturbance.__class__ is float:
+        return golden_section_maximize(_i_ae_at(spec, disturbance), lo, hi)
     return golden_section_maximize(lambda w: i_ae(spec, disturbance, w), lo, hi)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ W_NAN = np.array([0.5, 0.5, NAN])
 W_ABOVE_ONE = np.array([0.5, 0.5, 1.0 + 1e-13])
 D_ONE = np.array([0.1, 0.2, 1.0])
 ZEROS = np.zeros(3)
+# phi_d's radicand, as its messages name it.
+PHI_RADICAND = re.escape("radicand D [1 + (d-1) w] {d - D [1 + d + (d-1) w]} = ")
 
 
 def peak(w):
@@ -50,10 +53,27 @@ def bad(call, case_id, match=None):
 
 
 BAD_INPUTS = [
-    bad(lambda: i_ae(ProtocolSpec(3), 0.1, NAN), "i_ae-w-nan"),
-    bad(lambda: i_ae(ProtocolSpec(3), NAN, 0.5), "i_ae-D-nan"),
-    bad(lambda: i_ae(ProtocolSpec(3, 3), NAN, 0.5), "i_ae-three-bases-D-nan"),
-    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, NAN), "i_ae-three-bases-w-nan"),
+    bad(lambda: i_ae(ProtocolSpec(3), 0.1, NAN), "i_ae-w-nan", rf"^{PHI_RADICAND}nan is not >= 0$"),
+    bad(lambda: i_ae(ProtocolSpec(3), NAN, 0.5), "i_ae-D-nan", r"^disturbance must be < 1, got nan$"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), NAN, 0.5), "i_ae-three-bases-D-nan", r"^disturbance must be < 1, got nan$"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, NAN), "i_ae-three-bases-w-nan", rf"^{PHI_RADICAND}nan is not >= 0$"),
+    # Just past w's range [-1/(d-1), 1] +- RADICAND_SLACK; phi_d's radicand fails first
+    # where the overlap c w leaves [-1/(d-1), ...].
+    bad(lambda: i_ae(ProtocolSpec(3), 0.1, 1.0 + 2e-14), "i_ae-w-above-one",
+        r"^w = 1\.00000000000002 outside \[-0\.5, 1\]$"),
+    bad(lambda: i_ae(ProtocolSpec(3), 0.1, -0.5 - 2e-14), "i_ae-w-below-bottom",
+        rf"^{PHI_RADICAND}-2\.1582735598713075e-14 is not >= 0$"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, 1.0 + 2e-14), "i_ae-three-bases-w-above-one",
+        rf"^{PHI_RADICAND}-1\.079136779935653e-14 is not >= 0$"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.1, -0.5 - 2e-14), "i_ae-three-bases-w-below-bottom",
+        r"^w = -0\.50000000000002 outside \[-0\.5, 1\]$"),
+    bad(lambda: i_ae(ProtocolSpec(3), 1.0, 0.5), "i_ae-D-one", r"^disturbance must be < 1, got 1\.0$"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 1.0, 0.5), "i_ae-three-bases-D-one", r"^disturbance must be < 1, got 1\.0$"),
+    # Past the top of the admissible interval at D = 0.5, where phi_d's radicand alone fails.
+    bad(lambda: i_ae(ProtocolSpec(3), 0.5, 1.001), "i_ae-phi-radicand",
+        rf"^{PHI_RADICAND}-0\.003001999999999669 is not >= 0$"),
+    bad(lambda: i_ae(ProtocolSpec(3, 3), 0.5, -2.002), "i_ae-three-bases-phi-radicand",
+        rf"^{PHI_RADICAND}-0\.003001999999999669 is not >= 0$"),
     bad(lambda: guess_probability(ProtocolSpec(3), 0.1, NAN), "guess-w-nan"),
     bad(lambda: maximize_w(ProtocolSpec(3, 3), 0.8), "maximize-three-bases-D-too-big"),
     bad(lambda: i_ae_optimal(ProtocolSpec(3, 3), NAN), "i_ae_optimal-three-bases-D-nan"),

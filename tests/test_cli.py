@@ -199,9 +199,11 @@ def refuse_dense_isometry(monkeypatch, command):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} formed the dense isometry")
 
+    # The module objects: a dotted path resolves through the package attribute, and
+    # mub_eve.simulate is the function simulate there.
     for module in ("mub_eve.attack", "mub_eve.cli", "mub_eve.simulate"):
         for name in ("isometry_from_states", "build_isometry", "AttackIsometry"):
-            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+            monkeypatch.setattr(importlib.import_module(module), name, refuse, raising=False)
 
 
 @pytest.mark.parametrize("dim, bases", [(8, 2), (12, 2), (16, 2), (20, 2), (3, 3)])

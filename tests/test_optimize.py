@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mub_eve.information as information_mod
 import mub_eve.optimize as optimize_mod
 from mub_eve import (
     AnalysisError,
@@ -138,6 +139,21 @@ def test_critical_disturbance_requires_sign_change(monkeypatch):
     monkeypatch.setattr(optimize_mod, "i_ab", lambda spec, D: 2.0)
     with pytest.raises(AnalysisError):
         critical_disturbance(ProtocolSpec(3, 2))
+
+
+def test_float_search_never_runs_the_helpers(monkeypatch):
+    # Float D and w evaluate i_ae through the fused objective; a route back
+    # through phi_d and lambda_d raises here instead of only running slower.
+    def refuse(*args):
+        raise AssertionError("a float i_ae ran the helpers")
+
+    for name in ("phi_d", "lambda_d"):
+        monkeypatch.setattr(information_mod, name, refuse)
+    three = critical_disturbance(ProtocolSpec(3, 3))
+    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d778bp-3", "-0x1.6620000000000p-41")
+    five = critical_disturbance(ProtocolSpec(5))
+    assert (five.d_c.hex(), five.gap_at_dc.hex()) == ("0x1.1b06d1d200ac2p-2", "0x1.3a00000000000p-44")
+    assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c07f8191cp-4"
 
 
 def test_optimal_curve_nondecreasing_up_to_crossing():

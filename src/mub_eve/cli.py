@@ -196,7 +196,9 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
     else:
         doc["w"] = w
         eve = build_eve_states(params)
-        profile = scalar_product_profile(eve)  # forms the states' Gram, which the unitarity gate reads too
+        # A built set passes the exact layout test (EveStateSet.block_layout): the profile and the
+        # unitarity gate read its d block Grams, the disturbance gates its blocks; no dense Gram is formed.
+        profile = scalar_product_profile(eve)
         # (name, residual, threshold, informational), in report order
         checks = [
             ("isometry_unitarity", isometry_residual(eve, disturbance), GATE_TOL, False),

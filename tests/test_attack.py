@@ -308,14 +308,71 @@ def test_gram_is_formed_once_and_read_by_every_gate():
     params = AttackParams(3, 2, 0.1, 0.85)
     eve = build_eve_states(params)
     scalar_product_profile(eve)
+    # a built set passes the layout test: the gates read the block Grams, and no dense Gram is formed
+    assert vars(eve)["block_layout"] is True and "gram" not in vars(eve)
+    block_gram = vars(eve)["block_gram"]
+    assert eve.block_gram is block_gram and not block_gram.flags.writeable
+    assert isometry_residual(eve, params.disturbance) <= 1e-15
+    # the residual reads the cached array: a planted norm shows in it
+    planted = np.array(block_gram)
+    planted[2, 0, 0] = 1.25  # <E_02|E_02>
+    vars(eve)["block_gram"] = planted
+    assert isometry_residual(eve, params.disturbance) > 1e-2
+    # a set that fails the layout test reads the dense Gram: a planted entry of equal receiver shows in it
+    eve = orthonormal_layout(3)
+    states = np.array(eve.states)
+    states[0, 1, 0] = 5e-324  # E_01 gains a subnormal entry on block 0
+    eve = EveStateSet(states=states)
+    scalar_product_profile(eve)
+    assert eve.block_layout is False
     gram = vars(eve)["gram"]
     assert eve.gram is gram and not gram.flags.writeable
     assert isometry_residual(eve, params.disturbance) <= 1e-15
-    # the residual reads the cached array: a planted entry of equal receiver shows in it
     planted = np.array(gram)
     planted[0, 0, 1, 2] = 0.25  # <E_00|E_20>
     vars(eve)["gram"] = planted
     assert isometry_residual(eve, params.disturbance) > 1e-2
+
+
+def dense_route(states: np.ndarray) -> EveStateSet:
+    """A state set whose cached layout test reads False, so every gate reads the dense Gram."""
+    eve = EveStateSet(states=states)
+    vars(eve)["block_layout"] = False
+    return eve
+
+
+@pytest.mark.parametrize("d, bases_count", [(d, 2) for d in range(2, 33)] + [(3, 3)])
+def test_block_route_equals_dense_route(d, bases_count):
+    for spec, D, block in built_and_cast_sets(d, bases_count):
+        dense = dense_route(block.states)
+        assert block.block_layout is True
+        got, ref = scalar_product_profile(block), scalar_product_profile(dense)
+        for group in GROUPS:
+            assert getattr(got, group) == getattr(ref, group) == 0.0  # the dense Gram's cross-block pairs
+        for name in ("s", "w", "s_max_dev", "w_max_dev"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-15
+        assert abs(isometry_residual(block, D) - isometry_residual(dense, D)) <= 1e-15
+        for basis in protocol_bases(spec):
+            assert np.max(np.abs(disturbance_per_state(block, D, basis) - disturbance_per_state(dense, D, basis))) <= 1e-15
+        assert "gram" not in vars(block) and "block_gram" not in vars(dense)
+
+
+def test_layout_test_is_exact():
+    # negative control: one subnormal entry outside its own block sends the set to the dense route,
+    # whose x group then measures it; the same entry inside its own block keeps the block route
+    d = 4
+    states = np.array(orthonormal_layout(d).states)
+    states[0, 1, 0] = 5e-324  # E_01 lives on block 1; coordinate 0 of block 0 is E_00's
+    eve = EveStateSet(states=states)
+    assert eve.block_layout is False
+    assert scalar_product_profile(eve).x == 5e-324
+    assert "block_gram" not in vars(eve)
+    states = np.array(orthonormal_layout(d).states)
+    states[0, 1, d + 1] = 5e-324  # coordinate 1 of block 1, E_12's
+    eve = EveStateSet(states=states)
+    assert eve.block_layout is True
+    assert scalar_product_profile(eve).w_max_dev == 5e-324
+    assert "gram" not in vars(eve)
 
 
 def test_disturbance_computational_is_exact():

@@ -6,17 +6,17 @@ three bases) and the two-basis ququart protocol, and brackets the crossing
 that defines the critical disturbance. Values are in dits (log base d).
 """
 
-import numpy as np
-
 from mub_eve import ProtocolSpec, i_ab, i_ae, optimal_w
 
 for dim, bases in ((3, 2), (3, 3), (4, 2)):
     spec = ProtocolSpec(dim, bases)
     print(f"\n=== d={dim}, {bases} bases ===")
     print(f"{'D':>6} {'w_opt':>9} {'I_AB':>10} {'I_AE':>10}")
-    grid = np.linspace(0.0, 0.5, 26)
-    w_opt = optimal_w(spec, grid)
-    rows = list(zip(*(column.tolist() for column in (grid, w_opt, i_ab(spec, grid), i_ae(spec, grid, w_opt)))))
+    rows = []
+    for k in range(26):
+        D = 0.02 * k
+        w = optimal_w(spec, D)
+        rows.append((D, w, i_ab(spec, D), i_ae(spec, D, w)))
     for D, w, ab, ae in rows:
         print(f"{D:6.2f} {w:9.4f} {ab:10.6f} {ae:10.6f}")
     gaps = [ae - ab for _, _, ab, ae in rows]

@@ -16,9 +16,9 @@ mutually orthogonal coordinate blocks of size d, block m = (receiver - sender)
 mod d. Each block's Gram matrix is circulant, so its eigenvalues are d p_mn
 over the block's total weight:
 
-* block 0 holds the "no error" states E_ii, with pairwise overlap s and
+* block 0 contains the "no error" states E_ii, with pairwise overlap s and
   eigenvalues 1 - s = d z^2 / (1 - D) (d - 1 times) and 1 + (d-1) s;
-* block m (1 <= m <= d-1) holds the d error states E_{i, i+m mod d}, with
+* block m (1 <= m <= d-1) contains the d error states E_{i, i+m mod d}, with
   pairwise overlap w and eigenvalues 1 - w and 1 + (d-1) w. Within a block,
   state E_ij takes the major coefficient on coordinate i (the sender symbol),
   which makes the eavesdropper's outcome -> guess map the identity on the

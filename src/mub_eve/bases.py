@@ -12,7 +12,7 @@ from functools import cached_property
 from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .errors import DimensionError, DomainError, ProtocolError, failed_value, holds
+from .errors import DimensionError, DomainError, ProtocolError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,12 +53,10 @@ class ProtocolSpec:
         """c in the attack's Z-line weight z^2 = D (1 + (d-1) c w) / (d (d-1)): 1 for two bases, -1/2 for three."""
         return 1.0 if self.bases_count == 2 else -0.5
 
-    def check_disturbance(self, disturbance: float | np.ndarray) -> None:
-        """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK on every element (NaN fails)."""
-        in_range = (0.0 <= disturbance) & (disturbance <= self.max_disturbance + DISTURBANCE_SLACK)
-        if not holds(in_range):
-            shown = failed_value(disturbance, in_range)
-            raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {shown}")
+    def check_disturbance(self, disturbance: float) -> None:
+        """Raise DomainError unless 0 <= D <= (d-1)/d + DISTURBANCE_SLACK (NaN fails)."""
+        if not (0.0 <= disturbance <= self.max_disturbance + DISTURBANCE_SLACK):
+            raise DomainError(f"disturbance must lie in [0, {self.max_disturbance}], got {disturbance}")
 
 
 @dataclass(frozen=True)

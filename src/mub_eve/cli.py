@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification/analysis failure, 2 usage error (NaN and
 infinite numbers included).
 
-Only the closed forms are imported with this module; ``curves``, ``verify`` and
-``simulate`` import numpy and the attack and simulate layers when they run, so
-``critical`` starts without numpy.
+Only the closed forms are imported with this module, and they run on ``math``
+alone, so ``critical`` and ``curves`` start without numpy; ``verify`` and
+``simulate`` import numpy and the attack and simulate layers when they run.
 """
 
 from __future__ import annotations
@@ -111,10 +111,20 @@ def _write(path: Path, text: str) -> bool:
     return True
 
 
+def _disturbance_grid(d_min: float, d_max: float, steps: int) -> list[float]:
+    """steps evenly spaced floats from d_min to d_max, bit for bit np.linspace(d_min, d_max, steps).
+
+    Like np.linspace, the points are d_min + k * step, with (k / (steps - 1)) * (d_max - d_min)
+    in place of k * step where step underflows to 0, and the last point is d_max itself.
+    """
+    div = steps - 1
+    delta = d_max - d_min
+    step = delta / div
+    return [d_min + (k * step if step else k / div * delta) for k in range(div)] + [d_max]
+
+
 def cmd_curves(args, spec: ProtocolSpec) -> int:
     from datetime import datetime, timezone
-
-    import numpy as np
 
     if args.steps < 2:
         return _usage_error(f"steps must be >= 2, got {args.steps}")
@@ -130,10 +140,11 @@ def cmd_curves(args, spec: ProtocolSpec) -> int:
             f"got d_min={args.d_min}, d_max={args.d_max}"
         )
 
-    grid = np.linspace(args.d_min, args.d_max, args.steps)
-    w_opt = optimal_w(spec, grid)
-    info = (i_ab(spec, grid), i_ae(spec, grid, w_opt))
-    rows = np.column_stack((grid, w_opt, *info, *(dits_to_bits(x, spec.dim) for x in info))).tolist()
+    rows = []
+    for disturbance in _disturbance_grid(args.d_min, args.d_max, args.steps):
+        w = optimal_w(spec, disturbance)
+        info = (i_ab(spec, disturbance), i_ae(spec, disturbance, w))
+        rows.append([disturbance, w, *info, *(dits_to_bits(x, spec.dim) for x in info)])
 
     metadata = {"version": __version__, "dim": spec.dim, "bases": spec.bases_count, "d_min": args.d_min,
                 "d_max": args.d_max, "steps": args.steps, "w_mode": "auto"}

@@ -8,80 +8,49 @@ coefficients from its Gram eigenvalues (``AttackParams.coeff_pairs``, through
 ``tests/oracles.py``): the two agree to 1e-12 away from the zeros of the
 radicands.
 
-The closed forms take D and w as floats or as numpy arrays of one shape and
-return the same kind; an array call equals the element-wise float calls bit
-for bit. The leaf helpers branch on the kind: floats stay on ``math``, and
-arrays take their logarithms with ``math.log`` per element, because
-``np.log`` may differ from it in the last bit. The helpers test for a
-float's class before they ask ``is_array``, whose ``isinstance`` costs
-several times more. Any other kind, a numpy scalar or an int, takes the
-float branch (``tests/test_input_kinds.py`` pins what each returns). numpy
-is imported inside the array branches only, so the float path, and with it
-``critical``, runs without loading numpy. Range tests are written
-``holds((lo <= x) & (x <= hi))``, so NaN fails them, on any element, and
-their messages name an array's first failing element (``failed_value``).
+The closed forms take D and w as floats and return a float; their
+logarithms and roots are ``math``'s, so they run without numpy, and
+``critical`` with them. An int or a numpy scalar takes the same float body
+(``tests/test_input_kinds.py`` pins what each returns). A numpy array of two
+or more values is not a kind they take: the first range test asks for its
+truth value, and numpy raises ValueError. Range tests are written as chained
+comparisons, ``if not (lo <= x <= hi)``, so NaN fails them.
 
 ``i_ae`` with a float D and a float w, and the float w-search of
 ``optimize.optimal_w``, go through ``_i_ae_at(spec, D)``: one fused float
 objective of w, bit for bit the helpers' result, which forms the terms of D
 once and makes the helpers' range tests inline. Where a test fails, it runs
-the helpers, so the error is theirs. Arrays, numpy scalars and ints take the
-helpers directly.
+the helpers, so the error is theirs. Numpy scalars and ints take the helpers
+directly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, TypeAlias
+from typing import Callable
 
 from .bases import RADICAND_SLACK, ProtocolSpec
-from .errors import DomainError, failed_value, holds, is_array
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# A float, or a numpy array of floats that the closed forms map element-wise.
-Real: TypeAlias = "float | np.ndarray"
+from .errors import DomainError
 
 
-def _clamp_probability(x: Real, what: str) -> Real:
-    in_range = (-RADICAND_SLACK <= x) & (x <= 1.0 + RADICAND_SLACK)
-    if in_range is not True and not holds(in_range):
-        raise DomainError(f"{what} = {failed_value(x, in_range)} is outside [0, 1]")
-    # min(max(x, 0.0), 1.0), spelled out: it keeps a -0.0 as max does, where np.maximum gives 0.0
-    if x.__class__ is not float and is_array(x):
-        import numpy as np
-
-        return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+def _clamp_probability(x: float, what: str) -> float:
+    if not (-RADICAND_SLACK <= x <= 1.0 + RADICAND_SLACK):
+        raise DomainError(f"{what} = {x} is outside [0, 1]")
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x  # min(max(x, 0.0), 1.0), keeping a -0.0
 
 
-def _sqrt_radicand(value: Real, what: str) -> Real:
-    in_range = value >= -RADICAND_SLACK
-    if in_range is not True and not holds(in_range):
-        raise DomainError(f"radicand {what} = {failed_value(value, in_range)} is not >= 0")
-    if value.__class__ is not float and is_array(value):
-        import numpy as np
-
-        return np.sqrt(np.where(value < 0.0, 0.0, value))
+def _sqrt_radicand(value: float, what: str) -> float:
+    if not value >= -RADICAND_SLACK:
+        raise DomainError(f"radicand {what} = {value} is not >= 0")
     return math.sqrt(0.0 if value < 0.0 else value)
 
 
-def _x_log_x_over(x: Real, c: int) -> Real:
+def _x_log_x_over(x: float, c: int) -> float:
     """x ln(x / c) for x >= 0, with 0 ln 0 := 0."""
-    if x.__class__ is not float and is_array(x):
-        import numpy as np
-
-        out = np.zeros_like(x)
-        positive = x > 0.0
-        xs = x[positive]
-        ratios = (xs / c).tolist()
-        out[positive] = xs * np.fromiter(map(math.log, ratios), float, len(ratios))
-        return out
     return x * math.log(x / c) if x > 0.0 else 0.0
 
 
-def i_d(x: Real, d: int) -> Real:
+def i_d(x: float, d: int) -> float:
     """Mutual information (dits) of the symmetric d-ary channel with diagonal x.
 
     i_d(x) = 1 + x log_d x + (1 - x) log_d[(1 - x)/(d - 1)], with 0 log 0 := 0.
@@ -92,11 +61,10 @@ def i_d(x: Real, d: int) -> Real:
     return 1.0 + _x_log_x_over(x, 1) / ln_d + _x_log_x_over(1.0 - x, d - 1) / ln_d
 
 
-def phi_d(disturbance: Real, w: Real, d: int) -> Real:
+def phi_d(disturbance: float, w: float, d: int) -> float:
     """Eavesdropper's correct-guess probability when the qudit arrived intact; d is not checked here."""
-    in_range = disturbance < 1.0
-    if in_range is not True and not holds(in_range):
-        raise DomainError(f"disturbance must be < 1, got {failed_value(disturbance, in_range)}")
+    if not disturbance < 1.0:
+        raise DomainError(f"disturbance must be < 1, got {disturbance}")
     d = float(d)  # float-only arithmetic is faster than mixed; the values are those of the int d
     spread = (d - 1) * w
     rad = (d - 1) * disturbance * (1.0 + spread) * (d - disturbance * (1.0 + d + spread))
@@ -107,36 +75,35 @@ def phi_d(disturbance: Real, w: Real, d: int) -> Real:
     return _clamp_probability(value, "phi_d")
 
 
-def lambda_d(w: Real, d: int) -> Real:
+def lambda_d(w: float, d: int) -> float:
     """Eavesdropper's correct-guess probability when the receiver got an error; d is not checked here."""
-    in_range = (-1.0 / (d - 1) - RADICAND_SLACK <= w) & (w <= 1.0 + RADICAND_SLACK)
-    if in_range is not True and not holds(in_range):
-        raise DomainError(f"w = {failed_value(w, in_range)} outside [{-1.0 / (d - 1)}, 1]")
+    if not (-1.0 / (d - 1) - RADICAND_SLACK <= w <= 1.0 + RADICAND_SLACK):
+        raise DomainError(f"w = {w} outside [{-1.0 / (d - 1)}, 1]")
     root = _sqrt_radicand((1.0 - w) * (1.0 + (d - 1) * w), "(1 - w)(1 + (d-1) w)")
     value = ((1.0 + (d - 1) * w) + (d - 1) ** 2 * (1.0 - w) + 2.0 * (d - 1) * root) / (d * d)
     return _clamp_probability(value, "lambda_d")
 
 
-def _guess_pair(spec: ProtocolSpec, disturbance: Real, w: Real) -> tuple[Real, Real]:
+def _guess_pair(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
     """(no-error, error) guess probabilities: phi_d at the overlap c w (c = spec.z_factor), lambda_d at w."""
     return phi_d(disturbance, spec.z_factor * w, spec.dim), lambda_d(w, spec.dim)
 
 
-def guess_probability(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
+def guess_probability(spec: ProtocolSpec, disturbance: float, w: float) -> float:
     """Probability that the eavesdropper names the sent symbol correctly."""
     g_intact, g_error = _guess_pair(spec, disturbance, w)
     return (1.0 - disturbance) * g_intact + disturbance * g_error
 
 
-def i_ae(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
+def i_ae(spec: ProtocolSpec, disturbance: float, w: float) -> float:
     """Sender-eavesdropper mutual information (dits) for the given attack."""
     if disturbance.__class__ is float and w.__class__ is float:
         return _i_ae_at(spec, disturbance)(w)
     return _i_ae_composed(spec, disturbance, w)
 
 
-def _i_ae_composed(spec: ProtocolSpec, disturbance: Real, w: Real) -> Real:
-    """i_ae through the helpers, on any kind; they make the range tests and raise their errors."""
+def _i_ae_composed(spec: ProtocolSpec, disturbance: float, w: float) -> float:
+    """i_ae through the helpers; they make the range tests and raise their errors."""
     g_intact, g_error = _guess_pair(spec, disturbance, w)
     d = spec.dim
     return (1.0 - disturbance) * i_d(g_intact, d) + disturbance * i_d(g_error, d)
@@ -198,7 +165,7 @@ def _i_ae_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], float]
     return objective
 
 
-def i_ab(spec: ProtocolSpec, disturbance: Real) -> Real:
+def i_ab(spec: ProtocolSpec, disturbance: float) -> float:
     """Sender-receiver mutual information (dits) of the symmetric channel in spec's dimension."""
     spec.check_disturbance(disturbance)
     return i_d(1.0 - disturbance, spec.dim)

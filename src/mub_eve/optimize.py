@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import AnalysisError, DomainError, failed_value, holds, is_array
+from .errors import AnalysisError, DomainError
 from .bases import ProtocolSpec
-from .information import Real, _i_ae_at, i_ab, i_ae
-
-if TYPE_CHECKING:
-    import numpy as np
+from .information import _i_ae_at, i_ab, i_ae
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Bracket widths at which the golden-section search over w and the bisection over D stop.
@@ -46,14 +42,14 @@ class CriticalPoint:
     gap_at_dc: float
 
 
-def w_bar(d: int, disturbance: Real) -> Real:
+def w_bar(d: int, disturbance: float) -> float:
     """Optimal overlap for the two-basis protocol: w = (d/(d-1)) ((d-1)/d - D)."""
     spec = ProtocolSpec(d)
     spec.check_disturbance(disturbance)
     return _w_bar(spec, disturbance)
 
 
-def _w_bar(spec: ProtocolSpec, disturbance: Real) -> Real:
+def _w_bar(spec: ProtocolSpec, disturbance: float) -> float:
     """w_bar on a checked spec and D, unchecked."""
     return (spec.dim / (spec.dim - 1.0)) * (spec.max_disturbance - disturbance)
 
@@ -64,27 +60,16 @@ def d_c_closed_form(d: int) -> float:
     return 0.5 * (1.0 - 1.0 / math.sqrt(d))
 
 
-def admissible_w_interval(spec: ProtocolSpec, disturbance: Real) -> tuple[Real, Real]:
+def admissible_w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float, float]:
     """w-interval on which all guess-probability radicands are nonnegative.
 
     lambda's interval [-1/(d-1), 1] meets the preimage under w -> c w
     (c = spec.z_factor) of phi's [-1/(d-1), (d/D - 1 - d)/(d-1)], whose top
     is +inf at D = 0. Endpoints are shrunk by a small margin because the
-    derivatives are singular where a radicand vanishes. For an array of D,
-    the arrays of the interval's ends. D must lie in spec's range.
+    derivatives are singular where a radicand vanishes. D must lie in spec's
+    range.
     """
     spec.check_disturbance(disturbance)
-    if disturbance.__class__ is not float and is_array(disturbance):
-        import numpy as np
-
-        bounds = [_w_interval(spec, D) for D in disturbance.ravel().tolist()]
-        lo, hi = np.array(bounds).T.reshape((2,) + disturbance.shape)
-        return lo, hi
-    return _w_interval(spec, disturbance)
-
-
-def _w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float, float]:
-    """admissible_w_interval at one checked D."""
     d, c = spec.dim, spec.z_factor
     bottom = -1.0 / (d - 1)
     # phi's radicand needs d - D [1 + d + (d-1) c w] >= 0
@@ -99,24 +84,15 @@ def _w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float, float]:
     return lo, hi
 
 
-def golden_section_maximize(f, lo: Real, hi: Real) -> Real:
+def golden_section_maximize(f, lo: float, hi: float) -> float:
     """Locate the maximum of a unimodal function on [lo, hi] to width GOLDEN_TOL.
 
     The search also stops once a step leaves the bracket no narrower, as it
-    does where the float spacing of the bounds exceeds GOLDEN_TOL. Array
-    bounds run one search per element in lockstep, on an f that maps arrays
-    element-wise. Each element does the float loop's arithmetic, takes its
-    own branch and stops at its own width, so it returns what a float call
-    on its bounds returns, bit for bit. The bracket must be finite with
-    lo <= hi, on every element.
+    does where the float spacing of the bounds exceeds GOLDEN_TOL. The
+    bracket must be finite with lo <= hi.
     """
-    in_range = (-math.inf < lo) & (lo <= hi) & (hi < math.inf)
-    if not holds(in_range):
-        raise DomainError(
-            f"need a finite bracket lo <= hi, got lo={failed_value(lo, in_range)}, hi={failed_value(hi, in_range)}"
-        )
-    if lo.__class__ is not float and is_array(lo):
-        return _golden_section_lockstep(f, lo, hi)
+    if not (-math.inf < lo <= hi < math.inf):
+        raise DomainError(f"need a finite bracket lo <= hi, got lo={lo}, hi={hi}")
     a, b = lo, hi
     c = b - INV_GOLDEN * (b - a)
     d = a + INV_GOLDEN * (b - a)
@@ -132,30 +108,6 @@ def golden_section_maximize(f, lo: Real, hi: Real) -> Real:
             b, d, fd = d, c, fc
             c = b - INV_GOLDEN * (b - a)
             fc = f(c)
-    return 0.5 * (a + b)
-
-
-def _golden_section_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    a, b = lo, hi
-    c = b - INV_GOLDEN * (b - a)
-    d = a + INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    running = b - a > GOLDEN_TOL
-    while running.any():
-        width = b - a
-        up = running & (fc < fd)  # the float loop's first branch: a moves up to c
-        down = running & ~up
-        a, b = np.where(up, c, a), np.where(down, d, b)
-        c, d = np.where(up, d, c), np.where(down, c, d)
-        fc, fd = np.where(up, fd, fc), np.where(down, fc, fd)
-        # Elements that have stopped probe inside their final bracket; their values are dropped.
-        probe = np.where(up, a + INV_GOLDEN * (b - a), b - INV_GOLDEN * (b - a))
-        f_probe = f(probe)
-        c, fc = np.where(down, probe, c), np.where(down, f_probe, fc)
-        d, fd = np.where(up, probe, d), np.where(up, f_probe, fd)
-        running &= (b - a > GOLDEN_TOL) & (b - a < width)
     return 0.5 * (a + b)
 
 
@@ -192,7 +144,7 @@ def _stationarity(spec: ProtocolSpec, disturbance: float, w: float, f) -> tuple[
     return step, abs(_central_difference(f, w, step))
 
 
-def _second_difference(f, x: Real, step: float) -> Real:
+def _second_difference(f, x: float, step: float) -> float:
     return f(x + step) - 2.0 * f(x) + f(x - step)
 
 
@@ -223,28 +175,22 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     )
 
 
-def optimal_w(spec: ProtocolSpec, disturbance: Real) -> Real:
-    """maximize_w's w, the w "auto" means, at each disturbance, a float or an array.
+def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
+    """maximize_w's w, the w "auto" means, at a disturbance.
 
     For two bases it is w_bar (the guess-probability maximiser) clamped to the
     admissible interval, for three the golden-section maximiser of i_ae. A
     float D searches information._i_ae_at's fused objective, which forms the
-    terms of D once; an array of D is one lockstep search on i_ae, not one
-    per element.
+    terms of D once.
     """
     lo, hi = admissible_w_interval(spec, disturbance)
     if spec.bases_count == 2:
         w = _w_bar(spec, disturbance)
-        # min(max(w, lo), hi); lo < hi
-        if w.__class__ is not float and is_array(w):
-            import numpy as np
-
-            return np.where(w < lo, lo, np.where(w > hi, hi, w))
-        return lo if w < lo else hi if w > hi else w
+        return lo if w < lo else hi if w > hi else w  # min(max(w, lo), hi); lo < hi
     return golden_section_maximize(_i_ae_of_w(spec, disturbance), lo, hi)
 
 
-def i_ae_optimal(spec: ProtocolSpec, disturbance: Real) -> Real:
+def i_ae_optimal(spec: ProtocolSpec, disturbance: float) -> float:
     """The eavesdropper's information (dits) at optimal_w's w, the w "auto" means."""
     return i_ae(spec, disturbance, optimal_w(spec, disturbance))
 

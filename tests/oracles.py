@@ -58,10 +58,10 @@ def is_mutually_unbiased(a: Basis, b: Basis) -> bool:
 
 
 def _worst_grid_second_difference(f, lo: float, hi: float) -> float:
-    """Largest second difference of f over 100 interior grid points, half-step each; f maps arrays."""
+    """Largest second difference of f over 100 interior grid points, half-step each."""
     n = 100
     h = (hi - lo) / (n + 1)
-    return float(np.max(_second_difference(f, lo + np.arange(1, n + 1) * h, 0.5 * h)))
+    return max(_second_difference(f, lo + k * h, 0.5 * h) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)

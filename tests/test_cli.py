@@ -120,6 +120,29 @@ def test_curves_json_schema(tmp_path, capsys):
     assert gaps[0] < 0 < gaps[-1]
 
 
+# (dim, bases, d_min, d_max, steps): the golden curves' ranges, and steps that underflow to 0,
+# where np.linspace spaces the points as (k / (steps - 1)) * (d_max - d_min) instead.
+GRIDS = [
+    (3, 2, "0", "0.6", 41), (3, 3, "0", "0.6", 41), (4, 2, "0", "0.7", 41), (8, 2, "0", "0.85", 41),
+    (3, 3, "0.05", "0.6666666666666666", 101), (5, 2, "0", "0.8", 101),
+    (3, 2, "0", "5e-324", 3), (3, 2, "0", "5e-324", 4),
+]
+
+
+@pytest.mark.parametrize("dim, bases, d_min, d_max, steps", GRIDS)
+def test_curves_grid_is_linspace_bit_for_bit(tmp_path, capsys, dim, bases, d_min, d_max, steps):
+    out = tmp_path / "c.json"
+    code, _, _ = run(
+        capsys,
+        "curves", "--dim", str(dim), "--bases", str(bases), "--d-min", d_min, "--d-max", d_max,
+        "--steps", str(steps), "--format", "json", "--no-timestamp", "--out", str(out),
+    )
+    assert code == 0
+    grid = [row[0] for row in json.loads(out.read_text(encoding="utf-8"))["rows"]]
+    expected = np.linspace(float(d_min), float(d_max), steps).tolist()
+    assert [x.hex() for x in grid] == [x.hex() for x in expected]
+
+
 def test_curves_usage_errors(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, _, err = run(
@@ -493,12 +516,18 @@ CRITICAL_RUN = "from mub_eve import cli\nassert cli.main(['critical', '--dim', '
     *(pytest.param(CRITICAL_RUN.format(dim, bases), id=f"critical-{dim}-{bases}")
       for dim, bases in [(3, 2), (8, 2), (3, 3)]),
     pytest.param(
+        "from mub_eve import cli\n"
+        "assert cli.main(['curves', '--dim', '3', '--bases', '3', '--d-max', '0.6', '--steps', '41',"
+        " '--no-timestamp', '--out', {out!r}]) == 0\n",
+        id="curves"),
+    pytest.param(
         "from mub_eve import ProtocolSpec, critical_disturbance, i_ae, optimal_w\n"
         "for spec in (ProtocolSpec(3), ProtocolSpec(3, 3)):\n"
         "    assert 0.0 < i_ae(spec, 0.1, optimal_w(spec, 0.1)) < critical_disturbance(spec).d_c < 0.5\n",
         id="closed-forms"),
 ])
-def test_closed_forms_run_without_numpy(code):
+def test_closed_forms_run_without_numpy(tmp_path, code):
+    code = code.format(out=str(tmp_path / "curves.csv"))
     proc = fresh_interpreter(code + "import sys\nassert 'numpy' not in sys.modules, 'numpy was imported'\n")
     assert proc.returncode == 0, proc.stderr
 
@@ -509,7 +538,8 @@ def test_closed_forms_run_without_numpy(code):
     ["simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", "10000", "--out", "{tmp}/session.json"],
 ], ids=lambda argv: argv[0])
 def test_numpy_commands_run_from_a_cold_interpreter(tmp_path, argv):
-    # These commands import numpy and the attack and simulate layers when they run.
+    # Each command loads what it needs when it runs: verify and simulate import numpy and the
+    # attack and simulate layers.
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = fresh_interpreter(f"import sys\nfrom mub_eve import cli\nsys.exit(cli.main({argv!r}))\n")
     assert proc.returncode == 0, proc.stderr

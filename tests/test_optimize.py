@@ -83,8 +83,6 @@ def test_golden_section_stops_where_the_bracket_stops_shrinking():
     f = lambda w: -((w - (1e7 + 0.3)) ** 2)
     w = golden_section_maximize(f, 1e7, 1e7 + 1.0)
     assert w == pytest.approx(1e7 + 0.3, abs=1e-8)
-    lockstep = golden_section_maximize(f, np.array([1e7, 0.0]), np.array([1e7 + 1.0, 1.0]))
-    assert lockstep.tolist() == [w, golden_section_maximize(f, 0.0, 1.0)]
 
 
 @pytest.mark.parametrize("D", [0.02, 0.05, 0.10])
@@ -166,10 +164,10 @@ def test_optimal_curve_nondecreasing_up_to_crossing():
 
 @pytest.mark.parametrize("spec", [ProtocolSpec(2), ProtocolSpec(3), ProtocolSpec(3, 3), ProtocolSpec(8)])
 def test_optimal_w_over_a_grid_equals_maximize_w_per_point(spec):
-    grid = np.linspace(0.0, spec.max_disturbance, 41)
-    reports = [maximize_w(spec, D) for D in grid.tolist()]
-    assert np.array_equal(optimal_w(spec, grid), [report.w_opt for report in reports])
-    assert np.array_equal(i_ae_optimal(spec, grid), [report.i_ae_opt for report in reports])
+    grid = np.linspace(0.0, spec.max_disturbance, 41).tolist()
+    reports = [maximize_w(spec, D) for D in grid]
+    assert [optimal_w(spec, D) for D in grid] == [report.w_opt for report in reports]
+    assert [i_ae_optimal(spec, D) for D in grid] == [report.i_ae_opt for report in reports]
 
 
 def test_witness_stationarity_and_ratio():

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +14,6 @@ from mub_eve import (
     admissible_w_interval,
     build_eve_states,
     disturbance_per_state,
-    golden_section_maximize,
-    guess_probability,
-    i_ab,
-    i_ae,
-    i_d,
     lambda_d,
     phi_d,
     protocol_bases,
@@ -88,70 +82,6 @@ def test_closed_form_equals_constructive(attack):
     constructive = guess_probability_constructive(spec, disturbance, w)
     deviation = np.max(np.abs(np.subtract(closed, constructive)))
     assert deviation <= 1e-12 + gram_rounding(spec, disturbance, w)
-
-
-@st.composite
-def attack_arrays(draw):
-    """(spec, D, w) arrays: D = 0 and drawn disturbances, each with w at both
-    edges of its admissible interval and at a drawn interior point."""
-    spec = draw(SPECS)
-    disturbances = [0.0] + draw(st.lists(st.floats(0.0, spec.max_disturbance), min_size=1, max_size=6))
-    rows = []
-    for disturbance in disturbances:
-        lo, hi = admissible_w_interval(spec, disturbance)
-        rows += [(disturbance, lo), (disturbance, hi), (disturbance, draw(st.floats(lo, hi)))]
-    return spec, *np.array(rows).T
-
-
-def closed_forms(spec):
-    """name -> f(D, w) for every closed form that maps arrays."""
-    d = spec.dim
-    forms = {
-        "guess_probability": lambda D, w: guess_probability(spec, D, w),
-        "i_ae": lambda D, w: i_ae(spec, D, w),
-        "i_ab": lambda D, w: i_ab(spec, D),
-        "lambda_d": lambda D, w: lambda_d(w, d),
-    }
-    if spec.bases_count == 2:
-        forms["phi_d"] = lambda D, w: phi_d(D, w, d)
-    else:
-        forms["mu"] = lambda D, w: phi_d(D, -w / 2, d)
-    return forms
-
-
-@PROPERTY
-@given(attack_arrays())
-def test_array_call_equals_scalar_calls(attack):
-    spec, disturbances, ws = attack
-    for name, f in closed_forms(spec).items():
-        scalars = [f(D, w) for D, w in zip(disturbances.tolist(), ws.tolist())]
-        assert all(type(value) is float for value in scalars), name
-        assert np.array_equal(f(disturbances, ws), scalars), name
-
-
-@PROPERTY
-@given(st.integers(2, 8), st.lists(st.floats(0.0, 1.0), max_size=8))
-def test_i_d_array_equals_scalar_calls(d, xs):
-    xs = np.array([0.0, 1.0] + xs)
-    assert np.array_equal(i_d(xs, d), [i_d(x, d) for x in xs.tolist()])
-
-
-@pytest.mark.parametrize("spec", [ProtocolSpec(3, 3), ProtocolSpec(2), ProtocolSpec(5)])
-@PROPERTY
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-4, 1.0)), min_size=1, max_size=6))
-def test_lockstep_golden_section_equals_scalar_loop(spec, draws):
-    # Each row searches its own part of its admissible interval, so rows stop on
-    # different iterations; the first row is D = 0, flat in w for three bases.
-    rows = [(0.0, 1.0)] + [(fraction * spec.max_disturbance, width) for fraction, width in draws]
-    disturbances = np.array([D for D, _ in rows])
-    lo, hi = admissible_w_interval(spec, disturbances)
-    hi = lo + np.array([width for _, width in rows]) * (hi - lo)
-    lockstep = golden_section_maximize(lambda w: i_ae(spec, disturbances, w), lo, hi)
-    scalar = [
-        golden_section_maximize(lambda w: i_ae(spec, D, w), a, b)
-        for D, a, b in zip(disturbances.tolist(), lo.tolist(), hi.tolist())
-    ]
-    assert np.array_equal(lockstep, scalar)
 
 
 @settings(PROPERTY, max_examples=20)

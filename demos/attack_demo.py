@@ -1,10 +1,11 @@
 """Anatomy of the symmetric attack.
 
 Builds the eavesdropper's ancilla states for a qutrit protocol at a chosen
-disturbance, then verifies every structural constraint numerically: column
-orthonormality of the attack isometry (read from the states' Gram matrix),
-equal disturbance on every basis state of both protocol bases, vanishing
-cross-block scalar products, and the no-error/error overlap values s and w.
+disturbance, stored as their d coordinate blocks, then verifies every
+structural constraint numerically: column orthonormality of the attack
+isometry, equal disturbance on every basis state of both protocol bases, the
+cross-block scalar products (exact zeros of the block format), and the
+no-error/error overlap values s and w.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ print(f"  x={abs(profile.x):.2e} y={abs(profile.y):.2e} z={abs(profile.z):.2e} t
 print(f"  s={profile.s:.12f} (expected {params.s:.12f})")
 print(f"  w={profile.w:.12f} (expected {params.w:.12f})")
 
-print(f"\nstate array shape {eve.states.shape}, unitarity residual {isometry_residual(eve, D):.2e}")
+print(f"\nblock array shape {eve.blocks.shape}, unitarity residual {isometry_residual(eve, D):.2e}")
 for basis in protocol_bases(ProtocolSpec(3, 2)):
     dist = disturbance_per_state(eve, D, basis)
     print(f"per-state disturbance in {basis.label:13s} basis: {np.array_str(dist, precision=12)}")

@@ -29,15 +29,15 @@ formed by cancellation as s nears 1. Placing the blocks on disjoint coordinate
 ranges realises all the required vanishing scalar products exactly instead of
 solving Gram constraints numerically.
 
-Every constraint check reads the states. ``EveStateSet.block_layout`` tests,
-exactly and once per set, that every nonzero entry lies on its own block's
-coordinates, as it does for every set ``build_eve_states`` returns. Then every
-cross-block overlap is an exact zero, and the checks read the d block Grams
-(``EveStateSet.block_gram``, one batched d^4 product). Any other set takes the
-dense route: its Gram over every state pair (``EveStateSet.gram``, d^6/2
-multiply-adds), which is also the reference the block route is tested against.
-The Monte Carlo simulator reads the states too; no command forms the dense
-(d^3 x d) isometry, which the tests build as an oracle."""
+The blocks are the data format: ``EveStateSet.blocks[m, i]`` holds the block-m
+coordinates of E_{i, i+m}, d^3 entries in all, and every coordinate of a state
+outside its own block is a structural zero that is not stored. So every
+overlap of two states in different blocks, and with it each of the x, y, z and
+t groups, is an exact zero of the format (``0j``). Every other check reads the
+d block Grams (``EveStateSet.block_gram``, one batched d^4 product) or the
+blocks themselves. The Monte Carlo simulator reads the blocks too; no command
+forms the dense (d^3 x d) isometry or the dense d^2-coordinate states, which
+the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -107,46 +107,26 @@ class AttackParams:
 
 @dataclass(frozen=True)
 class EveStateSet:
-    """The d^2 ancilla output states, indexed as states[i, j] = E_ij, with their overlaps formed once."""
+    """The d^2 ancilla output states as their d coordinate blocks: blocks[m, i] = the block-m coordinates
+    of E_{i, i+m}. A state's coordinates on the other d - 1 blocks are zeros the format does not store."""
 
-    states: np.ndarray = field(repr=False)  # (d, d, d^2), float64 as built; complex sets work too
+    blocks: np.ndarray = field(repr=False)  # (d, d, d), float64 as built; complex sets work too
+
+    def __post_init__(self):
+        shape = np.shape(self.blocks)
+        if len(shape) != 3 or len(set(shape)) != 1 or shape[0] < 2:
+            raise DimensionError(f"ancilla blocks must be a (d, d, d) array with d >= 2, got shape {shape}")
 
     @property
     def dim(self) -> int:
-        return self.states.shape[0]
-
-    @cached_property
-    def _own_blocks(self) -> np.ndarray:
-        """own[m, i] = the block-m coordinates of E_{i, i+m}: d^3 entries, gathered in block order."""
-        d = self.dim
-        idx = np.arange(d)
-        return self.states.reshape(d, d, d, d)[idx, (idx[:, None] + idx) % d, idx[:, None]]
-
-    @cached_property
-    def block_layout(self) -> bool:
-        """Whether every nonzero entry of the states lies on its own block's coordinates (E_{i, i+m} on
-        block m), so that every overlap of two states in different blocks is an exact zero. Exact, with
-        no tolerance: it counts the nonzero entries among the own-block ones and among all d^4."""
-        return bool(np.count_nonzero(self._own_blocks) == np.count_nonzero(self.states))
+        return self.blocks.shape[0]
 
     @cached_property
     def block_gram(self) -> np.ndarray:
-        """block_gram[m, i, k] = <E_{i, i+m}|E_{k, k+m}> over block m's coordinates, one batched product.
-        Under ``block_layout`` these are all the overlaps that can be nonzero, each exact to rounding."""
-        own = self._own_blocks
-        g = own @ own.transpose(0, 2, 1) if np.isrealobj(own) else own.conj() @ own.transpose(0, 2, 1)
-        g.setflags(write=False)
-        return g
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """gram[m, i, m', k] = <E_{i, i+m}|E_{k, k+m'}>, every state pair, from one BLAS product of the
-        block-ordered states b; for real states numpy sends b @ b.T to syrk, which forms one triangle in
-        d^6/2 multiply-adds. The checks read it only for sets that fail ``block_layout``."""
-        d = self.dim
-        idx = np.arange(d)
-        b = self.states[idx, (idx[:, None] + idx) % d].reshape(d * d, d * d)  # row m d + k is E_{k, k+m}
-        g = (b @ b.T if np.isrealobj(b) else b.conj() @ b.T).reshape(d, d, d, d)
+        """block_gram[m, i, k] = <E_{i, i+m}|E_{k, k+m}>, one batched product: every overlap that can be
+        nonzero, each exact to rounding."""
+        b = self.blocks
+        g = b @ b.transpose(0, 2, 1) if np.isrealobj(b) else b.conj() @ b.transpose(0, 2, 1)
         g.setflags(write=False)
         return g
 
@@ -155,10 +135,10 @@ class EveStateSet:
 class ScalarProductProfile:
     """The six scalar-product group values measured from a concrete state set.
 
-    x, y, z, t are the groups that must vanish for a valid symmetric attack
-    (each reported as its first member of largest modulus in the profile's
-    listing); w and s are the common intra-block overlaps, reported as means
-    with their maximum deviations.
+    x, y, z, t are the groups that must vanish for a valid symmetric attack,
+    overlaps across blocks and so exact zeros of the block format; w and s are
+    the common intra-block overlaps, reported as means with their maximum
+    deviations.
     """
 
     x: complex
@@ -175,51 +155,34 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
     """Lay out the ancilla output states in orthogonal coordinate blocks."""
     d = params.dim
     (u, v), (r, q) = params.coeff_pairs()
-    states = np.zeros((d, d, d * d))
-    # E_{i, i+m} fills block m of the coordinates: the minor coefficient, and the major on coordinate i.
-    i, m = np.arange(d)[:, None], np.arange(d)
-    blocks = states.reshape(d, d, d, d)  # [sender, receiver, block, coordinate in block]
-    blocks[i, (i + m) % d, m] = np.where(m == 0, v, q)[:, None]
-    blocks[i, (i + m) % d, m, i] = np.where(m == 0, u, r)
-    states.setflags(write=False)
-    return EveStateSet(states)
+    # E_{i, i+m} fills block m: the minor coefficient, and the major on coordinate i.
+    blocks = np.full((d, d, d), q)
+    blocks[0] = v
+    idx = np.arange(d)
+    blocks[:, idx, idx] = np.where(idx == 0, u, r)[:, None]
+    blocks.setflags(write=False)
+    return EveStateSet(blocks)
 
 
 def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
     """Measure the six scalar-product groups from the constructed states.
 
-    Every one of the d^2 (d^2 - 1)/2 state pairs is measured from the concrete
-    states. s and w are read from the within-block overlaps [m, i, k], k > i:
-    block 0 for s, blocks 1..d-1 for w. Under ``eve.block_layout`` the pairs
-    of x, y, z and t lie in different blocks, so each is an exact zero, and s
-    and w come from ``eve.block_gram``. Otherwise every group is sliced from
-    the block-order upper triangle of ``eve.gram`` [m, i, m', k]: the diagonal
-    blocks m = m' for s and w, x and y from block row m = 0, and z (k = i)
-    and t (k != i) from the block pairs 1 <= m < m', listed pair by pair.
+    s and w are read from the within-block overlaps ``eve.block_gram`` [m, i, k],
+    k > i: block 0 for s, blocks 1..d-1 for w. The pairs of x, y, z and t lie in
+    different blocks, so each group is an exact zero of the format (``0j``).
     """
     d = eve.dim
     idx = np.arange(d)
-    if eve.block_layout:
-        within, groups = eve.block_gram, (0j,) * 4
-    else:
-        g = eve.gram
-        within = g[idx, :, idx]  # [m, i, k]
-        i, n, k = np.ix_(idx, idx[1:], idx)
-        on_pair = (i == k) | (i == (k + n) % d)  # [i, m' - 1, k]: E_ii against an error state E_ij or E_ji
-        first, second = np.triu_indices(d - 1, 1)
-        pairs = g[first + 1, :, second + 1, :].reshape(-1, d * d)  # [block pair, i d + k]
-        # Views, no copies: the k = i entries are every (d+1)-th; after each, d entries with k != i.
-        same_sender, other_sender = pairs[:, :: d + 1], pairs[:, 1:].reshape(-1, d - 1, d + 1)[:, :, :d]
-        groups = tuple(
-            complex(v.flat[np.argmax(np.abs(v))]) if v.size else 0j
-            for v in (g[0, :, 1:][on_pair], g[0, :, 1:][~on_pair], same_sender, other_sender)
-        )
     later_sender = idx[:, None] < idx  # [i, k]: k > i
+    within = eve.block_gram
     s_vals, w_vals = within[0][later_sender], within[1:, later_sender]
     s_mean = float(np.mean(s_vals.real))
     w_mean = float(np.mean(w_vals.real))
     return ScalarProductProfile(
-        *groups,  # x, y, z, t
+        x=0j,
+        y=0j,
+        z=0j,
+        t=0j,
         w=w_mean,
         s=s_mean,
         w_max_dev=float(np.max(np.abs(w_vals - w_mean))),
@@ -254,17 +217,13 @@ def _isometry_scale(d: int, disturbance: float) -> np.ndarray:
 
 def isometry_residual(eve: EveStateSet, disturbance: float) -> float:
     """max |V^dagger V - I| of the attack isometry V, read from the states' overlaps without forming V:
-    (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>. Under ``eve.block_layout``, E_ab
-    and E_a'b share a block only for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``."""
+    (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>. E_ab and E_a'b share a block only
+    for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``."""
     d = eve.dim
     scale = _isometry_scale(d, disturbance)
-    if eve.block_layout:
-        a, b = np.ix_(np.arange(d), np.arange(d))
-        norms = eve.block_gram[(b - a) % d, a, a]  # [a, b] = <E_ab|E_ab>
-        return float(np.max(np.abs(np.einsum("ab,ab,ab->a", scale, scale, norms) - 1.0)))
-    a, a2, b = np.ix_(np.arange(d), np.arange(d), np.arange(d))
-    overlaps = eve.gram[(b - a) % d, a, (b - a2) % d, a2]  # [a, a', b] = <E_ab|E_a'b>
-    return float(np.max(np.abs(np.einsum("ab,cb,acb->ac", scale, scale, overlaps) - np.eye(d))))
+    a, b = np.ix_(np.arange(d), np.arange(d))
+    norms = eve.block_gram[(b - a) % d, a, a]  # [a, b] = <E_ab|E_ab>
+    return float(np.max(np.abs(np.einsum("ab,ab,ab->a", scale, scale, norms) - 1.0)))
 
 
 def disturbance_per_state(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
@@ -276,17 +235,12 @@ def disturbance_per_state(eve: EveStateSet, disturbance: float, basis: Basis) ->
     # ||amp||^2, amp = sum_{a, b} psi[a] conj(psi[b]) scale[a, b] E_ab: real states stay real in the product.
     psi = basis.vectors
     coeff = psi[:, :, None] * psi[:, None, :].conj() * _isometry_scale(d, disturbance)  # [k, a, b]
-    if eve.block_layout:
-        # Block m of amp takes only the E_{a, a+m}: one (2d x d)(d x d) product per block. Its d-term
-        # sums run in two halves, which keeps their rounding at the dense product's: against long double,
-        # at d <= 32, one sequential sum was off by up to 1.5e-15 in a disturbance, the halves by 8.2e-16.
-        idx = np.arange(d)
-        coeff = coeff[:, idx, (idx[:, None] + idx) % d].transpose(1, 0, 2)  # [m, k, a]
-        lhs, own, h = np.concatenate((coeff.real, coeff.imag), axis=1), eve._own_blocks, d // 2
-        parts = lhs[:, :, :h] @ own[:, :h] + lhs[:, :, h:] @ own[:, h:]
-        amp = (parts[:, :d] + 1j * parts[:, d:]).transpose(1, 0, 2).reshape(d, d * d)  # [k, m d + coordinate]
-    else:
-        coeff = coeff.reshape(d, d * d)
-        parts = np.concatenate((coeff.real, coeff.imag)) @ eve.states.reshape(d * d, d * d)
-        amp = parts[:d] + 1j * parts[d:]
+    # Block m of amp takes only the E_{a, a+m}: one (2d x d)(d x d) product per block. Its d-term
+    # sums run in two halves, which keeps their rounding at a dense product's: against long double,
+    # at d <= 32, one sequential sum was off by up to 1.5e-15 in a disturbance, the halves by 8.2e-16.
+    idx = np.arange(d)
+    coeff = coeff[:, idx, (idx[:, None] + idx) % d].transpose(1, 0, 2)  # [m, k, a]
+    lhs, blocks, h = np.concatenate((coeff.real, coeff.imag), axis=1), eve.blocks, d // 2
+    parts = lhs[:, :, :h] @ blocks[:, :h] + lhs[:, :, h:] @ blocks[:, h:]
+    amp = (parts[:, :d] + 1j * parts[:, d:]).transpose(1, 0, 2).reshape(d, d * d)  # [k, m d + coordinate]
     return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)

@@ -65,12 +65,12 @@ def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np
     blocks that share it. Symbol 0's row takes one product per basis; the others are its shifts.
     """
     d = spec.dim
-    states = build_eve_states(AttackParams(d, spec.bases_count, disturbance, w)).states
-    # Column (b, m d + j) of the weighted states has one nonzero sender a = b - m: E_ab lives in block m.
+    blocks = build_eve_states(AttackParams(d, spec.bases_count, disturbance, w)).blocks
+    # Column (b, m d + j) of the weighted states has one sender a = b - m: E_ab is blocks[m, a].
     # weighted[b, m, j] = scale[a, b] E_ab[m d + j], real, formed as the dense isometry forms it.
     b, m = np.arange(d)[:, None], np.arange(d)
     a = (b - m) % d
-    weighted = _isometry_scale(d, disturbance)[a, b][:, :, None] * states.reshape(d, d, d, d)[a, b, m]
+    weighted = _isometry_scale(d, disturbance)[a, b][:, :, None] * blocks[m, a]
     bases = protocol_bases(spec)
     rows = np.empty((len(bases), d, d))
     for b_idx, basis in enumerate(bases):

@@ -5,6 +5,14 @@
 - ``optimality_witnesses``: finite-difference evidence that w_bar maximises
   the two-basis guess probability;
 - ``is_mutually_unbiased``: the overlap test between two bases;
+- ``dense_states``: the ancilla states as d^2-coordinate vectors, the blocks of
+  an ``EveStateSet`` scattered onto their coordinate ranges with every
+  cross-block zero written out;
+- ``dense_gram``, the Gram matrix over every pair of those states (d^6/2
+  multiply-adds), with the scalar-product profile and the unitarity residual
+  read from it (``dense_profile``, ``dense_isometry_residual``), and the
+  disturbance from one product with the dense states (``dense_disturbance``):
+  the references the block route of ``verify`` is held to;
 - the dense (d^3 x d) attack isometry, ``build_isometry`` and
   ``isometry_from_states``, with a column-by-column reference assembly, and the
   disturbance and outcome table read from it: a second route to everything
@@ -25,6 +33,7 @@ from mub_eve import (
     DomainError,
     EveStateSet,
     ProtocolSpec,
+    ScalarProductProfile,
     admissible_w_interval,
     build_eve_states,
     guess_probability,
@@ -117,12 +126,82 @@ def optimality_witnesses(disturbance: float, d: int = 3) -> OptimalityWitnesses:
     )
 
 
+def dense_states(eve: EveStateSet) -> np.ndarray:
+    """states[i, j] = E_ij as a d^2-coordinate vector: E_{i, i+m} holds blocks[m, i] on block m, zeros elsewhere."""
+    d = eve.dim
+    states = np.zeros((d, d, d, d), dtype=eve.blocks.dtype)  # [sender, receiver, block, coordinate in block]
+    i, m = np.arange(d)[:, None], np.arange(d)
+    states[i, (i + m) % d, m] = eve.blocks[m, i]
+    return states.reshape(d, d, d * d)
+
+
+def dense_gram(eve: EveStateSet) -> np.ndarray:
+    """gram[m, i, m', k] = <E_{i, i+m}|E_{k, k+m'}>, every state pair, from one BLAS product of the
+    block-ordered dense states b; for real states numpy sends b @ b.T to syrk, which forms one triangle in
+    d^6/2 multiply-adds."""
+    d = eve.dim
+    idx = np.arange(d)
+    b = dense_states(eve)[idx, (idx[:, None] + idx) % d].reshape(d * d, d * d)  # row m d + k is E_{k, k+m}
+    return (b @ b.T if np.isrealobj(b) else b.conj() @ b.T).reshape(d, d, d, d)
+
+
+def dense_profile(eve: EveStateSet) -> ScalarProductProfile:
+    """The scalar-product profile sliced from the block-order upper triangle of ``dense_gram``
+    [m, i, m', k]: the diagonal blocks m = m' for s and w, x and y from block row m = 0, and z (k = i)
+    and t (k != i) from the block pairs 1 <= m < m', listed pair by pair."""
+    d = eve.dim
+    idx = np.arange(d)
+    g = dense_gram(eve)
+    within = g[idx, :, idx]  # [m, i, k]
+    i, n, k = np.ix_(idx, idx[1:], idx)
+    on_pair = (i == k) | (i == (k + n) % d)  # [i, m' - 1, k]: E_ii against an error state E_ij or E_ji
+    first, second = np.triu_indices(d - 1, 1)
+    pairs = g[first + 1, :, second + 1, :].reshape(-1, d * d)  # [block pair, i d + k]
+    # Views, no copies: the k = i entries are every (d+1)-th; after each, d entries with k != i.
+    same_sender, other_sender = pairs[:, :: d + 1], pairs[:, 1:].reshape(-1, d - 1, d + 1)[:, :, :d]
+    groups = tuple(
+        complex(v.flat[np.argmax(np.abs(v))]) if v.size else 0j
+        for v in (g[0, :, 1:][on_pair], g[0, :, 1:][~on_pair], same_sender, other_sender)
+    )
+    later_sender = idx[:, None] < idx  # [i, k]: k > i
+    s_vals, w_vals = within[0][later_sender], within[1:, later_sender]
+    s_mean = float(np.mean(s_vals.real))
+    w_mean = float(np.mean(w_vals.real))
+    return ScalarProductProfile(
+        *groups,  # x, y, z, t
+        w=w_mean,
+        s=s_mean,
+        w_max_dev=float(np.max(np.abs(w_vals - w_mean))),
+        s_max_dev=float(np.max(np.abs(s_vals - s_mean))),
+    )
+
+
+def dense_isometry_residual(eve: EveStateSet, disturbance: float) -> float:
+    """max |V^dagger V - I| from ``dense_gram``: (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>."""
+    d = eve.dim
+    scale = _isometry_scale(d, disturbance)
+    a, a2, b = np.ix_(np.arange(d), np.arange(d), np.arange(d))
+    overlaps = dense_gram(eve)[(b - a) % d, a, (b - a2) % d, a2]  # [a, a', b] = <E_ab|E_a'b>
+    return float(np.max(np.abs(np.einsum("ab,cb,acb->ac", scale, scale, overlaps) - np.eye(d))))
+
+
+def dense_disturbance(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
+    """1 - <psi| rho_B |psi> per basis state from one product with the dense states:
+    amp = sum_{a, b} psi[a] conj(psi[b]) scale[a, b] E_ab."""
+    d = eve.dim
+    psi = basis.vectors
+    coeff = (psi[:, :, None] * psi[:, None, :].conj() * _isometry_scale(d, disturbance)).reshape(d, d * d)
+    parts = np.concatenate((coeff.real, coeff.imag)) @ dense_states(eve).reshape(d * d, d * d)
+    amp = parts[:d] + 1j * parts[d:]
+    return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)
+
+
 def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry:
     """Assemble the attack isometry from an explicit ancilla state set."""
     d = eve.dim
     # V[b d^2 + e, a] = scale[a, b] E_ab[e], written straight into (receiver, ancilla, sender) order.
     v = np.empty((d, d * d, d), dtype=complex)
-    np.multiply(_isometry_scale(d, disturbance).T[:, None, :], eve.states.transpose(1, 2, 0), out=v)
+    np.multiply(_isometry_scale(d, disturbance).T[:, None, :], dense_states(eve).transpose(1, 2, 0), out=v)
     v = v.reshape(d * d * d, d)
     v.setflags(write=False)
     return AttackIsometry(v)
@@ -137,11 +216,12 @@ def isometry_by_columns(eve: EveStateSet, disturbance: float) -> np.ndarray:
     """Reference assembly: column i stacks sqrt(1-D) E_ii and sqrt(D/(d-1)) E_ij, receiver-major."""
     d = eve.dim
     keep, err = math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1))
+    states = dense_states(eve)
     v = np.zeros((d * d * d, d), dtype=complex)
     for i in range(d):
         col = np.zeros((d, d * d), dtype=complex)
         for j in range(d):
-            col[j] = (keep if j == i else err) * eve.states[i, j]
+            col[j] = (keep if j == i else err) * states[i, j]
         v[:, i] = col.reshape(-1)
     return v
 

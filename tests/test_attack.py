@@ -24,7 +24,16 @@ from mub_eve import (
     w_bar,
 )
 from mub_eve.attack import AttackIsometry
-from oracles import build_isometry, disturbance_by_isometry, isometry_by_columns, isometry_from_states
+from oracles import (
+    build_isometry,
+    dense_disturbance,
+    dense_isometry_residual,
+    dense_profile,
+    dense_states,
+    disturbance_by_isometry,
+    isometry_by_columns,
+    isometry_from_states,
+)
 
 EPS = np.finfo(float).eps
 GROUPS = ("x", "y", "z", "t")
@@ -36,13 +45,13 @@ def pair_for_overlap(overlap, d):
 
 
 def error_blocks(d):
-    """(sender, receiver) -> the coordinate block that holds error state E_ij, read from the built states."""
-    eve = build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1)))
+    """(sender, receiver) -> the coordinate block that holds error state E_ij, read from the built set's dense view."""
+    states = dense_states(build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1))))
     blocks = {}
     for i in range(d):
         for j in range(d):
             if j != i:
-                (block,) = set(np.flatnonzero(eve.states[i, j]) // d)  # one block holds all of E_ij
+                (block,) = set(np.flatnonzero(states[i, j]) // d)  # one block holds all of E_ij
                 blocks[(i, j)] = int(block)
     return blocks
 
@@ -169,10 +178,10 @@ def test_eve_states_normalisation_and_measured_overlaps():
     for params in cases:
         eve = build_eve_states(params)
         d = params.dim
-        assert eve.states.shape == (d, d, d * d)
-        for i in range(d):
-            for j in range(d):
-                assert np.linalg.norm(eve.states[i, j]) == pytest.approx(1.0, abs=1e-12)
+        assert eve.blocks.shape == (d, d, d)
+        for m in range(d):
+            for i in range(d):
+                assert np.linalg.norm(eve.blocks[m, i]) == pytest.approx(1.0, abs=1e-12)
         profile = scalar_product_profile(eve)
         for group in ("x", "y", "z", "t"):
             assert abs(getattr(profile, group)) <= 1e-12
@@ -189,7 +198,7 @@ def test_identity_attack_states():
     assert u == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     assert v == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     for i in range(3):
-        assert np.max(np.abs(eve.states[i, i] - eve.states[0, 0])) <= 1e-12
+        assert np.max(np.abs(eve.blocks[0, i] - eve.blocks[0, 0])) <= 1e-12
 
 
 def test_isometry_unitary():
@@ -202,7 +211,7 @@ def test_identity_attack_isometry_columns():
     eve = build_eve_states(params)
     iso = build_isometry(params)
     for i in range(4):
-        expected = np.kron(np.eye(4)[i], eve.states[0, 0])
+        expected = np.kron(np.eye(4)[i], dense_states(eve)[0, 0])
         assert np.max(np.abs(iso.matrix[:, i] - expected)) <= 1e-12
 
 
@@ -228,8 +237,8 @@ def test_eve_states_match_pair_by_pair_layout(d, bases_count):
     for D, w in ((0.0, 1.0), (0.15, 0.3), (0.15, -0.02)):
         params = AttackParams(d, bases_count, D, w)
         eve = build_eve_states(params)
-        assert not eve.states.flags.writeable
-        assert np.array_equal(eve.states, eve_states_by_pairs(params))
+        assert not eve.blocks.flags.writeable
+        assert np.array_equal(dense_states(eve), eve_states_by_pairs(params))
 
 
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (8, 2), (16, 2), (32, 2), (3, 3)])
@@ -247,8 +256,8 @@ def test_states_are_real_and_the_isometry_complex():
     for d, bases_count in ((2, 2), (3, 3), (8, 2)):
         params = AttackParams(d, bases_count, 0.15, 0.3)
         eve = build_eve_states(params)
-        assert eve.states.dtype == np.float64
-        assert not eve.states.flags.writeable
+        assert eve.blocks.dtype == np.float64
+        assert not eve.blocks.flags.writeable
         matrix = isometry_from_states(eve, params.disturbance).matrix
         assert matrix.dtype == np.complex128
         assert matrix.flags.c_contiguous
@@ -258,7 +267,7 @@ def test_unitarity_relation_terms_vanish():
     # sqrt(D(1-D)/2)(<E_ij|E_jj> + <E_ii|E_ji>) + (D/2)<E_ik|E_jk> = 0,
     # each term individually zero in the block construction
     eve = build_eve_states(AttackParams(3, 2, 0.2, 0.6))
-    st = eve.states
+    st = dense_states(eve)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         assert abs(np.vdot(st[i, j], st[j, j])) <= 1e-13
         assert abs(np.vdot(st[i, i], st[j, i])) <= 1e-13
@@ -270,16 +279,15 @@ def built_and_cast_sets(d, bases_count):
     spec = ProtocolSpec(d, bases_count)
     for D in (0.0, 0.1, 0.3):
         eve = build_eve_states(AttackParams(d, bases_count, D, resolve_w(spec, D, "auto")))
-        for states in (eve.states, eve.states.astype(np.complex128)):
-            yield spec, D, EveStateSet(states=states)
+        for blocks in (eve.blocks, eve.blocks.astype(np.complex128)):
+            yield spec, D, EveStateSet(blocks=blocks)
 
 
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
 def test_disturbance_from_states_matches_dense_isometry(d, bases_count):
     for spec, D, eve in built_and_cast_sets(d, bases_count):
-        iso = isometry_from_states(eve, D)
         for basis in protocol_bases(spec):
-            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - disturbance_by_isometry(iso, basis))) <= 1e-15
+            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - dense_disturbance(eve, D, basis))) <= 1e-15
 
 
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
@@ -288,16 +296,13 @@ def test_unitarity_from_gram_matches_dense_isometry(d, bases_count):
         assert abs(isometry_residual(eve, D) - isometry_from_states(eve, D).unitarity_residual()) <= 1e-15
 
 
-@pytest.mark.parametrize("group", ["x", "t"])
+@pytest.mark.parametrize("group", ["s", "w"])
 def test_unitarity_from_gram_sees_a_perturbed_pair(group):
     # negative control: the orthonormal layout gives V^dagger V = I, and the entry that makes
     # one pair nonzero also lengthens a state, which both routes must report alike
-    d = 4
-    (a, b), (p, q) = PERTURBATIONS[group]
-    states = np.array(orthonormal_layout(d).states)
-    assert isometry_residual(EveStateSet(states=states), 0.1) <= 1e-15
-    states[a, b, d * ((q - p) % d) + p] += 0.5j
-    eve = EveStateSet(states=states)
+    eve = orthonormal_layout(4)
+    assert isometry_residual(eve, 0.1) <= 1e-15
+    eve = perturbed(eve, group)
     for D in (0.1, 0.3):
         dense = isometry_from_states(eve, D).unitarity_residual()
         assert dense > 1e-3
@@ -308,8 +313,6 @@ def test_gram_is_formed_once_and_read_by_every_gate():
     params = AttackParams(3, 2, 0.1, 0.85)
     eve = build_eve_states(params)
     scalar_product_profile(eve)
-    # a built set passes the layout test: the gates read the block Grams, and no dense Gram is formed
-    assert vars(eve)["block_layout"] is True and "gram" not in vars(eve)
     block_gram = vars(eve)["block_gram"]
     assert eve.block_gram is block_gram and not block_gram.flags.writeable
     assert isometry_residual(eve, params.disturbance) <= 1e-15
@@ -318,61 +321,32 @@ def test_gram_is_formed_once_and_read_by_every_gate():
     planted[2, 0, 0] = 1.25  # <E_02|E_02>
     vars(eve)["block_gram"] = planted
     assert isometry_residual(eve, params.disturbance) > 1e-2
-    # a set that fails the layout test reads the dense Gram: a planted entry of equal receiver shows in it
-    eve = orthonormal_layout(3)
-    states = np.array(eve.states)
-    states[0, 1, 0] = 5e-324  # E_01 gains a subnormal entry on block 0
-    eve = EveStateSet(states=states)
-    scalar_product_profile(eve)
-    assert eve.block_layout is False
-    gram = vars(eve)["gram"]
-    assert eve.gram is gram and not gram.flags.writeable
-    assert isometry_residual(eve, params.disturbance) <= 1e-15
-    planted = np.array(gram)
-    planted[0, 0, 1, 2] = 0.25  # <E_00|E_20>
-    vars(eve)["gram"] = planted
-    assert isometry_residual(eve, params.disturbance) > 1e-2
-
-
-def dense_route(states: np.ndarray) -> EveStateSet:
-    """A state set whose cached layout test reads False, so every gate reads the dense Gram."""
-    eve = EveStateSet(states=states)
-    vars(eve)["block_layout"] = False
-    return eve
 
 
 @pytest.mark.parametrize("d, bases_count", [(d, 2) for d in range(2, 33)] + [(3, 3)])
 def test_block_route_equals_dense_route(d, bases_count):
-    for spec, D, block in built_and_cast_sets(d, bases_count):
-        dense = dense_route(block.states)
-        assert block.block_layout is True
-        got, ref = scalar_product_profile(block), scalar_product_profile(dense)
+    for spec, D, eve in built_and_cast_sets(d, bases_count):
+        got, ref = scalar_product_profile(eve), dense_profile(eve)
         for group in GROUPS:
             assert getattr(got, group) == getattr(ref, group) == 0.0  # the dense Gram's cross-block pairs
         for name in ("s", "w", "s_max_dev", "w_max_dev"):
             assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-15
-        assert abs(isometry_residual(block, D) - isometry_residual(dense, D)) <= 1e-15
+        assert abs(isometry_residual(eve, D) - dense_isometry_residual(eve, D)) <= 1e-15
         for basis in protocol_bases(spec):
-            assert np.max(np.abs(disturbance_per_state(block, D, basis) - disturbance_per_state(dense, D, basis))) <= 1e-15
-        assert "gram" not in vars(block) and "block_gram" not in vars(dense)
+            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - dense_disturbance(eve, D, basis))) <= 1e-15
 
 
-def test_layout_test_is_exact():
-    # negative control: one subnormal entry outside its own block sends the set to the dense route,
-    # whose x group then measures it; the same entry inside its own block keeps the block route
-    d = 4
-    states = np.array(orthonormal_layout(d).states)
-    states[0, 1, 0] = 5e-324  # E_01 lives on block 1; coordinate 0 of block 0 is E_00's
-    eve = EveStateSet(states=states)
-    assert eve.block_layout is False
-    assert scalar_product_profile(eve).x == 5e-324
-    assert "block_gram" not in vars(eve)
-    states = np.array(orthonormal_layout(d).states)
-    states[0, 1, d + 1] = 5e-324  # coordinate 1 of block 1, E_12's
-    eve = EveStateSet(states=states)
-    assert eve.block_layout is True
-    assert scalar_product_profile(eve).w_max_dev == 5e-324
-    assert "gram" not in vars(eve)
+def test_profile_measures_a_subnormal_in_block_entry():
+    # negative control: one subnormal entry shows, exactly, in the w deviation
+    blocks = np.array(orthonormal_layout(4).blocks)
+    blocks[1, 0, 1] = 5e-324  # E_01 is blocks[1, 0]; coordinate 1 of block 1 is E_12's
+    assert scalar_product_profile(EveStateSet(blocks=blocks)).w_max_dev == 5e-324
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3, 3), (3, 3, 5), (3, 5, 3), (1, 1, 1)])
+def test_malformed_blocks_are_refused(shape):
+    with pytest.raises(DimensionError, match=r"\(d, d, d\) array with d >= 2"):
+        EveStateSet(blocks=np.zeros(shape))
 
 
 def test_disturbance_computational_is_exact():
@@ -409,11 +383,10 @@ def test_perturbed_s_breaks_fourier_symmetry():
     params = AttackParams(3, 2, 0.1, 0.85)
     good = build_eve_states(params)
     u, v = pair_for_overlap(params.s + 0.05, 3)
-    states = np.array(good.states)
-    for i in range(3):
-        states[i, i, :3] = v
-        states[i, i, i] = u
-    bad = EveStateSet(states=states)
+    blocks = np.array(good.blocks)
+    blocks[0] = v
+    blocks[0, range(3), range(3)] = u
+    bad = EveStateSet(blocks=blocks)
     iso = isometry_from_states(bad, params.disturbance)
     assert iso.unitarity_residual() <= 1e-12  # still a valid channel
     assert isometry_residual(bad, params.disturbance) <= 1e-12
@@ -433,14 +406,14 @@ def test_disturbance_dimension_mismatch():
 def test_ancilla_dimension_is_d_squared():
     for d in (2, 3, 5):
         params = AttackParams(d, 2, 0.1, w_bar(d, 0.1))
-        assert build_eve_states(params).states.shape[2] == d * d
+        assert build_eve_states(params).blocks.shape == (d, d, d)  # d blocks of d coordinates
         assert build_isometry(params).matrix.shape == (d**3, d)
 
 
 def test_records_take_dim_from_their_arrays():
     # The state set and the isometry store no dimension of their own: it is read off the array.
     for d in (2, 3, 5):
-        assert EveStateSet(states=np.zeros((d, d, d * d))).dim == d
+        assert EveStateSet(blocks=np.zeros((d, d, d))).dim == d
         assert AttackIsometry(np.zeros((d**3, d), dtype=complex)).dim == d
         params = AttackParams(d, 2, 0.1, w_bar(d, 0.1))
         assert build_eve_states(params).dim == build_isometry(params).dim == d
@@ -454,7 +427,7 @@ def profile_by_pairs(eve: EveStateSet) -> ScalarProductProfile:
     of largest modulus of each vanishing group.
     """
     d = eve.dim
-    st = eve.states
+    st = dense_states(eve)
 
     def max_abs(values: list[complex]) -> complex:
         if not values:
@@ -519,7 +492,7 @@ def test_profile_of_real_states_equals_profile_of_their_complex_cast(d, bases_co
         w = resolve_w(spec, disturbance, "auto")
         eve = build_eve_states(AttackParams(d, bases_count, disturbance, w))
         real = scalar_product_profile(eve)
-        cast = scalar_product_profile(EveStateSet(states=eve.states.astype(np.complex128)))
+        cast = scalar_product_profile(EveStateSet(blocks=eve.blocks.astype(np.complex128)))
         for group in GROUPS:
             assert getattr(real, group) == getattr(cast, group)
         for name in ("s", "w", "s_max_dev", "w_max_dev"):
@@ -527,39 +500,36 @@ def test_profile_of_real_states_equals_profile_of_their_complex_cast(d, bases_co
 
 
 def orthonormal_layout(d: int) -> EveStateSet:
-    """The block layout at s = w = 0: E_ij is the unit vector on coordinate d ((j - i) mod d) + i."""
-    states = np.zeros((d, d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            states[i, j, d * ((j - i) % d) + i] = 1.0
-    return EveStateSet(states=states)
+    """The block layout at s = w = 0: E_{i, i+m} is the unit vector on coordinate i of block m."""
+    return EveStateSet(blocks=np.tile(np.eye(d, dtype=complex), (d, 1, 1)))
 
 
-# group -> (perturbed state E_ab, state E_pq on whose coordinate it gains 0.5j)
+# group -> (perturbed state E_ab, state E_pq of the same block on whose coordinate it gains 0.5j)
 PERTURBATIONS = {
-    "x": ((0, 1), (0, 0)),
-    "y": ((0, 1), (2, 2)),
     "s": ((0, 0), (1, 1)),
     "w": ((0, 1), (1, 2)),
-    "z": ((0, 1), (0, 2)),
-    "t": ((0, 1), (1, 3)),
 }
+
+
+def perturbed(eve: EveStateSet, group: str) -> EveStateSet:
+    """A copy of the set in which the state of PERTURBATIONS[group] gains 0.5j on its block."""
+    d = eve.dim
+    (a, b), (p, q) = PERTURBATIONS[group]
+    m = (b - a) % d
+    assert (q - p) % d == m
+    blocks = np.array(eve.blocks)
+    blocks[m, a, p] += 0.5j
+    return EveStateSet(blocks=blocks)
 
 
 @pytest.mark.parametrize("group", PERTURBATIONS)
 def test_profile_reports_a_perturbed_pair_in_its_group(group):
     # negative control: one entry makes one pair of one group nonzero
-    d = 4
-    eve = orthonormal_layout(d)
-    (a, b), (p, q) = PERTURBATIONS[group]
-    states = np.array(eve.states)
-    states[a, b, d * ((q - p) % d) + p] += 0.5j
-    perturbed = EveStateSet(states=states)
-    profile = scalar_product_profile(perturbed)
-    oracle = profile_by_pairs(perturbed)
+    perturbed_set = perturbed(orthonormal_layout(4), group)
+    profile = scalar_product_profile(perturbed_set)
+    oracle = profile_by_pairs(perturbed_set)
     for name in GROUPS:
-        assert getattr(profile, name) == getattr(oracle, name)
-        assert abs(getattr(profile, name)) == (0.5 if name == group else 0.0)
+        assert getattr(profile, name) == getattr(oracle, name) == 0.0
     for name in ("s", "w"):
         assert getattr(profile, name) == getattr(oracle, name) == 0.0
         deviation = getattr(profile, f"{name}_max_dev")

@@ -231,7 +231,7 @@ def refuse_dense_isometry(monkeypatch, command):
 
 @pytest.mark.parametrize("dim, bases", [(8, 2), (12, 2), (16, 2), (20, 2), (3, 3)])
 def test_verify_forms_no_dense_isometry(capsys, monkeypatch, dim, bases):
-    # every gate reads the states and their Gram matrix; verify builds no dense isometry
+    # every gate reads the ancilla blocks and their Gram matrices; verify builds no dense isometry
     refuse_dense_isometry(monkeypatch, "verify")
     code, out, _ = run(capsys, "verify", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.15")
     assert code == 0

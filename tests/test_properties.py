@@ -97,11 +97,11 @@ def test_simulate_repeats_for_fixed_seed_and_shards(attack, rounds, seed, shards
 @PROPERTY
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
-    # Gaussian states make every group nonzero, so the kernel's index masks are
-    # checked against the group definitions, not against the layout's zeros.
+    # Gaussian blocks make every within-block overlap nonzero and distinct, so the kernel's index
+    # masks are checked against the group definitions on the dense view, not against built values.
     rng = np.random.default_rng(seed)
-    states = rng.standard_normal((d, d, d * d)) + 1j * rng.standard_normal((d, d, d * d))
-    eve = EveStateSet(states=states)
+    blocks = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    eve = EveStateSet(blocks=blocks)
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
@@ -110,9 +110,9 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
 @PROPERTY
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_profile_kernel_equals_pair_by_pair_on_arbitrary_real_states(d, seed):
-    # real states, like the built ones, take the kernel's real product
+    # real blocks, like the built ones, take the kernel's real product
     rng = np.random.default_rng(seed)
-    eve = EveStateSet(states=rng.standard_normal((d, d, d * d)))
+    eve = EveStateSet(blocks=rng.standard_normal((d, d, d)))
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12

@@ -207,7 +207,6 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
     else:
         doc["w"] = w
         eve = build_eve_states(params)
-        blocks, _, block_size = eve.blocks.shape  # the ancilla has d blocks of d coordinates
         profile = scalar_product_profile(eve)
         # (name, residual, threshold, informational), in report order
         checks = [
@@ -218,7 +217,7 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
             *((f"profile_{name}_zero", abs(getattr(profile, name)), GATE_TOL, False) for name in "xyzt"),
             ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),
             ("profile_w_matches_input", abs(profile.w - w) + profile.w_max_dev, GATE_TOL, False),
-            ("ancilla_dimension", float(abs(blocks * block_size - spec.dim**2)), 0.0, False),
+            ("ancilla_dimension", float(abs(eve.dim**2 - spec.dim**2)), 0.0, False),  # d blocks x d coordinates
             ("w_is_stationary_optimum", stationarity(spec, disturbance, w)[1], STATIONARITY_TOL, True),
         ]
         doc["checks"] = [

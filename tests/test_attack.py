@@ -286,8 +286,9 @@ def built_and_cast_sets(d, bases_count):
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
 def test_disturbance_from_states_matches_dense_isometry(d, bases_count):
     for spec, D, eve in built_and_cast_sets(d, bases_count):
+        iso = isometry_from_states(eve, D)
         for basis in protocol_bases(spec):
-            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - dense_disturbance(eve, D, basis))) <= 1e-15
+            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - disturbance_by_isometry(iso, basis))) <= 1e-15
 
 
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])

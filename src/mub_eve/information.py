@@ -16,12 +16,13 @@ or more values is not a kind they take: the first range test asks for its
 truth value, and numpy raises ValueError. Range tests are written as chained
 comparisons, ``if not (lo <= x <= hi)``, so NaN fails them.
 
-``i_ae`` with a float D and a float w, and the float w-search of
-``optimize.optimal_w``, go through ``_i_ae_at(spec, D)``: one fused float
-objective of w, bit for bit the helpers' result, which forms the terms of D
-once and makes the helpers' range tests inline. Where a test fails, it runs
-the helpers, so the error is theirs. Numpy scalars and ints take the helpers
-directly.
+``i_ae`` with a float D and a float w goes through ``_i_ae_at(spec, D)``:
+one fused float objective of w, bit for bit the helpers' result, which forms
+the terms of D once and makes the helpers' range tests inline. Where a test
+fails, it runs the helpers, so the error is theirs. Numpy scalars and ints
+take the helpers directly. The three-basis w-search of
+``optimize.optimal_w`` finds a root of ``_i_ae_slope_at(spec, D)``, the
+closed-form dI_AE/dw, written in the same d and c.
 """
 
 from __future__ import annotations
@@ -163,6 +164,57 @@ def _i_ae_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], float]
         return intact * i_intact + D * i_error
 
     return objective
+
+
+def _i_ae_slope_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], float]:
+    """w -> d i_ae / dw for a float D > 0 in spec's range and w inside admissible_w_interval.
+
+    With g1 = phi_d(D, c w) (c = spec.z_factor), g2 = lambda_d(w) and i_d's
+    derivative ln(g (d-1)/(1-g)) / ln d, the slope is
+
+        [(1-D) g1' ln(g1 (d-1)/(1-g1)) + D g2' ln(g2 (d-1)/(1-g2))] / ln d.
+
+    The logarithms are written without cancellation, as
+    log1p((d g - 1)/(1 - g)) with d g - 1 and 1 - g as exact rearrangements
+    of the closed forms, so they hold their digits where g nears 1/d or 1.
+    g1 = 1 only where P = D (1 + (d-1) c w) - (d-1)(1-D) is 0, and
+    g2 = 1 only at w = 0; there g' is 0 too, and the term's limit is 0. No
+    range tests: the w-search calls it inside the admissible interval only,
+    and only at D > 0, as phi's radicand is 0 for every w at D = 0.
+    """
+    d, c, D = float(spec.dim), spec.z_factor, disturbance
+    m = d - 1.0
+    intact = 1.0 - D
+    # phi's radicand is R = (d-1) D a b, with a = 1 + (d-1) v and b = d - D (d + a) at v = c w,
+    # and dR/dv = (d-1)^2 D (b - D a). Then d^2 (1-D) g1' = c (S + (dR/dv)/sqrt R) with
+    # S = D (d-2)(d-1), and (1 - g1)(1-D)(N + 2 sqrt R) = P^2 with N = d^2 (1-D) - d + 2D - S v.
+    s = D * (d - 2.0) * m
+    n_offset = d * d * intact - d + 2.0 * D
+    scale = 1.0 / (d * d * math.log(d))
+    sqrt, log1p = math.sqrt, math.log1p
+
+    def slope(w: float) -> float:
+        v = c * w
+        a = 1.0 + m * v
+        b = d - D * (d + a)
+        root = sqrt(m * D * a * b)
+        p = D * a - m * intact
+        total = 0.0
+        if p:
+            g_slope = s + m * m * D * (b - D * a) / root
+            miss = p * p / ((n_offset - s * v + 2.0 * root) * intact)
+            excess = (D * (d - 2.0) * a + 2.0 * root) / (d * intact)
+            total = c * g_slope * log1p(excess / miss)
+        if w:
+            # Q = (1 - w)(1 + (d-1) w); d^2 g2' = (d-1) w [(d-2)((d-1) w - d + 2)/(1 + sqrt Q) - 2 (d-1)] / sqrt Q
+            root = sqrt((1.0 - w) * (1.0 + m * w))
+            miss = m * w * w / (2.0 + (d - 2.0) * w + 2.0 * root)
+            excess = m * ((d - 2.0) * (1.0 - w) + 2.0 * root) / d
+            g_slope = m * w * ((d - 2.0) * (m * w - d + 2.0) / (1.0 + root) - 2.0 * m) / root
+            total += D * g_slope * log1p(excess / miss)
+        return total * scale
+
+    return slope
 
 
 def i_ab(spec: ProtocolSpec, disturbance: float) -> float:

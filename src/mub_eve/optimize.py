@@ -1,4 +1,10 @@
-"""The eavesdropper's optimal w (guess probability for two bases, I_AE for (3,3)) and the D_c search."""
+"""The eavesdropper's optimal w (guess probability for two bases, I_AE for (3,3)) and the D_c search.
+
+The two-basis w is the closed-form w_bar. The three-basis w is the root of
+I_AE's analytic slope (``information._i_ae_slope_at``), found by Brent's zero
+finder (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
+ch. 4) on a bracket between the peaks of the two guess probabilities.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,11 @@ from dataclasses import dataclass
 
 from .errors import AnalysisError, DomainError
 from .bases import ProtocolSpec
-from .information import _i_ae_at, i_ab, i_ae
+from .information import _i_ae_at, _i_ae_slope_at, i_ab, i_ae
 
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Bracket widths at which the golden-section search over w and the bisection over D stop.
-GOLDEN_TOL = 1e-10
+# The root finder over w stops at a bracket of 4 ulps of w plus 2 ulps of 1.0, the
+# scale of w's range; the bisection over D stops at a bracket width of BISECTION_WIDTH.
+ROOT_TOL = 2.0**-52
 BISECTION_WIDTH = 1e-12
 
 # Shrink applied to radical-zero endpoints of the w-interval; derivatives of
@@ -25,7 +31,7 @@ class OptimumReport:
 
     w_opt: float
     i_ae_opt: float
-    method: str  # "analytic" or "golden-section"
+    method: str  # "analytic" or "slope-root"
     stationarity_residual: float
     # Second finite difference of i_ae at w_opt; negative where the optimum is a
     # local maximum of i_ae. For d = 3 with two bases the stationary overlap
@@ -84,33 +90,6 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float
     return lo, hi
 
 
-def golden_section_maximize(f, lo: float, hi: float) -> float:
-    """Locate the maximum of a unimodal function on [lo, hi] to width GOLDEN_TOL.
-
-    The search also stops once a step leaves the bracket no narrower, as it
-    does where the float spacing of the bounds exceeds GOLDEN_TOL. The
-    bracket must be finite with lo <= hi.
-    """
-    if not (-math.inf < lo <= hi < math.inf):
-        raise DomainError(f"need a finite bracket lo <= hi, got lo={lo}, hi={hi}")
-    a, b = lo, hi
-    c = b - INV_GOLDEN * (b - a)
-    d = a + INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    width = math.inf
-    while GOLDEN_TOL < b - a < width:
-        width = b - a
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + INV_GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - INV_GOLDEN * (b - a)
-            fc = f(c)
-    return 0.5 * (a + b)
-
-
 def _central_difference(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
@@ -159,8 +138,8 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     w = 1, for small D it exceeds the stationary value there by up to a few
     1e-5 dits (d = 3; more for d >= 4), and for d = 3 w_bar is a local
     minimum of i_ae for D < 0.0642 and a strict local maximum above — see the
-    optimizer tests. The three-basis optimum has no closed form and is found
-    by golden-section search on the admissible interval.
+    optimizer tests. The three-basis optimum has no closed form: it is the
+    root of the analytic slope of i_ae on the admissible interval.
     """
     w_opt = optimal_w(spec, disturbance)
     f = _i_ae_of_w(spec, disturbance)
@@ -168,7 +147,7 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     return OptimumReport(
         w_opt=w_opt,
         i_ae_opt=f(w_opt),
-        method="analytic" if spec.bases_count == 2 else "golden-section",
+        method="analytic" if spec.bases_count == 2 else "slope-root",
         stationarity_residual=residual,
         # 0 where the optimum is pinned at an interval edge
         concavity_witness=_second_difference(f, w_opt, step) if step else 0.0,
@@ -179,15 +158,77 @@ def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
     """maximize_w's w, the w "auto" means, at a disturbance.
 
     For two bases it is w_bar (the guess-probability maximiser) clamped to the
-    admissible interval, for three the golden-section maximiser of i_ae. A
-    float D searches information._i_ae_at's fused objective, which forms the
-    terms of D once.
+    admissible interval. For three it is the maximiser of i_ae: the root of
+    its analytic slope, to a bracket of a few ulps (ROOT_TOL), or the interval
+    edge where the slope does not change sign. i_ae rises with each guess
+    probability, which is at least 1/d; lambda_d peaks at w = 0, and phi_d at
+    the overlap where D (1 + (d-1) c w) = (d-1)(1-D). So the slope is
+    positive below both peaks and negative above them, and the root lies
+    between them. At D = 0, i_ae is 0 for every w, and the result is the low
+    edge. Any scalar D gives a float.
     """
     lo, hi = admissible_w_interval(spec, disturbance)
     if spec.bases_count == 2:
         w = _w_bar(spec, disturbance)
         return lo if w < lo else hi if w > hi else w  # min(max(w, lo), hi); lo < hi
-    return golden_section_maximize(_i_ae_of_w(spec, disturbance), lo, hi)
+    D = float(disturbance)
+    if D == 0.0:
+        return lo
+    d, c = spec.dim, spec.z_factor
+    peak = ((d - 1) * (1.0 - D) / D - 1.0) / ((d - 1) * c)
+    a, b = max(lo, min(0.0, peak)), min(hi, max(0.0, peak))  # 0 lies in [lo, hi]
+    slope = _i_ae_slope_at(spec, D)
+    fa = slope(a)
+    if not fa > 0.0:
+        return a
+    fb = slope(b)
+    if not fb < 0.0:
+        return b
+    return _bracketed_root(slope, a, b, fa, fb)
+
+
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f between a and b, where fa = f(a) and fb = f(b) have opposite signs.
+
+    Brent's zero finder: inverse quadratic or secant steps, replaced by
+    bisection where they would leave the bracket or shrink it too slowly. It
+    stops once the bracket around the returned point is at most 2 tol wide,
+    tol = 2 ROOT_TOL |w| + ROOT_TOL.
+    """
+    c, fc = a, fa
+    e = step = b - a  # e: the step before the current one
+    while True:
+        if abs(fc) < abs(fb):  # b is the best estimate, c the other end of the bracket
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * ROOT_TOL * abs(b) + ROOT_TOL
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            e = step = half
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * half * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, step = step, p / q
+            else:
+                e = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else tol if half > 0.0 else -tol
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            e = step = b - a
 
 
 def i_ae_optimal(spec: ProtocolSpec, disturbance: float) -> float:

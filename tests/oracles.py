@@ -4,6 +4,8 @@
   Gram eigenvalues and coefficients, a second route to the closed forms;
 - ``optimality_witnesses``: finite-difference evidence that w_bar maximises
   the two-basis guess probability;
+- ``golden_section_maximize``: a derivative-free maximiser, a second route to
+  the three-basis w that ``optimize.optimal_w`` finds as a root of the slope;
 - ``is_mutually_unbiased``: the overlap test between two bases;
 - ``dense_states``: the ancilla states as d^2-coordinate vectors, the blocks of
   an ``EveStateSet`` scattered onto their coordinate ranges with every
@@ -64,6 +66,38 @@ def is_mutually_unbiased(a: Basis, b: Basis) -> bool:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     mags = np.abs(a.vectors.conj() @ b.vectors.T)
     return bool(np.max(np.abs(mags - 1.0 / np.sqrt(a.dim))) <= ORTHONORMALITY_TOL)
+
+
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bracket width at which the golden-section search stops.
+GOLDEN_TOL = 1e-10
+
+
+def golden_section_maximize(f, lo: float, hi: float) -> float:
+    """Locate the maximum of a unimodal function on [lo, hi] to width GOLDEN_TOL.
+
+    The search also stops once a step leaves the bracket no narrower, as it
+    does where the float spacing of the bounds exceeds GOLDEN_TOL. The
+    bracket must be finite with lo <= hi.
+    """
+    if not (-math.inf < lo <= hi < math.inf):
+        raise DomainError(f"need a finite bracket lo <= hi, got lo={lo}, hi={hi}")
+    a, b = lo, hi
+    c = b - INV_GOLDEN * (b - a)
+    d = a + INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    width = math.inf
+    while GOLDEN_TOL < b - a < width:
+        width = b - a
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + INV_GOLDEN * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - INV_GOLDEN * (b - a)
+            fc = f(c)
+    return 0.5 * (a + b)
 
 
 def _worst_grid_second_difference(f, lo: float, hi: float) -> float:

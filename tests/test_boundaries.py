@@ -15,7 +15,6 @@ from mub_eve import (
     SimConfig,
     admissible_w_interval,
     empirical_mutual_information,
-    golden_section_maximize,
     guess_probability,
     i_ab,
     i_ae,
@@ -28,7 +27,7 @@ from mub_eve import (
     simulate,
     w_bar,
 )
-from oracles import build_isometry, optimality_witnesses
+from oracles import build_isometry, golden_section_maximize, optimality_witnesses
 
 NAN = math.nan
 # phi_d's radicand, as its messages name it.

@@ -463,7 +463,7 @@ PUBLIC_NAMES = [
     "ScalarProductProfile", "SessionStats", "SimConfig", "__version__", "admissible_w_interval",
     "build_eve_states", "coeff_pair", "compare_to_analytic", "computational_basis",
     "critical_disturbance", "d_c_closed_form", "disturbance_per_state", "dits_to_bits",
-    "empirical_mutual_information", "fourier_basis", "golden_section_maximize", "guess_probability",
+    "empirical_mutual_information", "fourier_basis", "guess_probability",
     "i_ab", "i_ae", "i_ae_optimal", "i_d", "isometry_residual", "lambda_d", "maximize_w",
     "optimal_w", "outcome_distribution", "phi_d", "protocol_bases", "qutrit_three_basis_set",
     "resolve_w", "scalar_product_profile", "simulate", "w_bar",

@@ -69,14 +69,14 @@ CASES = _cases()
 DIGESTS = {
     "curves-3-2-csv": "ebac90a45e86c367690d9be6246a172ac68c823196d229b8b4943d3d5247e899",
     "curves-3-2-json": "228f90339500678a85309db3f4f875ed03c7600b3d3f25e393afc9c97d524ae4",
-    "curves-3-3-csv": "26fb219c79ad54ef2b1571c9be47def78059adaae472e863e413bf69689a4534",
-    "curves-3-3-json": "d875edab0a2400499d315811c7cf7894f22e9e1768a1cdf704a3f4c653c05df0",
+    "curves-3-3-csv": "9337eb76bf9730aa01a99a13b394b2a6c48769f15f49924f33c0ac56938f7d13",
+    "curves-3-3-json": "5c604b81ec10ea480b17b0bb948f1c6d2e0a83d69d567c92fbc2f1e5645f4798",
     "curves-4-2-csv": "6efd5c90ae558cdd740d229a7c5eff8b437e09da21322ef7e5ae1678128d1b98",
     "curves-4-2-json": "a5ac5703aefe17ee2655ae751515c3b96f6601a490ba18b0e278cce8ceab8f7e",
     "curves-8-2-csv": "e2d9db91273c0b5ab48ac5769f7d403a13fcab9dbfbd8d5c105c2ff685151cee",
     "curves-8-2-json": "c016842bab81df6bc8f71a8db384b5e128afebaa8e9edf6bca30489e0f1c09c8",
-    "curves-3-3-edge-csv": "f935c9281732e7a8b97a6031ad92027ca345cbbf9b2ab0649e2ced7acda5b5c5",
-    "curves-3-3-edge-json": "3cdf4c95663b1af1d16b950f6ce186e7e66372f874c1020b5ab1b080afc36c4d",
+    "curves-3-3-edge-csv": "5d3ec223677f9c14e9f7c9e0c8e7b79b0475889d519e061a5750369342af7a39",
+    "curves-3-3-edge-json": "63b8cbb6d6237fe33efd1db5232b0017d55672f7c69df9edaad096bd544ae1f4",
     "curves-5-2-edge-csv": "7a40dd8423a80519652124c7f9a6d220c7a0112192b35f43d8db2bf225aca004",
     "curves-5-2-edge-json": "2478228eb300263fdf232627fb8e443895637a454dcd88882c7aff0b7e76ee23",
     "critical-2-2": "19072ff7d14db1404586800d9b6f1695e453d2527ce1f687146e2a7e9aa805b6",
@@ -85,9 +85,9 @@ DIGESTS = {
     "critical-5-2": "2ea7cc07075db16222027acd5a673512d40a348e2570f7c99650f4496b2e7987",
     "critical-8-2": "d90645b1a585a321197834cefe34fa2f78fe37c5c7c691de17a1fe29b08f9838",
     "critical-16-2": "13b01b89766ff1109121bb625fe113b21d5254cfff1dbb26e4e9bce8acf0dfae",
-    "critical-3-3": "098eaa0b5f366fe654d47b3c3d42a41baa64a44236ed30c84d0a788e30e36a91",
+    "critical-3-3": "0ebefde62396ff955af66d81d7aa42d100776b7781c8ddd0cc72f11225f8dbc8",
     "simulate-3-2": "25a0d9e682677cf4d22e3f59c25b66da89c5085015955d0bcd5d580f9e509ff7",
-    "simulate-3-3": "24cc594ea1d98d57725bb59254350cc3be36dd21354bdbad82a3d5f15101fbea",
+    "simulate-3-3": "117bd3f19acf41201f29f2712979eb064f55b7e3bc2a05a1f7037bdf5d9f4ad4",
     "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",
     "simulate-16-2": "7e3d57357fa6dda4d4c5c5176920f1eaf6a192b18b1ddc3620bacbd77891bea4",
     "simulate-5-2-no-error": "df9866af8e60be21847cf35b9163e7450b0c594f377aa3dc53f7840a967ca95e",

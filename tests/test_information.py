@@ -8,6 +8,7 @@ from mub_eve import (
     DomainError,
     ProtocolError,
     ProtocolSpec,
+    admissible_w_interval,
     dits_to_bits,
     guess_probability,
     i_ab,
@@ -17,6 +18,7 @@ from mub_eve import (
     phi_d,
     w_bar,
 )
+from mub_eve.information import _i_ae_at, _i_ae_slope_at
 from oracles import guess_probability_constructive
 
 # reference closed forms written out independently, used as oracles
@@ -246,3 +248,29 @@ def test_constructive_route_matches_high_precision_reference(d, bases_count, dis
     constructive = guess_probability_constructive(ProtocolSpec(d, bases_count), disturbance, w)
     reference = _closed_forms_mp(d, bases_count, disturbance, w)
     assert np.max(np.abs(np.subtract(constructive, reference))) <= 1e-15
+
+
+def _richardson_slope(f, w, step):
+    """f'(w) from central differences at step and step/2, extrapolated to O(step^4)."""
+    central = lambda h: (f(w + h) - f(w - h)) / (2 * h)
+    return (4 * central(step / 2) - central(step)) / 3
+
+
+@pytest.mark.parametrize("spec", [ProtocolSpec(3, 3)] + [ProtocolSpec(d) for d in (2, 3, 5, 8)])
+def test_information_slope_matches_a_difference_of_the_objective(spec):
+    top = spec.max_disturbance
+    for D in (1e-6, 0.01, 0.3 * top, 0.6 * top, 0.9 * top):
+        lo, hi = admissible_w_interval(spec, D)
+        objective, slope = _i_ae_at(spec, D), _i_ae_slope_at(spec, D)
+        for w in np.linspace(lo + 0.02, hi - 0.02, 9).tolist():
+            assert slope(w) == pytest.approx(_richardson_slope(objective, w, 1e-4), abs=2e-9), (D, w)
+
+
+@pytest.mark.parametrize("D, w", [(0.2, 0.0), (0.5, 0.0), (0.625, -0.2)])
+def test_information_slope_where_a_guess_probability_is_one(D, w):
+    # lambda_d(0) = 1, and phi_d(0.625, 0.1) = 1 (P = 0 exactly at w = -0.2): each term is
+    # 0 times an infinite logarithm there, and takes its limit, 0.
+    spec = ProtocolSpec(3, 3)
+    slope = _i_ae_slope_at(spec, D)
+    assert min(slope(w - 1e-12), slope(w + 1e-12)) <= slope(w) <= max(slope(w - 1e-12), slope(w + 1e-12))
+    assert slope(w) == pytest.approx(_richardson_slope(_i_ae_at(spec, D), w, 1e-4), abs=1e-9)

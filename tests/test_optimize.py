@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from mub_eve import (
     admissible_w_interval,
     critical_disturbance,
     d_c_closed_form,
-    golden_section_maximize,
     i_ab,
     i_ae,
     i_ae_optimal,
@@ -18,7 +20,7 @@ from mub_eve import (
     optimal_w,
     w_bar,
 )
-from oracles import optimality_witnesses
+from oracles import golden_section_maximize, optimality_witnesses
 
 
 def test_w_bar_values():
@@ -48,7 +50,7 @@ def test_maximize_w_two_bases():
 def test_maximize_w_three_bases_against_grid_scan(D):
     spec = ProtocolSpec(3, 3)
     report = maximize_w(spec, D)
-    assert report.method == "golden-section"
+    assert report.method == "slope-root"
     assert report.stationarity_residual <= 1e-6
     # dense-grid oracle: 1e5 points across the admissible interval
     lo, hi = admissible_w_interval(spec, D)
@@ -66,6 +68,74 @@ def test_three_basis_objective_is_unimodal(D):
     diffs = np.diff(vals)
     interior_maxima = int(np.sum((diffs[:-1] > 0) & (diffs[1:] < 0)))
     assert interior_maxima == 1
+
+
+def _stationary_w_mp(disturbance):
+    """The three-basis w where dI_AE/dw = 0, in 50-digit mpmath.
+
+    I_AE is written with the literal qutrit forms of the two guess
+    probabilities, its slope is mpmath's numerical derivative, and the root is
+    bracketed by the admissible interval.
+    """
+    lo, hi = admissible_w_interval(ProtocolSpec(3, 3), disturbance)
+    with mpmath.workdps(50):
+        D = mpmath.mpf(disturbance)
+
+        def info(x):
+            return 1 + (x * mpmath.log(x) + (1 - x) * mpmath.log((1 - x) / 2)) / mpmath.log(3)
+
+        def information(w):
+            intact = (3 - D * (w + 2) + 2 * mpmath.sqrt(2 * D * (3 + D * (w - 4)) * (1 - w))) / (9 * (1 - D))
+            error = (5 - 2 * w + 4 * mpmath.sqrt(1 + w - 2 * w**2)) / 9
+            return (1 - D) * info(intact) + D * info(error)
+
+        root = mpmath.findroot(lambda w: mpmath.diff(information, w), (mpmath.mpf(lo), mpmath.mpf(hi)),
+                               solver="anderson")
+        return float(root)
+
+
+@pytest.mark.parametrize("D", [1e-9, 1e-6, 0.01, 0.05, 0.1, 0.2, 0.2247, 0.4, 0.6, 2 / 3 - 1e-9])
+def test_three_basis_w_is_the_high_precision_stationary_point(D):
+    spec = ProtocolSpec(3, 3)
+    reference = _stationary_w_mp(D)
+    assert abs(optimal_w(spec, D) - reference) <= 1e-13
+    if D >= 0.01:
+        # The golden section stops where I_AE's rounding noise hides its slope.
+        lo, hi = admissible_w_interval(spec, D)
+        assert abs(golden_section_maximize(lambda w: i_ae(spec, D, w), lo, hi) - reference) <= 5e-8
+
+
+def test_three_basis_w_at_zero_disturbance_is_the_low_edge():
+    # I_AE is 0 for every w at D = 0, where phi's radicand, under the slope's square root, is 0.
+    spec = ProtocolSpec(3, 3)
+    assert optimal_w(spec, 0.0) == admissible_w_interval(spec, 0.0)[0]
+
+
+def test_three_basis_search_evaluates_few_slopes(monkeypatch):
+    # The (3, 3) edge curve of tests/test_golden.py: 101 steps from D = 0.05 to the top of the
+    # range, where the maximiser tends to w = 0 and both guess probabilities to 1.
+    counts = []
+
+    def counted(spec, D):
+        slope = information_mod._i_ae_slope_at(spec, D)
+        counts.append(0)
+
+        def call(w):
+            counts[-1] += 1
+            return slope(w)
+
+        return call
+
+    monkeypatch.setattr(optimize_mod, "_i_ae_slope_at", counted)
+    spec = ProtocolSpec(3, 3)
+    for D in np.linspace(0.05, 0.6666666666666666, 101).tolist():
+        optimal_w(spec, D)
+    assert len(counts) == 101 and max(counts) <= 16
+
+
+def test_bracketed_root_stops_within_a_few_ulps():
+    root = optimize_mod._bracketed_root(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0))
+    assert abs(root - math.pi / 2) <= 4 * optimize_mod.ROOT_TOL
 
 
 @pytest.mark.parametrize("D", [0.11, 0.12, 0.14, 0.16, 0.18, 0.20])
@@ -148,10 +218,10 @@ def test_float_search_never_runs_the_helpers(monkeypatch):
     for name in ("phi_d", "lambda_d"):
         monkeypatch.setattr(information_mod, name, refuse)
     three = critical_disturbance(ProtocolSpec(3, 3))
-    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d778bp-3", "-0x1.6620000000000p-41")
+    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d778bp-3", "-0x1.6600000000000p-41")
     five = critical_disturbance(ProtocolSpec(5))
     assert (five.d_c.hex(), five.gap_at_dc.hex()) == ("0x1.1b06d1d200ac2p-2", "0x1.3a00000000000p-44")
-    assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c07f8191cp-4"
+    assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c091d499dp-4"
 
 
 def test_optimal_curve_nondecreasing_up_to_crossing():

@@ -1,13 +1,13 @@
 """Critical disturbance versus dimension.
 
-Locates the crossing of the information curves by bisection for d = 2..10 and
-compares with the closed form (1 - 1/sqrt(d))/2; also shows the three-basis
-qutrit protocol tolerating more disturbance than the two-basis one.
+Locates the crossing of the information curves with Brent's zero finder for
+d = 2..10 and compares with the closed form (1 - 1/sqrt(d))/2; also shows the
+three-basis qutrit protocol tolerating more disturbance than the two-basis one.
 """
 
 from mub_eve import ProtocolSpec, critical_disturbance, d_c_closed_form
 
-print(f"{'d':>3} {'D_c bisection':>15} {'closed form':>15} {'diff':>10}")
+print(f"{'d':>3} {'D_c zero finder':>15} {'closed form':>15} {'diff':>10}")
 for d in range(2, 11):
     point = critical_disturbance(ProtocolSpec(d, 2))
     closed = d_c_closed_form(d)

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--no-timestamp", action="store_true")
     c.set_defaults(run=cmd_curves)
 
-    k = sub.add_parser("critical", parents=[protocol], help="Locate the critical disturbance by bisection.")
+    k = sub.add_parser("critical", parents=[protocol], help="Locate the critical disturbance with Brent's zero finder.")
     k.set_defaults(run=cmd_critical)
 
     v = sub.add_parser("verify", parents=[protocol, attack],

@@ -1,9 +1,11 @@
 """The eavesdropper's optimal w (guess probability for two bases, I_AE for (3,3)) and the D_c search.
 
 The two-basis w is the closed-form w_bar. The three-basis w is the root of
-I_AE's analytic slope (``information._i_ae_slope_at``), found by Brent's zero
-finder (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
-ch. 4) on a bracket between the peaks of the two guess probabilities.
+I_AE's analytic slope (``information._i_ae_slope_at``) on a bracket between
+the peaks of the two guess probabilities. The critical disturbance D_c is the
+root of the gap I_AE(optimal) - I_AB on a bracket in D. Both roots come from
+one zero finder, Brent's (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from .errors import AnalysisError, DomainError
 from .bases import ProtocolSpec
 from .information import _i_ae_at, _i_ae_slope_at, i_ab, i_ae
 
-# The root finder over w stops at a bracket of 4 ulps of w plus 2 ulps of 1.0, the
-# scale of w's range; the bisection over D stops at a bracket width of BISECTION_WIDTH.
+# The root finder stops at a bracket of 4 ulps of the root plus 2 ulps of 1.0, the
+# scale of the ranges of w and D.
 ROOT_TOL = 2.0**-52
-BISECTION_WIDTH = 1e-12
 
 # Shrink applied to radical-zero endpoints of the w-interval; derivatives of
 # the guess probabilities blow up there.
@@ -192,8 +193,8 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
 
     Brent's zero finder: inverse quadratic or secant steps, replaced by
     bisection where they would leave the bracket or shrink it too slowly. It
-    stops once the bracket around the returned point is at most 2 tol wide,
-    tol = 2 ROOT_TOL |w| + ROOT_TOL.
+    stops once the bracket around the returned root x is at most 2 tol wide,
+    tol = 2 ROOT_TOL |x| + ROOT_TOL.
     """
     c, fc = a, fa
     e = step = b - a  # e: the step before the current one
@@ -237,24 +238,20 @@ def i_ae_optimal(spec: ProtocolSpec, disturbance: float) -> float:
 
 
 def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
-    """Bisection for the disturbance where I_AE(optimal) first reaches I_AB.
+    """The disturbance where I_AE(optimal) first reaches I_AB: the root of their gap.
 
     The bracket is [1e-4, (d-1)/d - 1e-4]; the gap must be negative at the low
-    end and positive at the high end. Bisection stops at a bracket width of
-    BISECTION_WIDTH, so the residual gap at the returned point is negligible.
+    end and positive at the high end. The zero finder stops at a bracket of a
+    few ulps of D_c (ROOT_TOL), so the residual gap at the returned point is
+    at rounding level.
     """
     gap = lambda disturbance: i_ae_optimal(spec, disturbance) - i_ab(spec, disturbance)
     lo = 1e-4
     hi = spec.max_disturbance - 1e-4
-    if not gap(lo) < 0.0:
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if not gap_lo < 0.0:
         raise AnalysisError(f"information gap is not negative at D={lo}; no crossing bracket")
-    if not gap(hi) > 0.0:
+    if not gap_hi > 0.0:
         raise AnalysisError(f"information gap is not positive at D={hi}; no crossing bracket")
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    d_c = 0.5 * (lo + hi)
+    d_c = _bracketed_root(gap, lo, hi, gap_lo, gap_hi)
     return CriticalPoint(d_c=d_c, gap_at_dc=gap(d_c))

@@ -52,7 +52,7 @@ def test_criterion_1_critical_disturbance_closed_form():
         worst = max(worst, abs(point.d_c - d_c_closed_form(d)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 5.0
-    report(1, ok, f"bisection D_c = (1-1/sqrt(d))/2 within 1e-6 for d=2..10 (worst {worst:.1e})", elapsed)
+    report(1, ok, f"zero-finder D_c = (1-1/sqrt(d))/2 within 1e-6 for d=2..10 (worst {worst:.1e})", elapsed)
     assert worst <= 1e-6
     assert abs(critical_disturbance(ProtocolSpec(3, 2)).d_c - 0.211325) <= 1e-6
     assert abs(critical_disturbance(ProtocolSpec(4, 2)).d_c - 0.25) <= 1e-6

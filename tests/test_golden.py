@@ -79,13 +79,13 @@ DIGESTS = {
     "curves-3-3-edge-json": "63b8cbb6d6237fe33efd1db5232b0017d55672f7c69df9edaad096bd544ae1f4",
     "curves-5-2-edge-csv": "7a40dd8423a80519652124c7f9a6d220c7a0112192b35f43d8db2bf225aca004",
     "curves-5-2-edge-json": "2478228eb300263fdf232627fb8e443895637a454dcd88882c7aff0b7e76ee23",
-    "critical-2-2": "19072ff7d14db1404586800d9b6f1695e453d2527ce1f687146e2a7e9aa805b6",
-    "critical-3-2": "d4944115a8896aee0ae369eb13448adea92fef59ac798f77fd0a635467dbad23",
-    "critical-4-2": "c8a35c93750e9615eca8a510db4983a68f6067deeb019b72f52e232fb0b71620",
-    "critical-5-2": "2ea7cc07075db16222027acd5a673512d40a348e2570f7c99650f4496b2e7987",
-    "critical-8-2": "d90645b1a585a321197834cefe34fa2f78fe37c5c7c691de17a1fe29b08f9838",
-    "critical-16-2": "13b01b89766ff1109121bb625fe113b21d5254cfff1dbb26e4e9bce8acf0dfae",
-    "critical-3-3": "0ebefde62396ff955af66d81d7aa42d100776b7781c8ddd0cc72f11225f8dbc8",
+    "critical-2-2": "d156ca611d20c24adffdd4627bd17af88906b7ba46d0ddb1f2e0bd56722c9439",
+    "critical-3-2": "2c241cecc6d65d7bb0f29c8a8965d3b73a0767194002089a2ce1be55388467d8",
+    "critical-4-2": "00e51bee65ebc48b24b8764aa2456ff54131aae907de5df9e348175d947d909b",
+    "critical-5-2": "aed5fd1293ef6f61eec4e80ecef4ac1c6599b821fc134d4c192e5310acade260",
+    "critical-8-2": "59cdd6d8142b4e3c34dfaa8f2fde2a30883a2aaba9f45a81449ae8240d1624d3",
+    "critical-16-2": "a929a872b826333be90f9eb54836b201ebf42e52fc9030d7e717805b7fe510d9",
+    "critical-3-3": "39f4ed3c14fd689a318171bb6f0b98c4959447cc67cf67d5f16e9365e4f499d1",
     "simulate-3-2": "25a0d9e682677cf4d22e3f59c25b66da89c5085015955d0bcd5d580f9e509ff7",
     "simulate-3-3": "117bd3f19acf41201f29f2712979eb064f55b7e3bc2a05a1f7037bdf5d9f4ad4",
     "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",

@@ -70,27 +70,29 @@ def test_three_basis_objective_is_unimodal(D):
     assert interior_maxima == 1
 
 
+def _info_mp(x):
+    """i_3(x) in mpmath at the working precision."""
+    return 1 + (x * mpmath.log(x) + (1 - x) * mpmath.log((1 - x) / 2)) / mpmath.log(3)
+
+
+def _i_ae_mp(D, w):
+    """The three-basis I_AE in mpmath, with the literal qutrit forms of the two guess probabilities."""
+    intact = (3 - D * (w + 2) + 2 * mpmath.sqrt(2 * D * (3 + D * (w - 4)) * (1 - w))) / (9 * (1 - D))
+    error = (5 - 2 * w + 4 * mpmath.sqrt(1 + w - 2 * w**2)) / 9
+    return (1 - D) * _info_mp(intact) + D * _info_mp(error)
+
+
 def _stationary_w_mp(disturbance):
     """The three-basis w where dI_AE/dw = 0, in 50-digit mpmath.
 
-    I_AE is written with the literal qutrit forms of the two guess
-    probabilities, its slope is mpmath's numerical derivative, and the root is
+    The slope is mpmath's numerical derivative of _i_ae_mp, and the root is
     bracketed by the admissible interval.
     """
     lo, hi = admissible_w_interval(ProtocolSpec(3, 3), disturbance)
     with mpmath.workdps(50):
         D = mpmath.mpf(disturbance)
-
-        def info(x):
-            return 1 + (x * mpmath.log(x) + (1 - x) * mpmath.log((1 - x) / 2)) / mpmath.log(3)
-
-        def information(w):
-            intact = (3 - D * (w + 2) + 2 * mpmath.sqrt(2 * D * (3 + D * (w - 4)) * (1 - w))) / (9 * (1 - D))
-            error = (5 - 2 * w + 4 * mpmath.sqrt(1 + w - 2 * w**2)) / 9
-            return (1 - D) * info(intact) + D * info(error)
-
-        root = mpmath.findroot(lambda w: mpmath.diff(information, w), (mpmath.mpf(lo), mpmath.mpf(hi)),
-                               solver="anderson")
+        root = mpmath.findroot(lambda w: mpmath.diff(lambda v: _i_ae_mp(D, v), w),
+                               (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
         return float(root)
 
 
@@ -179,17 +181,50 @@ def test_stationary_overlap_local_shape_of_information(D, sign):
     assert sign * witness > 1e-13
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+CRITICAL_DIMS = [*range(2, 65), 1000, 10**6]
+
+
+@pytest.mark.parametrize("d", CRITICAL_DIMS)
 def test_critical_disturbance_matches_closed_form(d):
     point = critical_disturbance(ProtocolSpec(d, 2))
-    assert abs(point.d_c - d_c_closed_form(d)) <= 1e-6
-    assert abs(point.gap_at_dc) <= 1e-9
+    assert abs(point.d_c - d_c_closed_form(d)) <= 1e-15
+    assert abs(point.gap_at_dc) <= 1e-15
 
 
 def test_critical_disturbance_three_bases():
     point = critical_disturbance(ProtocolSpec(3, 3))
     assert abs(point.d_c - 0.2247) <= 5e-4
-    assert abs(point.gap_at_dc) <= 1e-9
+    assert abs(point.gap_at_dc) <= 1e-15
+
+
+def test_three_basis_d_c_brackets_the_high_precision_crossing():
+    # The 50-digit gap I_AE - I_AB changes sign within 2 ulps of D_c. I_AE is taken at the
+    # float stationary w, whose rounding moves it only at second order, far below 1e-30.
+    def gap(disturbance):
+        w = _stationary_w_mp(disturbance)
+        with mpmath.workdps(50):
+            D = mpmath.mpf(disturbance)
+            return _i_ae_mp(D, mpmath.mpf(w)) - _info_mp(1 - D)
+
+    below = above = critical_disturbance(ProtocolSpec(3, 3)).d_c
+    for _ in range(2):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+    assert gap(below) < 0 < gap(above)
+
+
+def test_critical_disturbance_evaluates_few_gaps(monkeypatch):
+    # Each gap evaluation calls i_ab once: the two bracket ends, the zero finder's steps and gap_at_dc.
+    counts = []
+
+    def counted(spec, D):
+        counts[-1] += 1
+        return i_ab(spec, D)
+
+    monkeypatch.setattr(optimize_mod, "i_ab", counted)
+    for spec in [ProtocolSpec(d) for d in CRITICAL_DIMS] + [ProtocolSpec(3, 3)]:
+        counts.append(0)
+        critical_disturbance(spec)
+    assert max(counts) <= 14
 
 
 def test_three_bases_more_robust_than_two():
@@ -218,9 +253,9 @@ def test_float_search_never_runs_the_helpers(monkeypatch):
     for name in ("phi_d", "lambda_d"):
         monkeypatch.setattr(information_mod, name, refuse)
     three = critical_disturbance(ProtocolSpec(3, 3))
-    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d778bp-3", "-0x1.6600000000000p-41")
+    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d91b9p-3", "-0x1.0000000000000p-52")
     five = critical_disturbance(ProtocolSpec(5))
-    assert (five.d_c.hex(), five.gap_at_dc.hex()) == ("0x1.1b06d1d200ac2p-2", "0x1.3a00000000000p-44")
+    assert (five.d_c.hex(), five.gap_at_dc.hex()) == ("0x1.1b06d1d200912p-2", "-0x1.0000000000000p-53")
     assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c091d499dp-4"
 
 

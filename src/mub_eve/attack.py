@@ -33,11 +33,13 @@ The blocks are the data format: ``EveStateSet.blocks[m, i]`` holds the block-m
 coordinates of E_{i, i+m}, d^3 entries in all, and every coordinate of a state
 outside its own block is a structural zero that is not stored. So every
 overlap of two states in different blocks, and with it each of the x, y, z and
-t groups, is an exact zero of the format (``0j``). Every other check reads the
-d block Grams (``EveStateSet.block_gram``, one batched d^4 product) or the
-blocks themselves. The Monte Carlo simulator reads the blocks too; no command
-forms the dense (d^3 x d) isometry or the dense d^2-coordinate states, which
-the tests build as an oracle."""
+t groups, is an exact zero of the format (``0j``). The unitarity check and the
+s and w overlaps read the d block Grams (``EveStateSet.block_gram``, one
+batched d^4 product). Each basis's disturbance reads the blocks themselves
+through one gathered d^3 coefficient array and one batched product, with at
+most three d^3-sized arrays live. The Monte Carlo simulator reads the blocks
+too; no command forms the dense (d^3 x d) isometry or the dense d^2-coordinate
+states, which the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -226,21 +228,45 @@ def isometry_residual(eve: EveStateSet, disturbance: float) -> float:
     return float(np.max(np.abs(np.einsum("ab,ab,ab->a", scale, scale, norms) - 1.0)))
 
 
+def _block_amplitudes(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
+    """amp = sum_{a, b} psi_k[a] conj(psi_k[b]) scale[a, b] E_ab for every state psi_k of the basis, block
+    by block: [m, 2k] and [m, 2k + 1] hold the real and imaginary parts of block m of psi_k's amp for real
+    blocks, [m, k] holds it for complex ones."""
+    d = eve.dim
+    # Block m of amp takes only the E_{a, a+m}, so one gathered array holds every coefficient:
+    # c[m, a, k] = psi_k[a] conj(psi_k[a+m]) scale[a, a+m], formed in place. scale[a, a+m] is one
+    # number per block, so its two values are applied as scalars, which needs no broadcast buffer.
+    psi, idx = basis.vectors.T, np.arange(d)  # psi[a, k]
+    c = psi.conj()[(idx[:, None] + idx) % d]
+    np.multiply(psi, c, out=c)
+    keep, err = _isometry_scale(d, disturbance)[0, :2]
+    c[0] *= keep
+    c[1:] *= err
+    # Real blocks (every built set) take c's real view, the parts of each psi_k interleaved, as the left
+    # operand of one real batched product; complex blocks take the complex product. Its d-term sums run
+    # in two halves, which keeps their rounding at a dense product's: against long double, at d <= 32,
+    # one sequential sum was off by up to 1.5e-15 in a disturbance, the halves by 8.5e-16.
+    blocks, h = eve.blocks, d // 2
+    lhs = c.view(np.float64).transpose(0, 2, 1) if np.isrealobj(blocks) else c.transpose(0, 2, 1)
+    amp = lhs[..., :h] @ blocks[:, :h]
+    amp += lhs[..., h:] @ blocks[:, h:]
+    return amp
+
+
 def disturbance_per_state(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
     """Disturbance 1 - <psi| rho_B |psi> for each state of the given basis, read from the states;
-    rho_B is the receiver's reduced state after the attack (ancilla traced out)."""
+    rho_B is the receiver's reduced state after the attack (ancilla traced out).
+
+    At most three arrays of 16 d^3 bytes are live at once: the gathered coefficients, the product and
+    its second half. The coefficients are freed before the squares are summed."""
     d = eve.dim
     if basis.dim != d:
         raise DimensionError(f"basis dimension {basis.dim} != attack dimension {d}")
-    # ||amp||^2, amp = sum_{a, b} psi[a] conj(psi[b]) scale[a, b] E_ab: real states stay real in the product.
-    psi = basis.vectors
-    coeff = psi[:, :, None] * psi[:, None, :].conj() * _isometry_scale(d, disturbance)  # [k, a, b]
-    # Block m of amp takes only the E_{a, a+m}: one (2d x d)(d x d) product per block. Its d-term
-    # sums run in two halves, which keeps their rounding at a dense product's: against long double,
-    # at d <= 32, one sequential sum was off by up to 1.5e-15 in a disturbance, the halves by 8.2e-16.
-    idx = np.arange(d)
-    coeff = coeff[:, idx, (idx[:, None] + idx) % d].transpose(1, 0, 2)  # [m, k, a]
-    lhs, blocks, h = np.concatenate((coeff.real, coeff.imag), axis=1), eve.blocks, d // 2
-    parts = lhs[:, :, :h] @ blocks[:, :h] + lhs[:, :, h:] @ blocks[:, h:]
-    amp = (parts[:, :d] + 1j * parts[:, d:]).transpose(1, 0, 2).reshape(d, d * d)  # [k, m d + coordinate]
-    return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)
+    amp = _block_amplitudes(eve, disturbance, basis)  # ||amp||^2 = <psi| rho_B |psi>
+    parts = amp.view(np.float64)
+    np.square(parts, out=parts)
+    re2, im2 = (amp[:, 0::2], amp[:, 1::2]) if np.isrealobj(amp) else (amp.real, amp.imag)
+    # Each state's d^2 terms re^2 + im^2 fill one contiguous row, which numpy sums pairwise.
+    squares = np.empty((d, d, d))  # [k, m, coordinate]
+    np.add(re2, im2, out=squares.transpose(1, 0, 2))
+    return 1.0 - squares.reshape(d, d * d).sum(axis=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,23 @@ def test_disturbance_dimension_mismatch():
     eve = build_eve_states(AttackParams(3, 2, 0.1, 0.85))
     with pytest.raises(DimensionError):
         disturbance_per_state(eve, 0.1, computational_basis(4))
+
+
+def test_disturbance_holds_three_coefficient_sized_arrays():
+    # The gathered coefficients, the product and its second half are 16 d^3 bytes each; one more
+    # temporary of that size (a copy of the coefficients, or of the product) would break the bound.
+    d = 64
+    spec = ProtocolSpec(d)
+    eve = build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1)))
+    basis = protocol_bases(spec)[1]
+    disturbance_per_state(eve, 0.1, basis)  # warm up
+    tracemalloc.start()
+    try:
+        disturbance_per_state(eve, 0.1, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 16 * d**3
 
 
 def test_ancilla_dimension_is_d_squared():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mub_eve import (
     AttackParams,
+    Basis,
     EveStateSet,
     ProtocolSpec,
     SimConfig,
@@ -21,7 +22,13 @@ from mub_eve import (
     scalar_product_profile,
     simulate,
 )
-from oracles import build_isometry, guess_probability_constructive
+from oracles import (
+    build_isometry,
+    dense_disturbance,
+    disturbance_by_isometry,
+    guess_probability_constructive,
+    isometry_from_states,
+)
 from test_attack import profile_by_pairs
 
 EPS = np.finfo(float).eps
@@ -116,3 +123,36 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_real_states(d, seed):
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
     for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
+
+
+def disturbance_routes_agree(d, seed, complex_blocks):
+    """disturbance_per_state against both dense references on Gaussian blocks and a random unitary basis.
+
+    Every built set repeats one error block for m >= 1, so a block read at a - m instead of a + m
+    passes on it; here every block, and every coefficient of the basis, differs. The states are not
+    unit vectors, so the rounding scales with ||amp||^2 = 1 - disturbance, floored at 1.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((d, d, d))
+    if complex_blocks:
+        blocks = blocks + 1j * rng.standard_normal((d, d, d))
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    basis = Basis(d, unitary.T)
+    eve, disturbance = EveStateSet(blocks=blocks), rng.uniform(0.0, (d - 1) / d)
+    got = disturbance_per_state(eve, disturbance, basis)
+    for ref in (dense_disturbance(eve, disturbance, basis),
+                disturbance_by_isometry(isometry_from_states(eve, disturbance), basis)):
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, 1.0 - ref)) <= 1e-15
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_disturbance_equals_dense_routes_on_arbitrary_states(d, seed):
+    disturbance_routes_agree(d, seed, complex_blocks=True)
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_disturbance_equals_dense_routes_on_arbitrary_real_states(d, seed):
+    # real blocks, like the built ones, take the real product
+    disturbance_routes_agree(d, seed, complex_blocks=False)

@@ -16,11 +16,8 @@ or more values is not a kind they take: the first range test asks for its
 truth value, and numpy raises ValueError. Range tests are written as chained
 comparisons, ``if not (lo <= x <= hi)``, so NaN fails them.
 
-``i_ae`` with a float D and a float w goes through ``_i_ae_at(spec, D)``:
-one fused float objective of w, bit for bit the helpers' result, which forms
-the terms of D once and makes the helpers' range tests inline. Where a test
-fails, it runs the helpers, so the error is theirs. Numpy scalars and ints
-take the helpers directly. The three-basis w-search of
+``i_ae`` is one body, ``(1 - D) i_d(phi) + D i_d(lambda)`` on the two
+guess probabilities, for every input kind. The three-basis w-search of
 ``optimize.optimal_w`` finds a root of ``_i_ae_slope_at(spec, D)``, the
 closed-form dI_AE/dw, written in the same d and c.
 """
@@ -98,72 +95,9 @@ def guess_probability(spec: ProtocolSpec, disturbance: float, w: float) -> float
 
 def i_ae(spec: ProtocolSpec, disturbance: float, w: float) -> float:
     """Sender-eavesdropper mutual information (dits) for the given attack."""
-    if disturbance.__class__ is float and w.__class__ is float:
-        return _i_ae_at(spec, disturbance)(w)
-    return _i_ae_composed(spec, disturbance, w)
-
-
-def _i_ae_composed(spec: ProtocolSpec, disturbance: float, w: float) -> float:
-    """i_ae through the helpers; they make the range tests and raise their errors."""
     g_intact, g_error = _guess_pair(spec, disturbance, w)
     d = spec.dim
     return (1.0 - disturbance) * i_d(g_intact, d) + disturbance * i_d(g_error, d)
-
-
-def _i_ae_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], float]:
-    """w -> i_ae(spec, disturbance, w) for a float D and float w, bit for bit.
-
-    The terms that depend on D alone are formed once. The body inlines the
-    float arithmetic of phi_d, lambda_d and i_d in their operation order, and
-    makes their range tests: D < 1, both radicands >= -RADICAND_SLACK, w in
-    lambda_d's range and both guess probabilities in [0, 1], within the
-    slack. Where one fails, NaN included, it runs _i_ae_composed, which
-    raises the error the helpers raise.
-    """
-    d, c, D = spec.dim, spec.z_factor, disturbance
-    d_ok = D < 1.0
-    # phi_d computes in float(d), lambda_d and i_d in the int d; a float and an int
-    # combine as the float and float(int) do. i_d's x / 1 is x, and its range test
-    # cannot fail on a probability already clamped.
-    fd = float(d)
-    fm = fd - 1
-    phi_scale = fm * D
-    one_plus_d = 1.0 + fd
-    phi_slope = (fd - 2) * fm
-    phi_denominator = fd * fd * (1.0 - D)
-    w_bottom = -1.0 / (d - 1) - RADICAND_SLACK
-    top, slack = 1.0 + RADICAND_SLACK, -RADICAND_SLACK
-    m = float(d - 1)
-    m_squared = float((d - 1) ** 2)
-    two_m = 2.0 * (d - 1)
-    d_squared = float(d * d)
-    ln_d = math.log(d)
-    intact = 1.0 - D
-    sqrt, log = math.sqrt, math.log
-
-    def objective(w: float) -> float:
-        cw = c * w
-        spread = fm * cw
-        phi_rad = phi_scale * (1.0 + spread) * (fd - D * (one_plus_d + spread))
-        stretch = 1.0 + m * w
-        lambda_rad = (1.0 - w) * stretch
-        if not (d_ok and phi_rad >= slack and w_bottom <= w <= top and lambda_rad >= slack):
-            return _i_ae_composed(spec, D, w)
-        root = sqrt(0.0 if phi_rad < 0.0 else phi_rad)
-        g_intact = (fd + D * (-2.0 + phi_slope * cw) + 2.0 * root) / phi_denominator
-        root = sqrt(0.0 if lambda_rad < 0.0 else lambda_rad)
-        g_error = (stretch + m_squared * (1.0 - w) + two_m * root) / d_squared
-        if not (slack <= g_intact <= top and slack <= g_error <= top):
-            return _i_ae_composed(spec, D, w)
-        x = 0.0 if g_intact < 0.0 else 1.0 if g_intact > 1.0 else g_intact
-        y = 1.0 - x
-        i_intact = 1.0 + (x * log(x) if x > 0.0 else 0.0) / ln_d + (y * log(y / m) if y > 0.0 else 0.0) / ln_d
-        x = 0.0 if g_error < 0.0 else 1.0 if g_error > 1.0 else g_error
-        y = 1.0 - x
-        i_error = 1.0 + (x * log(x) if x > 0.0 else 0.0) / ln_d + (y * log(y / m) if y > 0.0 else 0.0) / ln_d
-        return intact * i_intact + D * i_error
-
-    return objective
 
 
 def _i_ae_slope_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], float]:

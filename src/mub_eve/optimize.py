@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import AnalysisError, DomainError
 from .bases import ProtocolSpec
-from .information import _i_ae_at, _i_ae_slope_at, i_ab, i_ae
+from .information import _i_ae_slope_at, i_ab, i_ae
 
 # The root finder stops at a bracket of 4 ulps of the root plus 2 ulps of 1.0, the
 # scale of the ranges of w and D.
@@ -100,28 +100,16 @@ def _fd_step(w: float, lo: float, hi: float) -> float:
     return min(1e-5, 0.5 * (hi - w), 0.5 * (w - lo))
 
 
-def _i_ae_of_w(spec: ProtocolSpec, disturbance: float):
-    """w -> i_ae(spec, disturbance, w), bit for bit: one fused objective for a float D, formed once."""
-    if disturbance.__class__ is float:
-        return _i_ae_at(spec, disturbance)
-    return lambda w: i_ae(spec, disturbance, w)
-
-
 def stationarity(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
-    """(step, |d i_ae / dw|) at w by a central difference inside the admissible interval.
+    """(step, |d i_ae / dw|) at w by a central difference of i_ae inside the admissible interval.
 
     Where no step fits, w sits at or beyond an edge of the interval, and the
     residual is |w - optimal_w| with step 0: exactly 0 for the optimiser's own w.
     """
-    return _stationarity(spec, disturbance, w, _i_ae_of_w(spec, disturbance))
-
-
-def _stationarity(spec: ProtocolSpec, disturbance: float, w: float, f) -> tuple[float, float]:
-    """stationarity on the objective f = _i_ae_of_w(spec, disturbance)."""
     step = _fd_step(w, *admissible_w_interval(spec, disturbance))
     if not step > 0.0:
         return 0.0, abs(w - optimal_w(spec, disturbance))
-    return step, abs(_central_difference(f, w, step))
+    return step, abs(_central_difference(lambda x: i_ae(spec, disturbance, x), w, step))
 
 
 def _second_difference(f, x: float, step: float) -> float:
@@ -143,8 +131,8 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     root of the analytic slope of i_ae on the admissible interval.
     """
     w_opt = optimal_w(spec, disturbance)
-    f = _i_ae_of_w(spec, disturbance)
-    step, residual = _stationarity(spec, disturbance, w_opt, f)
+    f = lambda w: i_ae(spec, disturbance, w)
+    step, residual = stationarity(spec, disturbance, w_opt)
     return OptimumReport(
         w_opt=w_opt,
         i_ae_opt=f(w_opt),

@@ -18,7 +18,7 @@ from mub_eve import (
     phi_d,
     w_bar,
 )
-from mub_eve.information import _i_ae_at, _i_ae_slope_at
+from mub_eve.information import _i_ae_slope_at
 from oracles import guess_probability_constructive
 
 # reference closed forms written out independently, used as oracles
@@ -261,7 +261,7 @@ def test_information_slope_matches_a_difference_of_the_objective(spec):
     top = spec.max_disturbance
     for D in (1e-6, 0.01, 0.3 * top, 0.6 * top, 0.9 * top):
         lo, hi = admissible_w_interval(spec, D)
-        objective, slope = _i_ae_at(spec, D), _i_ae_slope_at(spec, D)
+        objective, slope = (lambda w: i_ae(spec, D, w)), _i_ae_slope_at(spec, D)
         for w in np.linspace(lo + 0.02, hi - 0.02, 9).tolist():
             assert slope(w) == pytest.approx(_richardson_slope(objective, w, 1e-4), abs=2e-9), (D, w)
 
@@ -273,4 +273,4 @@ def test_information_slope_where_a_guess_probability_is_one(D, w):
     spec = ProtocolSpec(3, 3)
     slope = _i_ae_slope_at(spec, D)
     assert min(slope(w - 1e-12), slope(w + 1e-12)) <= slope(w) <= max(slope(w - 1e-12), slope(w + 1e-12))
-    assert slope(w) == pytest.approx(_richardson_slope(_i_ae_at(spec, D), w, 1e-4), abs=1e-9)
+    assert slope(w) == pytest.approx(_richardson_slope(lambda w: i_ae(spec, D, w), w, 1e-4), abs=1e-9)

@@ -244,19 +244,25 @@ def test_critical_disturbance_requires_sign_change(monkeypatch):
         critical_disturbance(ProtocolSpec(3, 2))
 
 
-def test_float_search_never_runs_the_helpers(monkeypatch):
-    # Float D and w evaluate i_ae through the fused objective; a route back
-    # through phi_d and lambda_d raises here instead of only running slower.
-    def refuse(*args):
-        raise AssertionError("a float i_ae ran the helpers")
-
-    for name in ("phi_d", "lambda_d"):
-        monkeypatch.setattr(information_mod, name, refuse)
+def test_search_bit_pins():
     three = critical_disturbance(ProtocolSpec(3, 3))
     assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d91b9p-3", "-0x1.0000000000000p-52")
     five = critical_disturbance(ProtocolSpec(5))
     assert (five.d_c.hex(), five.gap_at_dc.hex()) == ("0x1.1b06d1d200912p-2", "-0x1.0000000000000p-53")
     assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c091d499dp-4"
+
+
+@pytest.mark.parametrize("spec", [ProtocolSpec(3), ProtocolSpec(3, 3), ProtocolSpec(8)])
+def test_maximize_w_reports_stationarity_of_its_w(spec):
+    # At D = 0 the w sits at an edge of the interval (the low one for three bases), where the step is 0.
+    for D in [0.0] + np.linspace(0.01, spec.max_disturbance - 0.01, 12).tolist():
+        f = lambda w: i_ae(spec, D, w)
+        report = maximize_w(spec, D)
+        w = report.w_opt
+        step, residual = optimize_mod.stationarity(spec, D, w)
+        assert (step == 0.0) == (D == 0.0)
+        assert report.stationarity_residual == residual
+        assert report.concavity_witness == (f(w + step) - 2.0 * f(w) + f(w - step) if step else 0.0)
 
 
 def test_optimal_curve_nondecreasing_up_to_crossing():

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +28,7 @@ SCHEMA = "mub-eve/1"
 CSV_HEADER = "D,w_opt,I_AB_dits,I_AE_dits,I_AB_bits,I_AE_bits"
 GATE_TOL = 1e-12
 STATIONARITY_TOL = 1e-6
+_JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def fmt(x: float) -> str:
@@ -96,6 +98,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _float_text(x: float) -> str:
+    """A float as json.dumps writes it: its repr, with NaN and the infinities spelled as in JavaScript."""
+    text = float.__repr__(x)
+    return _JSON_SPECIAL_FLOATS.get(text, text)
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, for the kinds the commands emit: dicts with str keys,
+    lists and tuples, str, int, bool, None and float (subclasses such as numpy's float64 too).
+
+    With an indent, json.dumps runs its pure-Python encoder, one generator step per item.
+    Here a list whose items are all exactly int, or all exactly float, is one join.
+    """
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_encode_str(key)}: {_json_text(item, inner)}" for key, item in value.items())
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kind = type(value[0])
+        if (kind is int or kind is float) and all(type(item) is kind for item in value):
+            items = map(int.__repr__ if kind is int else _float_text, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + sep.join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -156,7 +202,7 @@ def cmd_curves(args, spec: ProtocolSpec) -> int:
     else:
         doc = {"schema": SCHEMA, "kind": "curves", "metadata": metadata, "columns": CSV_HEADER.split(","),
                "rows": rows}
-        text = json.dumps(doc, indent=2)
+        text = _json_text(doc)
     if not _write(args.out, text):
         return 1
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -179,7 +225,7 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
     }
     if spec.bases_count == 2:
         doc["D_c_closed_form"] = d_c_closed_form(spec.dim)
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     return 0
 
 
@@ -226,7 +272,7 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
             for name, residual, threshold, informational in checks
         ]
         doc["passed"] = all(check["passed"] for check in doc["checks"] if not check["informational"])
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     return 0 if doc["passed"] else 1
 
 
@@ -243,7 +289,7 @@ def cmd_simulate(args, spec: ProtocolSpec) -> int:
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not _write(args.out, json.dumps(doc, indent=2)):
+    if not _write(args.out, _json_text(doc)):
         return 1
     print(f"verdict: {'pass' if verdict.passed else 'FAIL'} ({args.out})")
     return 0 if verdict.passed else 1

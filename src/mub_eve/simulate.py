@@ -25,7 +25,7 @@ pins the shift bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
 
@@ -114,7 +114,9 @@ class SessionStats(SimConfig):
     reads one of two cached marginals of ``counts``: the (basis, symbol,
     receiver) histograms, and the computational-basis (symbol, guess)
     histograms by receiver regime. The informations and their
-    standard errors take one cached pass over each count table. With no
+    standard errors take one cached pass over each count table, and the
+    rates and per-basis tallies are cached too, so ``to_dict`` and
+    ``compare_to_analytic`` compute each estimate once between them. With no
     computational-basis round, ``p_eve_correct`` raises ``AnalysisError``.
     """
 
@@ -127,16 +129,22 @@ class SessionStats(SimConfig):
         """(basis, symbol, receiver outcome) counts."""
         return _read_only(self.counts.sum(axis=3))
 
-    @property
+    @cached_property
     def rounds_per_basis(self) -> np.ndarray:
-        return self._receiver_histograms.sum(axis=(1, 2))
+        return _read_only(self._receiver_histograms.sum(axis=(1, 2)))
 
-    @property
+    @cached_property
+    def _round_counts(self) -> tuple[int, int]:
+        """(all rounds, computational-basis rounds): the sums of ``counts`` and of ``counts[0]``."""
+        per_basis = self.rounds_per_basis
+        return int(per_basis.sum()), int(per_basis[0])
+
+    @cached_property
     def bob_error_rate(self) -> np.ndarray:
         """Receiver error rate per basis; 0 for a basis with no rounds."""
         totals = self.rounds_per_basis
-        correct = np.trace(self._receiver_histograms, axis1=1, axis2=2)
-        return np.where(totals > 0, 1.0 - correct / np.maximum(totals, 1), 0.0)
+        correct = self._receiver_histograms.trace(axis1=1, axis2=2)
+        return _read_only(np.where(totals > 0, 1.0 - correct / np.maximum(totals, 1), 0.0))
 
     @cached_property
     def _pooled_histogram(self) -> np.ndarray:
@@ -164,28 +172,28 @@ class SessionStats(SimConfig):
 
     # -- derived estimates ----------------------------------------------------
 
-    @property
+    @cached_property
     def d_hat(self) -> float:
         """Pooled receiver error rate over all bases."""
-        return 1.0 - np.trace(self._pooled_histogram) / self.counts.sum()
+        return float(1.0 - self._pooled_histogram.trace() / self._round_counts[0])
 
     @property
     def d_hat_se(self) -> float:
         p = self.d_hat
-        return math.sqrt(p * (1.0 - p) / self.counts.sum())
+        return math.sqrt(p * (1.0 - p) / self._round_counts[0])
 
-    @property
+    @cached_property
     def p_eve_correct(self) -> float:
         """Eavesdropper's guess rate on computational-basis rounds; AnalysisError if there are none."""
-        hist = self.eve_joint_histogram
-        if not hist.any():
+        n_comp = self._round_counts[1]
+        if not n_comp:
             raise AnalysisError(f"no computational-basis rounds among {self.rounds}: the guess rate has no sample")
-        return float(np.trace(hist) / hist.sum())
+        return float(self.eve_joint_histogram.trace() / n_comp)
 
     @property
     def p_eve_correct_se(self) -> float:
         p = self.p_eve_correct
-        return math.sqrt(p * (1.0 - p) / self.eve_joint_histogram.sum())
+        return math.sqrt(p * (1.0 - p) / self._round_counts[1])
 
     @cached_property
     def _informations(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -261,14 +269,13 @@ def empirical_mutual_information(hist: np.ndarray, base: int) -> float:
     return _information([hist], base)[0]
 
 
-def _cell_terms(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero cell probabilities of a count table and their log-ratios to its marginals' product."""
-    joint = hist / hist.sum()
+def _cell_terms(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero cells of a probability table and their log-ratios to its marginals' product."""
     row = joint.sum(axis=1, keepdims=True)
     col = joint.sum(axis=0, keepdims=True)
     mask = joint > 0
     p = joint[mask]
-    return p, np.log(p / (row @ col)[mask])
+    return p, np.log(p / (row * col)[mask])
 
 
 def _information(hists, base: int) -> tuple[float, float]:
@@ -279,17 +286,19 @@ def _information(hists, base: int) -> tuple[float, float]:
     a cell's score being its log-ratio to the product of its table's
     marginals (0 for N <= 1). One pass over each nonempty table gives both.
     """
-    total = sum(hist.sum() for hist in hists)
+    sizes = [hist.sum() for hist in hists]
+    total = sum(sizes)
+    log_base = math.log(base)
     info = mean = second = 0.0
-    for hist in hists:
-        n = hist.sum()
+    for hist, n in zip(hists, sizes):
         if n:
-            p, log_ratio = _cell_terms(hist)
+            p, log_ratio = _cell_terms(hist / n)
             share = n / total
-            info += share * float(np.sum(p * log_ratio) / math.log(base))
-            scores = log_ratio / math.log(base)
-            mean += float(np.sum(share * p * scores))
-            second += float(np.sum(share * p * scores**2))
+            info += share * float((p * log_ratio).sum() / log_base)
+            scores = log_ratio / log_base
+            weights = share * p
+            mean += float((weights * scores).sum())
+            second += float((weights * scores**2).sum())
     return float(info), math.sqrt(max(second - mean**2, 0.0) / total) if total > 1 else 0.0
 
 
@@ -349,7 +358,11 @@ class ComparisonReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
+        return {
+            "passed": self.passed,
+            "checks": [{"name": c.name, "empirical": c.empirical, "analytic": c.analytic, "z": c.z,
+                        "tolerance": c.tolerance, "passed": c.passed} for c in self.checks],
+        }
 
 
 def _check(name: str, empirical: float, analytic: float, se: float) -> ComparisonCheck:
@@ -374,7 +387,7 @@ def compare_to_analytic(stats: SessionStats) -> ComparisonReport:
     without computational-basis rounds raises ``AnalysisError``.
     """
     spec, disturbance, w = stats.spec, stats.disturbance, stats.w
-    d, n_total, n_comp = spec.dim, int(stats.counts.sum()), int(stats.counts[0].sum())
+    d, (n_total, n_comp) = spec.dim, stats._round_counts
     guess = guess_probability(spec, disturbance, w)
     checks = (
         _check("disturbance", stats.d_hat, disturbance, _binomial_se(disturbance, n_total)),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mub_eve.cli import CSV_HEADER, build_parser, fmt, main
+from mub_eve.cli import CSV_HEADER, _json_text, build_parser, fmt, main
 
 
 def run(capsys, *argv):
@@ -357,6 +357,74 @@ def test_simulate_without_computational_rounds_exits_one(tmp_path, capsys, round
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "computational-basis" in lines[0]
     assert not out.exists()
+
+
+# Documents at the edges of what json.dumps(doc, indent=2) writes: the float spellings,
+# lists that must not take the all-int or all-float join, empty containers and escapes.
+JSON_EDGE_DOCUMENTS = {
+    "nan": math.nan,
+    "infinities": [math.inf, -math.inf, 1.0],
+    "negative-zero": -0.0,
+    "tiny-and-large": [1e-300, 1e16, 5e-324, 1.7976931348623157e308],
+    "numpy-float64": {"x": np.float64(0.1), "row": [np.float64(1.5), np.float64(math.nan)],
+                      "mixed": [0.5, np.float64(2.0)]},
+    "int-and-bool": [1, True],
+    "float-and-int": [1.0, 2],
+    "int-and-float": [2, 1.0],
+    "bools-and-none": [True, False, None],
+    "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]], {"a": {}}]},
+    "tuple": (1, 2),
+    "big-int": [2**64, -(2**63)],
+    "strings": {"error": "w must be 'auto' or a real number, got 'é'", "control": "\x00\x1f\t\n\"\\",
+                "astral": "\U0001f600"},
+    "non-ascii-key": {"Dₓ": 1},
+    "scalars": ["", 0, 0.0, "NaN"],
+}
+
+
+@pytest.mark.parametrize("name", JSON_EDGE_DOCUMENTS)
+def test_json_text_is_json_dumps_indent_2(name):
+    value = JSON_EDGE_DOCUMENTS[name]
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for value in (np.int64(1), [np.bool_(True)], {1, 2}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def written_json_documents(tmp_path, capsys):
+    """(name, text) of every JSON document a sample of commands writes, to a file or to stdout."""
+    from test_golden import SIMULATE_EDGE
+
+    commands = {
+        f"curves-{d}-{k}": ["curves", "--dim", str(d), "--bases", str(k), "--d-max", "0.45", "--steps", "11",
+                            "--format", "json", "--out", "{out}"]
+        for d, k in ((3, 2), (3, 3), (8, 2))
+    }
+    commands |= {f"critical-{d}-{k}": ["critical", "--dim", str(d), "--bases", str(k)] for d, k in ((4, 2), (3, 3))}
+    commands |= {f"verify-{d}-{k}": ["verify", "--dim", str(d), "--bases", str(k), "--disturbance", "0.1"]
+                 for d, k in ((8, 2), (3, 3))}
+    commands["verify-error"] = ["verify", "--dim", "3", "--disturbance", "0.9"]
+    commands["simulate-3-3"] = ["simulate", "--dim", "3", "--bases", "3", "--disturbance", "0.15",
+                                "--rounds", "10000", "--seed", "1", "--shards", "2", "--out", "{out}"]
+    for name, (d, disturbance, rounds, seed, shards) in SIMULATE_EDGE.items():
+        commands[name] = ["simulate", "--dim", str(d), "--disturbance", disturbance, "--rounds", str(rounds),
+                          "--seed", str(seed), "--shards", str(shards), "--out", "{out}"]
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        _, stdout, _ = run(capsys, *(str(out) if arg == "{out}" else arg for arg in argv))
+        yield name, out.read_text(encoding="utf-8") if "{out}" in argv else stdout
+
+
+def test_every_json_document_is_written_as_json_dumps_indent_2(tmp_path, capsys):
+    documents = dict(written_json_documents(tmp_path, capsys))
+    assert len(documents) == 12
+    for name, text in documents.items():
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 def test_unknown_flag_exits_two(tmp_path):

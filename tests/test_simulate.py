@@ -383,3 +383,15 @@ def test_each_count_table_is_read_once(monkeypatch):
     compare_to_analytic(stats)
     stats.to_dict()
     assert len(calls) == 3
+
+
+def test_reported_estimates_are_computed_once():
+    # The record and the verdict read one cached value each: the rates are Python floats,
+    # and the per-basis arrays are frozen, as every cached table is.
+    stats = session(rounds=10**4, seed=3)
+    for name in ("d_hat", "p_eve_correct"):
+        value = getattr(stats, name)
+        assert type(value) is float and getattr(stats, name) is value
+    for name in ("rounds_per_basis", "bob_error_rate"):
+        value = getattr(stats, name)
+        assert getattr(stats, name) is value and not value.flags.writeable

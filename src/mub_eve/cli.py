@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -213,7 +212,7 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
     try:
         point = critical_disturbance(spec)
     except AnalysisError as exc:
-        print(json.dumps({"schema": SCHEMA, "kind": "critical", "error": str(exc)}))
+        print(_json_text({"schema": SCHEMA, "kind": "critical", "error": str(exc)}))
         return 1
     doc = {
         "schema": SCHEMA,

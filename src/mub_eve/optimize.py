@@ -2,10 +2,11 @@
 
 The two-basis w is the closed-form w_bar. The three-basis w is the root of
 I_AE's analytic slope (``information._i_ae_slope_at``) on a bracket between
-the peaks of the two guess probabilities. The critical disturbance D_c is the
-root of the gap I_AE(optimal) - I_AB on a bracket in D. Both roots come from
-one zero finder, Brent's (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 4).
+the peaks of the two guess probabilities, halved once before the zero finder
+starts, as the slope can be singular at the bracket's low end. The critical
+disturbance D_c is the root of the gap I_AE(optimal) - I_AB on a bracket in
+D. Both roots come from one zero finder, Brent's (R. P. Brent, *Algorithms
+for Minimization without Derivatives*, 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -153,8 +154,15 @@ def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
     probability, which is at least 1/d; lambda_d peaks at w = 0, and phi_d at
     the overlap where D (1 + (d-1) c w) = (d-1)(1-D). So the slope is
     positive below both peaks and negative above them, and the root lies
-    between them. At D = 0, i_ae is 0 for every w, and the result is the low
-    edge. Any scalar D gives a float.
+    between them. For (3, 3) and D up to 4/7 the low end of that bracket is
+    the interval's edge, where lambda's radicand vanishes and the slope is
+    about 10^3 times its size near the root; a secant step through it lands
+    near the other end. So the slope is read first at the bracket's midpoint,
+    and the zero finder gets the half where it changes sign; an end is read
+    only on that half, or to return it. A bracket already within the zero
+    finder's tolerance (at D = 2/3, both peaks are at 0) is not halved. At
+    D = 0, i_ae is 0 for every w, and the result is the low edge. Any scalar
+    D gives a float.
     """
     lo, hi = admissible_w_interval(spec, disturbance)
     if spec.bases_count == 2:
@@ -167,13 +175,17 @@ def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
     peak = ((d - 1) * (1.0 - D) / D - 1.0) / ((d - 1) * c)
     a, b = max(lo, min(0.0, peak)), min(hi, max(0.0, peak))  # 0 lies in [lo, hi]
     slope = _i_ae_slope_at(spec, D)
+    mid = 0.5 * (a + b) if b - a > 2.0 * ROOT_TOL else b  # one bisection step
+    fm = slope(mid)
+    if fm > 0.0:
+        fb = fm if mid == b else slope(b)
+        if not fb < 0.0:
+            return b
+        return _bracketed_root(slope, mid, b, fm, fb)
     fa = slope(a)
     if not fa > 0.0:
         return a
-    fb = slope(b)
-    if not fb < 0.0:
-        return b
-    return _bracketed_root(slope, a, b, fa, fb)
+    return _bracketed_root(slope, a, mid, fa, fm)
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:

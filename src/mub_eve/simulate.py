@@ -134,10 +134,10 @@ class SessionStats(SimConfig):
         return _read_only(self._receiver_histograms.sum(axis=(1, 2)))
 
     @cached_property
-    def _round_counts(self) -> tuple[int, int]:
-        """(all rounds, computational-basis rounds): the sums of ``counts`` and of ``counts[0]``."""
+    def _round_counts(self) -> tuple[int, int, int]:
+        """(all rounds, computational-basis rounds, those of them the receiver got right)."""
         per_basis = self.rounds_per_basis
-        return int(per_basis.sum()), int(per_basis[0])
+        return int(per_basis.sum()), int(per_basis[0]), int(self._receiver_histograms[0].trace())
 
     @cached_property
     def bob_error_rate(self) -> np.ndarray:
@@ -302,13 +302,13 @@ def _information(hists, base: int) -> tuple[float, float]:
     return float(info), math.sqrt(max(second - mean**2, 0.0) / total) if total > 1 else 0.0
 
 
-def plug_in_bias_allowance(hists, d: int) -> float:
+def plug_in_bias_allowance(sizes, d: int) -> float:
     """First-order plug-in bias of ``_information`` over d x d regime count tables, in dits.
 
-    A non-empty table of n of the N counts has bias (d-1)^2 / (2 n ln d) and
-    weighs n / N, so each adds (d-1)^2 / (2 N ln d): the share-weighted sum.
+    ``sizes`` are the tables' count totals. A non-empty table of n of the N
+    counts has bias (d-1)^2 / (2 n ln d) and weighs n / N, so each adds
+    (d-1)^2 / (2 N ln d): the share-weighted sum.
     """
-    sizes = [int(hist.sum()) for hist in hists]
     total = sum(sizes)
     return sum(n / total * (d - 1) ** 2 / (2.0 * n * math.log(d)) for n in sizes if n)
 
@@ -387,15 +387,15 @@ def compare_to_analytic(stats: SessionStats) -> ComparisonReport:
     without computational-basis rounds raises ``AnalysisError``.
     """
     spec, disturbance, w = stats.spec, stats.disturbance, stats.w
-    d, (n_total, n_comp) = spec.dim, stats._round_counts
+    d, (n_total, n_comp, n_comp_correct) = spec.dim, stats._round_counts
     guess = guess_probability(spec, disturbance, w)
     checks = (
         _check("disturbance", stats.d_hat, disturbance, _binomial_se(disturbance, n_total)),
         # p_eve_correct raises AnalysisError before the SE can divide by n_comp = 0
         _check("eve_guess_probability", stats.p_eve_correct, guess, _binomial_se(guess, n_comp)),
         _check("i_ae_dits", stats.i_ae_hat, i_ae(spec, disturbance, w),
-               max(stats.i_ae_hat_se, plug_in_bias_allowance(stats.eve_joint_given_bob, d))),
+               max(stats.i_ae_hat_se, plug_in_bias_allowance((n_comp_correct, n_comp - n_comp_correct), d))),
         _check("i_ab_dits", stats.i_ab_hat, i_ab(spec, disturbance),
-               max(stats.i_ab_hat_se, plug_in_bias_allowance([stats._pooled_histogram], d))),
+               max(stats.i_ab_hat_se, plug_in_bias_allowance((n_total,), d))),
     )
     return ComparisonReport(checks)

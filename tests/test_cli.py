@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mub_eve.cli as cli
+from mub_eve import AnalysisError
 from mub_eve.cli import CSV_HEADER, _json_text, build_parser, fmt, main
 
 
@@ -425,6 +427,17 @@ def test_every_json_document_is_written_as_json_dumps_indent_2(tmp_path, capsys)
     assert len(documents) == 12
     for name, text in documents.items():
         assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+
+
+def test_critical_error_document_is_written_as_json_dumps_indent_2(monkeypatch, capsys):
+    def no_crossing(spec):
+        raise AnalysisError("information gap is not negative at D=0.0001; no crossing bracket")
+
+    monkeypatch.setattr(cli, "critical_disturbance", no_crossing)
+    code, text, _ = run(capsys, "critical", "--dim", "3")
+    assert code == 1
+    assert json.loads(text)["error"].startswith("information gap")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_unknown_flag_exits_two(tmp_path):

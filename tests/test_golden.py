@@ -70,13 +70,13 @@ DIGESTS = {
     "curves-3-2-csv": "ebac90a45e86c367690d9be6246a172ac68c823196d229b8b4943d3d5247e899",
     "curves-3-2-json": "228f90339500678a85309db3f4f875ed03c7600b3d3f25e393afc9c97d524ae4",
     "curves-3-3-csv": "9337eb76bf9730aa01a99a13b394b2a6c48769f15f49924f33c0ac56938f7d13",
-    "curves-3-3-json": "5c604b81ec10ea480b17b0bb948f1c6d2e0a83d69d567c92fbc2f1e5645f4798",
+    "curves-3-3-json": "403507230e47abb83fa26e7ce106f5cc94e04d0754017bf56c4940384bbba168",
     "curves-4-2-csv": "6efd5c90ae558cdd740d229a7c5eff8b437e09da21322ef7e5ae1678128d1b98",
     "curves-4-2-json": "a5ac5703aefe17ee2655ae751515c3b96f6601a490ba18b0e278cce8ceab8f7e",
     "curves-8-2-csv": "e2d9db91273c0b5ab48ac5769f7d403a13fcab9dbfbd8d5c105c2ff685151cee",
     "curves-8-2-json": "c016842bab81df6bc8f71a8db384b5e128afebaa8e9edf6bca30489e0f1c09c8",
     "curves-3-3-edge-csv": "5d3ec223677f9c14e9f7c9e0c8e7b79b0475889d519e061a5750369342af7a39",
-    "curves-3-3-edge-json": "63b8cbb6d6237fe33efd1db5232b0017d55672f7c69df9edaad096bd544ae1f4",
+    "curves-3-3-edge-json": "305ff481281f896c51d116daafb7b7334d3235bed9dd22bf2fc3cc22f8b03a4f",
     "curves-5-2-edge-csv": "7a40dd8423a80519652124c7f9a6d220c7a0112192b35f43d8db2bf225aca004",
     "curves-5-2-edge-json": "2478228eb300263fdf232627fb8e443895637a454dcd88882c7aff0b7e76ee23",
     "critical-2-2": "d156ca611d20c24adffdd4627bd17af88906b7ba46d0ddb1f2e0bd56722c9439",
@@ -85,7 +85,7 @@ DIGESTS = {
     "critical-5-2": "aed5fd1293ef6f61eec4e80ecef4ac1c6599b821fc134d4c192e5310acade260",
     "critical-8-2": "59cdd6d8142b4e3c34dfaa8f2fde2a30883a2aaba9f45a81449ae8240d1624d3",
     "critical-16-2": "a929a872b826333be90f9eb54836b201ebf42e52fc9030d7e717805b7fe510d9",
-    "critical-3-3": "39f4ed3c14fd689a318171bb6f0b98c4959447cc67cf67d5f16e9365e4f499d1",
+    "critical-3-3": "49bbaf96278685ed16307f6dc44ce4c49a1741de798109f68b6bfc58d306c622",
     "simulate-3-2": "25a0d9e682677cf4d22e3f59c25b66da89c5085015955d0bcd5d580f9e509ff7",
     "simulate-3-3": "117bd3f19acf41201f29f2712979eb064f55b7e3bc2a05a1f7037bdf5d9f4ad4",
     "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",

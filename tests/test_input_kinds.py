@@ -62,9 +62,9 @@ PINNED = [
     pin("optimal_w-float64", lambda: optimal_w(S2, np.float64(0.1)), ('float64', (), '0x1.b333333333333p-1')),
     pin("optimal_w-0-d", lambda: optimal_w(S2, np.array(0.1)), ('float64', (), '0x1.b333333333333p-1')),
     pin("optimal_w-three-bases-float64", lambda: optimal_w(S33, np.float64(0.1)),
-        ('float', (), '-0x1.c0e7afd195156p-4')),
+        ('float', (), '-0x1.c0e7afd19515ap-4')),
     pin("optimal_w-three-bases-0-d", lambda: optimal_w(S33, np.array(0.1)),
-        ('float', (), '-0x1.c0e7afd195156p-4')),
+        ('float', (), '-0x1.c0e7afd19515ap-4')),
     pin("admissible_w_interval-float64", lambda: admissible_w_interval(S2, np.float64(0.1)),
         (('float', (), '-0x1.ffffffeed1f41p-2'), ('float', (), '0x1.fffffff768fa1p-1'))),
     pin("admissible_w_interval-0-d", lambda: admissible_w_interval(S2, np.array(0.1)),

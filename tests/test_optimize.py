@@ -132,7 +132,23 @@ def test_three_basis_search_evaluates_few_slopes(monkeypatch):
     spec = ProtocolSpec(3, 3)
     for D in np.linspace(0.05, 0.6666666666666666, 101).tolist():
         optimal_w(spec, D)
-    assert len(counts) == 101 and max(counts) <= 16
+    assert len(counts) == 101 and max(counts) <= 9 and sum(counts) <= 9 * len(counts)
+
+
+@pytest.mark.parametrize("D, low", [(0.2, None), (0.6, -1 / 3)])
+def test_three_basis_w_of_a_one_signed_slope_is_a_bracket_end(monkeypatch, D, low):
+    # The bracket is [low, 0]: low is phi's peak at D = 0.6 and the interval's low edge at D = 0.2.
+    spec = ProtocolSpec(3, 3)
+    low = admissible_w_interval(spec, D)[0] if low is None else low
+    for value, end in [(1.0, 0.0), (-1.0, low), (math.nan, low)]:
+        monkeypatch.setattr(optimize_mod, "_i_ae_slope_at", lambda spec, D: lambda w: value)
+        assert optimal_w(spec, D) == pytest.approx(end, abs=1e-15)
+
+
+def test_three_basis_w_at_the_top_of_the_range_is_zero():
+    # Both peaks sit at w = 0 at D = 2/3; phi's rounds to -2.2e-16, and the bracket
+    # [-2.2e-16, 0] is within the zero finder's tolerance, which keeps its best end.
+    assert optimal_w(ProtocolSpec(3, 3), 0.6666666666666666) == 0.0
 
 
 def test_bracketed_root_stops_within_a_few_ulps():
@@ -246,10 +262,10 @@ def test_critical_disturbance_requires_sign_change(monkeypatch):
 
 def test_search_bit_pins():
     three = critical_disturbance(ProtocolSpec(3, 3))
-    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d91b9p-3", "-0x1.0000000000000p-52")
+    assert (three.d_c.hex(), three.gap_at_dc.hex()) == ("0x1.cc3c5779d91b9p-3", "-0x1.0000000000000p-54")
     five = critical_disturbance(ProtocolSpec(5))
     assert (five.d_c.hex(), five.gap_at_dc.hex()) == ("0x1.1b06d1d200912p-2", "-0x1.0000000000000p-53")
-    assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c091d499dp-4"
+    assert optimal_w(ProtocolSpec(3, 3), 0.2).hex() == "-0x1.c0d5c091d499fp-4"
 
 
 @pytest.mark.parametrize("spec", [ProtocolSpec(3), ProtocolSpec(3, 3), ProtocolSpec(8)])

@@ -239,9 +239,8 @@ def _block_amplitudes(eve: EveStateSet, disturbance: float, basis: Basis) -> np.
     psi, idx = basis.vectors.T, np.arange(d)  # psi[a, k]
     c = psi.conj()[(idx[:, None] + idx) % d]
     np.multiply(psi, c, out=c)
-    keep, err = _isometry_scale(d, disturbance)[0, :2]
-    c[0] *= keep
-    c[1:] *= err
+    c[0] *= math.sqrt(1.0 - disturbance)  # scale[a, a]
+    c[1:] *= math.sqrt(disturbance / (d - 1))  # scale[a, b], b != a
     # Real blocks (every built set) take c's real view, the parts of each psi_k interleaved, as the left
     # operand of one real batched product; complex blocks take the complex product. Its d-term sums run
     # in two halves, which keeps their rounding at a dense product's: against long double, at d <= 32,

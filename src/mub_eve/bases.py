@@ -2,13 +2,16 @@
 
 Vectors are rows of a (d, d) complex array, so ``basis.vectors[i]`` is the
 i-th state of the basis. numpy is imported by the code that builds them, so
-the protocol key and its checks load without it.
+the protocol key and its checks load without it. A protocol's basis set
+depends only on (d, number of MUBs), so ``protocol_bases`` builds it once
+per process and shares the read-only result, for the last few protocols
+asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -18,6 +21,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 ORTHONORMALITY_TOL = 1e-12
+
+# Protocols whose basis sets protocol_bases keeps; at d = 256 one set takes 2 MiB.
+_BASES_CACHE_SIZE = 8
 
 # Round-off allowed above the largest disturbance (d-1)/d, about 50 ulps there.
 DISTURBANCE_SLACK = 1e-14
@@ -118,11 +124,19 @@ def qutrit_three_basis_set() -> list[Basis]:
     ]
 
 
-def protocol_bases(spec: ProtocolSpec) -> list[Basis]:
+def protocol_bases(spec: ProtocolSpec) -> tuple[Basis, ...]:
     """The ordered basis set of the protocol; the spec has already checked (d, bases).
 
     Two bases: computational + Fourier, any d. Three bases: the qutrit set.
+    The set is built, and its orthonormality checked, once per (d, bases)
+    per process, for the last _BASES_CACHE_SIZE protocols; every call
+    returns that one tuple, and its bases are frozen with read-only vectors.
     """
+    return _build_protocol_bases(spec)
+
+
+@lru_cache(maxsize=_BASES_CACHE_SIZE)
+def _build_protocol_bases(spec: ProtocolSpec) -> tuple[Basis, ...]:
     if spec.bases_count == 3:
-        return qutrit_three_basis_set()
-    return [computational_basis(spec.dim), fourier_basis(spec.dim)]
+        return tuple(qutrit_three_basis_set())
+    return computational_basis(spec.dim), fourier_basis(spec.dim)

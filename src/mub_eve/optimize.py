@@ -181,20 +181,20 @@ def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
         fb = fm if mid == b else slope(b)
         if not fb < 0.0:
             return b
-        return _bracketed_root(slope, mid, b, fm, fb)
+        return _bracketed_root(slope, mid, b, fm, fb)[0]
     fa = slope(a)
     if not fa > 0.0:
         return a
-    return _bracketed_root(slope, a, mid, fa, fm)
+    return _bracketed_root(slope, a, mid, fa, fm)[0]
 
 
-def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of f between a and b, where fa = f(a) and fb = f(b) have opposite signs.
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float]:
+    """(x, f(x)) at a root x of f between a and b, where fa = f(a) and fb = f(b) have opposite signs.
 
     Brent's zero finder: inverse quadratic or secant steps, replaced by
     bisection where they would leave the bracket or shrink it too slowly. It
     stops once the bracket around the returned root x is at most 2 tol wide,
-    tol = 2 ROOT_TOL |x| + ROOT_TOL.
+    tol = 2 ROOT_TOL |x| + ROOT_TOL. f(x) is the value it already read there.
     """
     c, fc = a, fa
     e = step = b - a  # e: the step before the current one
@@ -205,7 +205,7 @@ def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
         tol = 2.0 * ROOT_TOL * abs(b) + ROOT_TOL
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
-            return b
+            return b, fb
         if abs(e) < tol or abs(fa) <= abs(fb):
             e = step = half
         else:
@@ -243,7 +243,8 @@ def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
     The bracket is [1e-4, (d-1)/d - 1e-4]; the gap must be negative at the low
     end and positive at the high end. The zero finder stops at a bracket of a
     few ulps of D_c (ROOT_TOL), so the residual gap at the returned point is
-    at rounding level.
+    at rounding level; it is the finder's own evaluation there, so no D is
+    evaluated twice.
     """
     gap = lambda disturbance: i_ae_optimal(spec, disturbance) - i_ab(spec, disturbance)
     lo = 1e-4
@@ -253,5 +254,5 @@ def critical_disturbance(spec: ProtocolSpec) -> CriticalPoint:
         raise AnalysisError(f"information gap is not negative at D={lo}; no crossing bracket")
     if not gap_hi > 0.0:
         raise AnalysisError(f"information gap is not positive at D={hi}; no crossing bracket")
-    d_c = _bracketed_root(gap, lo, hi, gap_lo, gap_hi)
-    return CriticalPoint(d_c=d_c, gap_at_dc=gap(d_c))
+    d_c, gap_at_dc = _bracketed_root(gap, lo, hi, gap_lo, gap_hi)
+    return CriticalPoint(d_c=d_c, gap_at_dc=gap_at_dc)

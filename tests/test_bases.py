@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mub_eve.bases as bases_mod
 from mub_eve import (
     DimensionError,
     ProtocolSpec,
@@ -99,3 +100,23 @@ def test_protocol_bases():
         protocol_bases(ProtocolSpec(4, 3))
     with pytest.raises(ProtocolError):
         protocol_bases(ProtocolSpec(3, 5))
+
+
+def test_protocol_bases_are_built_once_and_shared_read_only():
+    bases = protocol_bases(ProtocolSpec(5, 2))
+    assert isinstance(bases, tuple)
+    assert protocol_bases(ProtocolSpec(5, 2)) is bases
+    assert protocol_bases(ProtocolSpec(3, 3)) is protocol_bases(ProtocolSpec(3, 3))
+    for basis in bases:
+        with pytest.raises(ValueError):
+            basis.vectors[0, 0] = 0.0
+    assert qutrit_three_basis_set() is not qutrit_three_basis_set()  # a fresh list, never the shared set
+
+
+def test_protocol_bases_cache_is_bounded():
+    builder = bases_mod._build_protocol_bases
+    maxsize = builder.cache_info().maxsize
+    assert maxsize is not None and 5 <= maxsize <= 16  # a workload's specs, not every d
+    for d in range(2, maxsize + 4):
+        protocol_bases(ProtocolSpec(d))
+    assert builder.cache_info().currsize == maxsize

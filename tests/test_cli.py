@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mub_eve.bases as bases_mod
 import mub_eve.cli as cli
 from mub_eve import AnalysisError
 from mub_eve.cli import CSV_HEADER, _json_text, build_parser, fmt, main
@@ -308,6 +309,27 @@ def test_simulate_deterministic_and_passing(tmp_path, capsys):
     assert doc["schema"] == "mub-eve/1"
     assert doc["verdict"]["passed"]
     assert doc["stats"]["rounds"] == 1000000
+
+
+@pytest.mark.parametrize("dim, bases", [(3, 2), (3, 3), (8, 2), (20, 2)])
+def test_verify_output_is_the_same_with_cold_and_warm_bases(capsys, dim, bases):
+    argv = ["verify", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.1"]
+    bases_mod._build_protocol_bases.cache_clear()
+    cold = run(capsys, *argv)
+    warm = run(capsys, *argv)
+    assert cold[0] == 0 and cold == warm
+
+
+@pytest.mark.parametrize("dim, bases", [(3, 2), (3, 3)])
+def test_simulate_file_is_the_same_with_cold_and_warm_bases(tmp_path, capsys, dim, bases):
+    argv = ["simulate", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.1",
+            "--rounds", "100000", "--seed", "7", "--shards", "2"]
+    cold_path, warm_path = tmp_path / "cold.json", tmp_path / "warm.json"
+    bases_mod._build_protocol_bases.cache_clear()
+    cold = run(capsys, *argv, "--out", str(cold_path))
+    warm = run(capsys, *argv, "--out", str(warm_path))
+    assert cold[0] == warm[0] == 0
+    assert cold_path.read_bytes() == warm_path.read_bytes()
 
 
 def test_simulate_zero_rounds_usage_error(tmp_path, capsys):

@@ -152,8 +152,9 @@ def test_three_basis_w_at_the_top_of_the_range_is_zero():
 
 
 def test_bracketed_root_stops_within_a_few_ulps():
-    root = optimize_mod._bracketed_root(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0))
+    root, f_root = optimize_mod._bracketed_root(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0))
     assert abs(root - math.pi / 2) <= 4 * optimize_mod.ROOT_TOL
+    assert f_root == math.cos(root)  # the value the finder read there
 
 
 @pytest.mark.parametrize("D", [0.11, 0.12, 0.14, 0.16, 0.18, 0.20])
@@ -229,18 +230,20 @@ def test_three_basis_d_c_brackets_the_high_precision_crossing():
 
 
 def test_critical_disturbance_evaluates_few_gaps(monkeypatch):
-    # Each gap evaluation calls i_ab once: the two bracket ends, the zero finder's steps and gap_at_dc.
-    counts = []
+    # Each gap evaluation calls i_ab once: the two bracket ends and the zero finder's steps. gap_at_dc
+    # is the finder's own value at D_c, so no D is evaluated twice.
+    calls = []
 
     def counted(spec, D):
-        counts[-1] += 1
+        calls[-1].append(D)
         return i_ab(spec, D)
 
     monkeypatch.setattr(optimize_mod, "i_ab", counted)
     for spec in [ProtocolSpec(d) for d in CRITICAL_DIMS] + [ProtocolSpec(3, 3)]:
-        counts.append(0)
+        calls.append([])
         critical_disturbance(spec)
-    assert max(counts) <= 14
+    assert all(len(set(ds)) == len(ds) for ds in calls)
+    assert max(len(ds) for ds in calls) <= 10
 
 
 def test_three_bases_more_robust_than_two():

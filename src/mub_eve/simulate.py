@@ -4,14 +4,16 @@ Each round: the sender draws a basis and a symbol uniformly, the attack maps
 her qudit to receiver x ancilla (the ancilla states weighted by the
 disturbance amplitudes), and the receiver (in the sender's basis) and the
 eavesdropper (in the fixed ancilla coordinate basis) measure jointly. Her guess
-is the ancilla coordinate mod d (the sender symbol, by the state layout), and
-every tallied statistic reads only that guess. So each shard draws one exact
-multinomial over (basis, symbol, receiver outcome, guess), whose distribution
-is computed from the states and summed over the ancilla blocks: a marginal of a
+is the ancilla coordinate mod d (the sender symbol, by the state layout). Her
+statistics read only that guess, on computational-basis (key) rounds only; the
+other bases feed only the receiver's statistics. So each shard draws one exact
+multinomial over d^3 + (k - 1) d^2 cells: the key basis's (symbol, receiver
+outcome, guess) cells, then each other basis's (symbol, receiver outcome)
+cells. Their distribution is computed from the states and summed over the
+ancilla blocks, and off the key basis over the guess too: a marginal of a
 multinomial is the multinomial of the marginal. Shards own counter-based
 generator streams keyed by (seed, shard), so results are reproducible and
-independent of scheduling. The eavesdropper's statistics are tallied on
-computational-basis rounds only.
+independent of scheduling.
 
 The attack is Weyl-covariant (Cerf, Bourennane, Karlsson and Gisin, PRL 88,
 127902, 2002), so P[k, s, r, g] = P[k, 0, r - s, g - s] mod d. X^s maps symbol
@@ -109,12 +111,14 @@ class SessionStats(SimConfig):
     """A session record: its configuration, with ``w`` resolved to a float, plus its tallies.
 
     The configuration fields and their checks are ``SimConfig``'s; the record
-    adds only ``counts``, the (basis, symbol, receiver, guess) int64 table.
-    Passing the record back to ``simulate`` replays its counts. Every estimate
-    reads one of two cached marginals of ``counts``: the (basis, symbol,
-    receiver) histograms, and the computational-basis (symbol, guess)
-    histograms by receiver regime. The informations and their
-    standard errors take one cached pass over each count table, and the
+    adds only ``counts``, the 1-D int64 vector of the drawn cells in draw order:
+    the key basis's d^3 (symbol, receiver, guess) cells, then d^2 (symbol,
+    receiver) cells per other basis. Passing the record back to ``simulate``
+    replays its counts. Two cached read-only arrays read it: ``key_counts``,
+    the key table as a view, and ``receiver_histograms``, the (basis, symbol,
+    receiver) counts. Every estimate reads the receiver histograms or the
+    key-basis (symbol, guess) histograms by receiver regime. The informations
+    and their standard errors take one cached pass over each count table, and the
     rates and per-basis tallies are cached too, so ``to_dict`` and
     ``compare_to_analytic`` compute each estimate once between them. With no
     computational-basis round, ``p_eve_correct`` raises ``AnalysisError``.
@@ -125,37 +129,45 @@ class SessionStats(SimConfig):
     # -- raw tallies ---------------------------------------------------------
 
     @cached_property
-    def _receiver_histograms(self) -> np.ndarray:
+    def key_counts(self) -> np.ndarray:
+        """(symbol, receiver outcome, guess) counts on computational-basis rounds: a view of ``counts``."""
+        d = self.spec.dim
+        return _read_only(self.counts[: d**3].reshape(d, d, d))
+
+    @cached_property
+    def receiver_histograms(self) -> np.ndarray:
         """(basis, symbol, receiver outcome) counts."""
-        return _read_only(self.counts.sum(axis=3))
+        d = self.spec.dim
+        others = self.counts[d**3:].reshape(-1, d, d)  # the bases after the key basis
+        return _read_only(np.concatenate((self.key_counts.sum(axis=2)[None], others)))
 
     @cached_property
     def rounds_per_basis(self) -> np.ndarray:
-        return _read_only(self._receiver_histograms.sum(axis=(1, 2)))
+        return _read_only(self.receiver_histograms.sum(axis=(1, 2)))
 
     @cached_property
     def _round_counts(self) -> tuple[int, int, int]:
         """(all rounds, computational-basis rounds, those of them the receiver got right)."""
         per_basis = self.rounds_per_basis
-        return int(per_basis.sum()), int(per_basis[0]), int(self._receiver_histograms[0].trace())
+        return int(per_basis.sum()), int(per_basis[0]), int(self.receiver_histograms[0].trace())
 
     @cached_property
     def bob_error_rate(self) -> np.ndarray:
         """Receiver error rate per basis; 0 for a basis with no rounds."""
         totals = self.rounds_per_basis
-        correct = self._receiver_histograms.trace(axis1=1, axis2=2)
+        correct = self.receiver_histograms.trace(axis1=1, axis2=2)
         return _read_only(np.where(totals > 0, 1.0 - correct / np.maximum(totals, 1), 0.0))
 
     @cached_property
     def _pooled_histogram(self) -> np.ndarray:
         """(symbol, receiver outcome) counts pooled over bases."""
-        return _read_only(self._receiver_histograms.sum(axis=0))
+        return _read_only(self.receiver_histograms.sum(axis=0))
 
     @cached_property
     def _comp_guess_histograms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(all, receiver-correct, receiver-error) (symbol, guess) histograms."""
         d = self.spec.dim
-        comp = self.counts[0]  # (symbol, receiver, guess)
+        comp = self.key_counts
         correct = comp[np.arange(d), np.arange(d)]  # receiver got the symbol
         total = comp.sum(axis=1)
         return _read_only(total), _read_only(correct), _read_only(total - correct)
@@ -321,8 +333,9 @@ def simulate(config: SimConfig) -> SessionStats:
     spec = config.spec
     w = resolve_w(spec, config.disturbance, config.w)
     table = outcome_distribution(spec, config.disturbance, w)
-    flat = table.reshape(-1)
-    flat = flat / flat.sum()
+    # The key basis's (symbol, receiver, guess) cells come first, scaled by the whole table's
+    # sum: numpy draws cells in order, so they get the counts of a draw over every guess.
+    flat = np.concatenate((table[0].reshape(-1), table[1:].sum(axis=3).reshape(-1))) / table.sum()
 
     counts = np.zeros(flat.size, dtype=np.int64)
     base_rounds = config.rounds // config.shards
@@ -332,7 +345,6 @@ def simulate(config: SimConfig) -> SessionStats:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, shard])))
         counts += rng.multinomial(n_shard, flat)
 
-    counts = counts.reshape(table.shape)
     counts.setflags(write=False)
     return SessionStats(spec, config.disturbance, w, config.rounds, config.seed, config.shards, counts=counts)
 

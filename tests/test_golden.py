@@ -86,12 +86,12 @@ DIGESTS = {
     "critical-8-2": "59cdd6d8142b4e3c34dfaa8f2fde2a30883a2aaba9f45a81449ae8240d1624d3",
     "critical-16-2": "a929a872b826333be90f9eb54836b201ebf42e52fc9030d7e717805b7fe510d9",
     "critical-3-3": "49bbaf96278685ed16307f6dc44ce4c49a1741de798109f68b6bfc58d306c622",
-    "simulate-3-2": "25a0d9e682677cf4d22e3f59c25b66da89c5085015955d0bcd5d580f9e509ff7",
-    "simulate-3-3": "117bd3f19acf41201f29f2712979eb064f55b7e3bc2a05a1f7037bdf5d9f4ad4",
-    "simulate-8-2": "a55dec05e13dec4950fc96a692283fcf74bf9757d76791acb9718d68b939900c",
-    "simulate-16-2": "7e3d57357fa6dda4d4c5c5176920f1eaf6a192b18b1ddc3620bacbd77891bea4",
-    "simulate-5-2-no-error": "df9866af8e60be21847cf35b9163e7450b0c594f377aa3dc53f7840a967ca95e",
-    "simulate-4-2-7-rounds": "45b662959fe05c89505e72a6e623c2752ae4840c7dd412aaf84e79b5f5aa3dc3",
+    "simulate-3-2": "e22638761227dbca28232a5249a08eb27120afdc83ad966453ce616c35d2886e",
+    "simulate-3-3": "9a7966f28282645002a9b47c318f2a87659e7c3470aed43c656e7c7a70e5ec6a",
+    "simulate-8-2": "1c3820201c3b67ba18323e297fb41053a127ad0b16761b9f83df748e6fe7815a",
+    "simulate-16-2": "657d736671b38728315df358bad82cc806a1eca0f30c0cf8aabd71d0837b19ec",
+    "simulate-5-2-no-error": "29b155ae6644ae8bf7c6ce8aab02f6a73d61b4836f3552b601e02cd8c7e971d5",
+    "simulate-4-2-7-rounds": "7c9ee1ac623bed8b54b5fc58f00c832809159c389a37b6de0a5e3be21de049af",
     "simulate-3-2-1-round": "e09587b84c2705968230ab95b34c823b97f9abb0c60f029421eaef283856e5f7",
 }
 

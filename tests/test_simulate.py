@@ -75,7 +75,7 @@ def test_bob_errors_uniform_over_wrong_symbols():
     D = 0.2
     stats = session(D=D, w=w_bar(3, D), rounds=10**6, seed=9, shards=1)
     for b_idx in range(2):
-        hist = stats.counts[b_idx].sum(axis=2)  # (symbol, receiver outcome)
+        hist = stats.receiver_histograms[b_idx]  # (symbol, receiver outcome)
         wrong = hist.copy()
         np.fill_diagonal(wrong, 0)
         errors = wrong.sum()
@@ -148,11 +148,47 @@ def test_eve_block_predicts_receiver_shift_exactly():
 
 def test_counts_are_the_sufficient_statistics():
     stats = session(dim=4, D=0.2, w=0.5, rounds=100_001, seed=3, shards=3)
-    assert stats.counts.shape == (2, 4, 4, 4)
+    assert stats.counts.shape == (4**3 + 4**2,)
     assert stats.counts.sum() == 100_001
     correct, error = stats.eve_joint_given_bob
     assert np.array_equal(correct + error, stats.eve_joint_histogram)
-    assert np.array_equal(stats.eve_joint_histogram, stats.counts[0].sum(axis=1))
+    assert np.array_equal(stats.eve_joint_histogram, stats.counts[: 4**3].reshape(4, 4, 4).sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "dim,bases,D,rounds,seed,shards",
+    [(3, 2, 0.1, 10**5, 42, 4), (3, 3, 0.15, 10**5, 42, 2), (8, 2, 0.2, 10**5, 42, 3), (4, 2, 0.3, 7, 42, 3)],
+)
+def test_counts_are_the_key_table_then_each_other_basis_receiver_histogram(dim, bases, D, rounds, seed, shards):
+    # The guess is drawn on the key basis only: d^3 (symbol, receiver, guess) cells, then
+    # d^2 (symbol, receiver) cells for each other basis, and both views read ``counts``.
+    stats = simulate(SimConfig(ProtocolSpec(dim, bases), D, "auto", rounds, seed, shards))
+    assert stats.counts.shape == (dim**3 + (bases - 1) * dim**2,)
+    assert stats.counts.sum() == rounds
+    key, by_basis = stats.key_counts, stats.receiver_histograms
+    assert key.shape == (dim, dim, dim) and by_basis.shape == (bases, dim, dim)
+    assert np.shares_memory(key, stats.counts)
+    assert by_basis.sum(axis=(1, 2)).tolist() == stats.rounds_per_basis.tolist()
+    assert key.sum() == stats.rounds_per_basis[0]
+    assert np.array_equal(by_basis[0], key.sum(axis=2))
+    assert np.array_equal(by_basis[1:].reshape(-1), stats.counts[dim**3:])
+    assert not (key.flags.writeable or by_basis.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    [
+        (SimConfig(ProtocolSpec(3, 2), 0.1, "auto", 1_000_000, 42, 4),
+         "dccc91b7077efabefaee36ca8572f1ba5cf2e50d18e3160daab23d2c21c31f65"),
+        (SimConfig(ProtocolSpec(3, 3), 0.15, -0.1098589865142163, 1_000_000, 42, 2),
+         "62818782e28809d6b9261c1144648b21bcd36a1da1dfd2e8a6f48124eb306bfd"),
+    ],
+)
+def test_key_basis_counts_match_a_draw_over_every_basis_guess(config, digest):
+    # SHA-256 of the key-basis (symbol, receiver, guess) counts as drawn when every basis's
+    # guess was drawn too: the key cells lead the draw, so every statistic of the
+    # eavesdropper is unchanged by dropping the other bases' guesses.
+    assert hashlib.sha256(simulate(config).key_counts.tobytes()).hexdigest() == digest
 
 
 def test_determinism_bit_identical():
@@ -212,9 +248,10 @@ def test_information_se_floor_is_one_allowance_per_nonempty_regime():
     spec, w = ProtocolSpec(d), w_bar(d, D)
     symbol, guess = np.arange(d)[:, None], np.arange(d)
     for shifts in ((0, 1), (0,)):  # both regimes, then the receiver-correct one only
-        counts = np.zeros((2, d, d, d), dtype=np.int64)
+        counts = np.zeros(d**3 + d**2, dtype=np.int64)
+        key = counts[: d**3].reshape(d, d, d)
         for shift in shifts:
-            counts[0, symbol, (symbol + shift) % d, guess] = 1
+            key[symbol, (symbol + shift) % d, guess] = 1
         stats = SessionStats(spec, D, w, int(counts.sum()), 0, 1, counts=counts)
         assert stats.i_ae_hat == 0.0 and stats.i_ae_hat_se == 0.0
         allowance = (d - 1) ** 2 / (2.0 * counts.sum() * math.log(d))  # every round is a computational one
@@ -245,11 +282,11 @@ def test_three_basis_session():
 
 
 def test_three_basis_counts_are_pinned():
-    # SHA-256 of the (3, 3) session's counts at the parent's auto overlap: the outcome
-    # table, and so every count, must not move when the attack's Z-line weight is rewritten.
+    # SHA-256 of the (3, 3) session's counts at a fixed overlap: the outcome table, and so
+    # every count, must not move when the attack's Z-line weight is rewritten.
     stats = simulate(SimConfig(ProtocolSpec(3, 3), 0.15, -0.1098589865142163, 1_000_000, 42, 2))
     digest = hashlib.sha256(stats.counts.tobytes()).hexdigest()
-    assert digest == "a4b4bb1c0b701f9cdca180268651bcf6fbb15a62b9452ab4cf72b821fb4dfa02"
+    assert digest == "4d0fafb5221507938bebd18bb060c8812b49c5bb2c88f282cb9fcc48f6d4c74a"
 
 
 def test_empirical_mi_perfect_and_uniform():
@@ -356,7 +393,8 @@ def _two_pass_information(hists, base):
 def test_information_estimates_equal_two_pass_oracle(dim, bases, D, rounds, seed, shards):
     spec = ProtocolSpec(dim, bases)
     stats = simulate(SimConfig(spec, D, "auto", rounds, seed, shards))
-    pooled = stats.counts.sum(axis=(0, 3))
+    key, others = stats.counts[: dim**3].reshape(dim, dim, dim), stats.counts[dim**3:].reshape(-1, dim, dim)
+    pooled = key.sum(axis=2) + others.sum(axis=0)
     assert (stats.i_ab_hat, stats.i_ab_hat_se) == _two_pass_information([pooled], dim)
     assert (stats.i_ae_hat, stats.i_ae_hat_se) == _two_pass_information(list(stats.eve_joint_given_bob), dim)
 

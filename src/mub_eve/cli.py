@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -147,9 +149,18 @@ def _usage_error(message: str) -> int:
 
 
 def _write(path: Path, text: str) -> bool:
-    """Write text and a final newline as UTF-8 with LF line ends; False, after one error line, if that fails."""
+    """Write text and a final newline as UTF-8 with LF line ends; False, after one error line, if that fails.
+
+    The file is written in place and then cut to length, not truncated to zero first: on ext4
+    (mounted with ``discard``), truncating a file to zero frees its blocks, which costs more than
+    the write. Only a regular file is cut; a FIFO, ``/dev/null`` or a tty cannot be.
+    """
+    data = (text + "\n").encode("utf-8")
     try:
-        path.write_text(text + "\n", encoding="utf-8", newline="\n")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as out:
+            out.write(data)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(len(data))
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False

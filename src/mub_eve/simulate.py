@@ -35,7 +35,7 @@ import numpy as np
 
 from .attack import AttackParams, _isometry_scale, build_eve_states
 from .bases import ProtocolSpec, protocol_bases
-from .errors import AnalysisError, DomainError
+from .errors import AnalysisError, DimensionError, DomainError
 from .information import guess_probability, i_ab, i_ae
 from .optimize import optimal_w
 
@@ -111,7 +111,8 @@ class SessionStats(SimConfig):
     """A session record: its configuration, with ``w`` resolved to a float, plus its tallies.
 
     The configuration fields and their checks are ``SimConfig``'s; the record
-    adds only ``counts``, the 1-D int64 vector of the drawn cells in draw order:
+    adds only ``counts``, checked against the spec and ``rounds``: the 1-D
+    integer vector (int64 from ``simulate``) of the drawn cells in draw order:
     the key basis's d^3 (symbol, receiver, guess) cells, then d^2 (symbol,
     receiver) cells per other basis. Passing the record back to ``simulate``
     replays its counts. Two cached read-only arrays read it: ``key_counts``,
@@ -125,6 +126,16 @@ class SessionStats(SimConfig):
     """
 
     counts: np.ndarray = field(kw_only=True, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        counts, d = self.counts, self.spec.dim
+        cells = d**3 + (self.spec.bases_count - 1) * d**2
+        if not (isinstance(counts, np.ndarray) and counts.shape == (cells,) and counts.dtype.kind in "iu"):
+            raise DimensionError(f"counts must be a 1-D integer array of d^3 + (k-1) d^2 = {cells} cells, "
+                                 f"got shape {np.shape(counts)}, dtype {getattr(counts, 'dtype', None)}")
+        if counts.min() < 0 or counts.sum() != self.rounds:
+            raise DomainError(f"counts must be nonnegative and sum to rounds = {self.rounds}")
 
     # -- raw tallies ---------------------------------------------------------
 

@@ -170,6 +170,41 @@ def test_curves_unwritable_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
+# One command per kind of output file, each run with "--out" appended.
+WRITING_COMMANDS = {
+    "curves-csv": ["curves", "--dim", "3", "--bases", "3", "--d-max", "0.6", "--steps", "41", "--no-timestamp"],
+    "curves-json": ["curves", "--dim", "3", "--bases", "3", "--d-max", "0.6", "--steps", "41", "--no-timestamp",
+                    "--format", "json"],
+    "simulate": ["simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", "100000", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+def test_output_over_a_longer_file_is_the_fresh_output(tmp_path, capsys, name):
+    argv = WRITING_COMMANDS[name]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.write_bytes(np.random.default_rng(0).bytes(200_000))
+    assert run(capsys, *argv, "--out", str(fresh))[0] == 0
+    assert run(capsys, *argv, "--out", str(reused))[0] == 0
+    data = reused.read_bytes()
+    assert data == fresh.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
+
+
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+def test_output_to_the_null_device(capsys, name):
+    code, stdout, err = run(capsys, *WRITING_COMMANDS[name], "--out", os.devnull)
+    assert code == 0 and os.devnull in stdout and err == ""
+
+
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+def test_output_to_a_directory_is_one_error_line(tmp_path, capsys, name):
+    code, stdout, err = run(capsys, *WRITING_COMMANDS[name], "--out", str(tmp_path))
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_critical_two_bases(capsys):
     code, out, _ = run(capsys, "critical", "--dim", "5", "--bases", "2")
     assert code == 0
@@ -333,13 +368,17 @@ def test_simulate_file_is_the_same_with_cold_and_warm_bases(tmp_path, capsys, di
 
 
 def test_simulate_zero_rounds_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    old = np.random.default_rng(1).bytes(200_000)
+    out.write_bytes(old)
     code, _, err = run(
         capsys,
         "simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", "0",
-        "--out", str(tmp_path / "x.json"),
+        "--out", str(out),
     )
     assert code == 2
     assert "rounds" in err
+    assert out.read_bytes() == old  # a usage error leaves an existing file untouched
 
 
 def test_simulate_rounds_above_int64_usage_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from mub_eve import (
     AnalysisError,
     ComparisonReport,
+    DimensionError,
     DomainError,
     ProtocolSpec,
     SessionStats,
@@ -270,6 +271,28 @@ def test_session_record_is_its_config_plus_counts():
     replay = simulate(stats)
     assert np.array_equal(replay.counts, stats.counts)
     assert replay.to_dict() == stats.to_dict()
+
+
+def test_session_record_rejects_counts_that_do_not_fit_its_spec():
+    spec, w = ProtocolSpec(3), 0.8
+    cells = 3**3 + 3**2  # two bases: the key basis's d^3 cells and the other's d^2
+    # The two-basis k d^3 length: read without the check, it reported four bases.
+    with pytest.raises(DimensionError, match="36 cells"):
+        SessionStats(spec, 0.1, w, 54, 0, 1, counts=np.ones(54, dtype=np.int64))
+    # The right length, but 36 counts under rounds = 99: read without the check, it reported rounds 99.
+    with pytest.raises(DomainError, match="sum to rounds = 99"):
+        SessionStats(spec, 0.1, w, 99, 0, 1, counts=np.ones(cells, dtype=np.int64))
+    for bad in (np.ones((4, 9), dtype=np.int64), np.ones(cells), np.ones(cells, dtype=bool), [1] * cells):
+        with pytest.raises(DimensionError):
+            SessionStats(spec, 0.1, w, cells, 0, 1, counts=bad)
+    negative = np.ones(cells, dtype=np.int64)
+    negative[:2] = (-1, 3)  # still sums to rounds
+    with pytest.raises(DomainError, match="nonnegative"):
+        SessionStats(spec, 0.1, w, cells, 0, 1, counts=negative)
+    with pytest.raises(DomainError, match="rounds must be an integer"):  # SimConfig's checks still run first
+        SessionStats(spec, 0.1, w, 0, 0, 1, counts=np.zeros(54, dtype=np.int64))
+    stats = SessionStats(spec, 0.1, w, cells, 0, 1, counts=np.ones(cells, dtype=np.uint32))
+    assert stats.rounds_per_basis.tolist() == [27, 9]
 
 
 def test_three_basis_session():

@@ -35,11 +35,13 @@ outside its own block is a structural zero that is not stored. So every
 overlap of two states in different blocks, and with it each of the x, y, z and
 t groups, is an exact zero of the format (``0j``). The unitarity check and the
 s and w overlaps read the d block Grams (``EveStateSet.block_gram``, one
-batched d^4 product). Each basis's disturbance reads the blocks themselves
-through one gathered d^3 coefficient array and one batched product, with at
-most three d^3-sized arrays live. The Monte Carlo simulator reads the blocks
-too; no command forms the dense (d^3 x d) isometry or the dense d^2-coordinate
-states, which the tests build as an oracle."""
+batched d^4 product). Each basis's disturbance and the Monte Carlo simulator's
+outcome table are one quantity, |<phi|_B <m, j|_E V|psi>|^2 over different
+(sender psi, receiver phi) pairs, and one kernel reads it from the blocks
+(``_block_probabilities``): one gathered coefficient array and one batched
+product over the d blocks, with at most three arrays of 16 n d^2 bytes live for
+n pairs. No command forms the dense (d^3 x d) isometry or the dense
+d^2-coordinate states, which the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -220,52 +222,55 @@ def _isometry_scale(d: int, disturbance: float) -> np.ndarray:
 def isometry_residual(eve: EveStateSet, disturbance: float) -> float:
     """max |V^dagger V - I| of the attack isometry V, read from the states' overlaps without forming V:
     (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>. E_ab and E_a'b share a block only
-    for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``."""
+    for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``. DomainError unless D is in the
+    protocol's range."""
     d = eve.dim
+    ProtocolSpec(d).check_disturbance(disturbance)
     scale = _isometry_scale(d, disturbance)
     a, b = np.ix_(np.arange(d), np.arange(d))
     norms = eve.block_gram[(b - a) % d, a, a]  # [a, b] = <E_ab|E_ab>
     return float(np.max(np.abs(np.einsum("ab,ab,ab->a", scale, scale, norms) - 1.0)))
 
 
-def _block_amplitudes(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
-    """amp = sum_{a, b} psi_k[a] conj(psi_k[b]) scale[a, b] E_ab for every state psi_k of the basis, block
-    by block: [m, 2k] and [m, 2k + 1] hold the real and imaginary parts of block m of psi_k's amp for real
-    blocks, [m, k] holds it for complex ones."""
+def _block_probabilities(eve: EveStateSet, disturbance: float,
+                         senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """p[i, m, j] = |<phi_i|_B <m, j|_E V|psi_i>|^2, read from the blocks without forming V, for sender psi_i =
+    ``senders[i]`` (or the one shared row) and receiver phi_i = ``receivers[i]``, on ancilla block m, coordinate
+    j. DomainError unless D is in the protocol's range. With n pairs, the peak is three arrays of 16 n d^2 bytes
+    (the gathered coefficients, the product and its second half); the squares (8 n d^2 bytes) come after."""
     d = eve.dim
-    # Block m of amp takes only the E_{a, a+m}, so one gathered array holds every coefficient:
-    # c[m, a, k] = psi_k[a] conj(psi_k[a+m]) scale[a, a+m], formed in place. scale[a, a+m] is one
+    ProtocolSpec(d).check_disturbance(disturbance)
+    # Block m of the amplitude takes only the E_{a, a+m}, so one gathered array holds every coefficient:
+    # c[m, a, i] = psi_i[a] conj(phi_i[a+m]) scale[a, a+m], formed in place. scale[a, a+m] is one
     # number per block, so its two values are applied as scalars, which needs no broadcast buffer.
-    psi, idx = basis.vectors.T, np.arange(d)  # psi[a, k]
-    c = psi.conj()[(idx[:, None] + idx) % d]
-    np.multiply(psi, c, out=c)
+    c = np.take(receivers.T.conj(), np.arange(d)[:, None] + np.arange(d), axis=0, mode="wrap")
+    np.multiply(senders.T, c, out=c)
     c[0] *= math.sqrt(1.0 - disturbance)  # scale[a, a]
     c[1:] *= math.sqrt(disturbance / (d - 1))  # scale[a, b], b != a
-    # Real blocks (every built set) take c's real view, the parts of each psi_k interleaved, as the left
+    # Real blocks (every built set) take c's real view, the parts of each pair interleaved, as the left
     # operand of one real batched product; complex blocks take the complex product. Its d-term sums run
     # in two halves, which keeps their rounding at a dense product's: against long double, at d <= 32,
     # one sequential sum was off by up to 1.5e-15 in a disturbance, the halves by 8.5e-16.
-    blocks, h = eve.blocks, d // 2
-    lhs = c.view(np.float64).transpose(0, 2, 1) if np.isrealobj(blocks) else c.transpose(0, 2, 1)
+    blocks, h, real = eve.blocks, d // 2, np.isrealobj(eve.blocks)
+    lhs = c.view(np.float64).transpose(0, 2, 1) if real else c.transpose(0, 2, 1)
     amp = lhs[..., :h] @ blocks[:, :h]
     amp += lhs[..., h:] @ blocks[:, h:]
-    return amp
+    del c, lhs  # |amp|^2 = re^2 + im^2, in place, then into one [i, m, j] array
+    parts = amp.view(np.float64)
+    np.square(parts, out=parts)
+    re2, im2 = (amp[:, 0::2], amp[:, 1::2]) if real else (amp.real, amp.imag)
+    p = np.empty((len(receivers), d, d))
+    np.add(re2, im2, out=p.transpose(1, 0, 2))
+    return p
 
 
 def disturbance_per_state(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
     """Disturbance 1 - <psi| rho_B |psi> for each state of the given basis, read from the states;
-    rho_B is the receiver's reduced state after the attack (ancilla traced out).
-
-    At most three arrays of 16 d^3 bytes are live at once: the gathered coefficients, the product and
-    its second half. The coefficients are freed before the squares are summed."""
+    rho_B is the receiver's reduced state after the attack (ancilla traced out). Each state's d^2
+    probabilities fill one contiguous row, which numpy sums pairwise. DomainError unless D is in the
+    protocol's range."""
     d = eve.dim
     if basis.dim != d:
         raise DimensionError(f"basis dimension {basis.dim} != attack dimension {d}")
-    amp = _block_amplitudes(eve, disturbance, basis)  # ||amp||^2 = <psi| rho_B |psi>
-    parts = amp.view(np.float64)
-    np.square(parts, out=parts)
-    re2, im2 = (amp[:, 0::2], amp[:, 1::2]) if np.isrealobj(amp) else (amp.real, amp.imag)
-    # Each state's d^2 terms re^2 + im^2 fill one contiguous row, which numpy sums pairwise.
-    squares = np.empty((d, d, d))  # [k, m, coordinate]
-    np.add(re2, im2, out=squares.transpose(1, 0, 2))
-    return 1.0 - squares.reshape(d, d * d).sum(axis=1)
+    p = _block_probabilities(eve, disturbance, basis.vectors, basis.vectors)
+    return 1.0 - p.reshape(d, d * d).sum(axis=1)

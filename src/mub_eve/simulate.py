@@ -1,16 +1,16 @@
 """Monte Carlo protocol simulator used as an independent check of the closed forms.
 
 Each round: the sender draws a basis and a symbol uniformly, the attack maps
-her qudit to receiver x ancilla (the ancilla states weighted by the
-disturbance amplitudes), and the receiver (in the sender's basis) and the
-eavesdropper (in the fixed ancilla coordinate basis) measure jointly. Her guess
-is the ancilla coordinate mod d (the sender symbol, by the state layout). Her
-statistics read only that guess, on computational-basis (key) rounds only; the
-other bases feed only the receiver's statistics. So each shard draws one exact
-multinomial over d^3 + (k - 1) d^2 cells: the key basis's (symbol, receiver
-outcome, guess) cells, then each other basis's (symbol, receiver outcome)
-cells. Their distribution is computed from the states and summed over the
-ancilla blocks, and off the key basis over the guess too: a marginal of a
+her qudit to receiver x ancilla, and the receiver (in the sender's basis) and
+the eavesdropper (in the fixed ancilla coordinate basis) measure jointly. Her
+guess is the ancilla coordinate mod d (the sender symbol, by the state layout).
+Her statistics read only that guess, on computational-basis (key) rounds only;
+the other bases feed only the receiver's statistics. So each shard draws one
+exact multinomial over d^3 + (k - 1) d^2 cells: the key basis's (symbol,
+receiver outcome, guess) cells, then each other basis's (symbol, receiver
+outcome) cells. Their distribution is read from the states by the kernel that
+reads ``verify``'s disturbances (``attack._block_probabilities``), summed over
+the ancilla blocks, and off the key basis over the guess too: a marginal of a
 multinomial is the multinomial of the marginal. Shards own counter-based
 generator streams keyed by (seed, shard), so results are reproducible and
 independent of scheduling.
@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .attack import AttackParams, _isometry_scale, build_eve_states
+from .attack import AttackParams, _block_probabilities, build_eve_states
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError
 from .information import guess_probability, i_ab, i_ae
@@ -64,30 +64,29 @@ def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np
     """Joint probabilities P[basis, symbol, receiver outcome, eavesdropper's guess].
 
     The guess is the ancilla coordinate mod d; each cell sums |amplitude|^2 over the d ancilla
-    blocks that share it. Symbol 0's row takes one product per basis; the others are its shifts.
+    blocks that share it. Symbol 0's row takes one call of the attack's amplitude kernel per
+    basis, symbol 0 against every receiver outcome; the others are its shifts.
     """
     d = spec.dim
-    blocks = build_eve_states(AttackParams(d, spec.bases_count, disturbance, w)).blocks
-    # Column (b, m d + j) of the weighted states has one sender a = b - m: E_ab is blocks[m, a].
-    # weighted[b, m, j] = scale[a, b] E_ab[m d + j], real, formed as the dense isometry forms it.
-    b, m = np.arange(d)[:, None], np.arange(d)
-    a = (b - m) % d
-    weighted = _isometry_scale(d, disturbance)[a, b][:, :, None] * blocks[m, a]
+    eve = build_eve_states(AttackParams(d, spec.bases_count, disturbance, w))
     bases = protocol_bases(spec)
-    rows = np.empty((len(bases), d, d))
-    for b_idx, basis in enumerate(bases):
-        joint = (basis.vectors[0][a][:, :, None] * weighted).reshape(d, d * d)  # [receiver b, m d + j]
-        cell = np.abs(basis.vectors.conj() @ joint) ** 2
+    rows = np.empty((len(bases), d, d))  # [basis, receiver, guess] of symbol 0
+    for row, basis in zip(rows, bases):
+        cell = _block_probabilities(eve, disturbance, basis.vectors[:1], basis.vectors)  # [receiver, block, guess]
         cell[cell < CELL_FLOOR] = 0.0
-        by_guess = cell.reshape(d, d, d).sum(axis=1)  # (receiver, block, guess) -> (receiver, guess)
-        rows[b_idx] = by_guess / by_guess.sum()
-    shift = a.T  # shift[s, r] = (r - s) mod d: P[k, s, r, g] = rows[k, shift[s, r], shift[s, g]]
-    return rows[:, shift[:, :, None], shift[:, None, :]] / (len(bases) * d)
+        cell.sum(axis=1, out=row)
+        del cell  # not live during the next basis's kernel call
+        row /= row.sum()
+    rows /= len(bases) * d
+    idx = np.arange(d)
+    shift = (idx - idx[:, None]) % d  # [s, r] = (r - s) mod d: P[k, s, r, g] = rows[k, shift[s, r], shift[s, g]]
+    return rows[:, shift[:, :, None], shift[:, None, :]]
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one simulated session."""
+    """Parameters of one simulated session, checked when built: D against the spec's range, ``w``
+    "auto" or a real number, and the integer fields against their least values."""
 
     spec: ProtocolSpec
     disturbance: float
@@ -104,6 +103,10 @@ class SimConfig:
             object.__setattr__(self, name, int(value))  # numpy integers do not serialise to JSON
         if self.rounds > MAX_ROUNDS:
             raise DomainError(f"rounds must be at most {MAX_ROUNDS}, the int64 count limit, got {self.rounds}")
+        self.spec.check_disturbance(self.disturbance)
+        w = self.w
+        if isinstance(w, bool) or not (w == "auto" if isinstance(w, str) else isinstance(w, Real)):
+            raise DomainError(f"w must be a real number or 'auto', got {w!r}")
 
 
 @dataclass(frozen=True)

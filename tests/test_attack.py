@@ -24,7 +24,7 @@ from mub_eve import (
     scalar_product_profile,
     w_bar,
 )
-from mub_eve.attack import AttackIsometry
+from mub_eve.attack import AttackIsometry, _block_probabilities
 from oracles import (
     build_isometry,
     dense_disturbance,
@@ -252,8 +252,8 @@ def test_isometry_matches_column_by_column_assembly(d, bases_count):
 
 
 def test_states_are_real_and_the_isometry_complex():
-    # The profile reads the states, whose real dtype sends it to a real product; the dense
-    # oracle is complex, as are the weighted states simulate's products read.
+    # The profile and the amplitude kernel read the states, whose real dtype sends them to
+    # real products; the dense oracle is complex.
     for d, bases_count in ((2, 2), (3, 3), (8, 2)):
         params = AttackParams(d, bases_count, 0.15, 0.3)
         eve = build_eve_states(params)
@@ -420,6 +420,26 @@ def test_disturbance_holds_three_coefficient_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 16 * d**3
+
+
+@pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
+def test_block_probabilities_are_the_dense_isometry_cells(d, bases_count):
+    # p[i, m, j] = |<phi_i|_B <m, j|_E V|psi_i>|^2 against the dense isometry: every (sender,
+    # receiver) pair of each basis, and one shared sender row against every receiver.
+    D = 0.2
+    spec = ProtocolSpec(d, bases_count)
+    params = AttackParams(d, bases_count, D, resolve_w(spec, D, "auto"))
+    eve, matrix = build_eve_states(params), build_isometry(params).matrix
+    for basis in protocol_bases(spec):
+        out = (matrix @ basis.vectors.T).T.reshape(d, d, d * d)  # [sender, receiver, ancilla]
+        cells = np.abs(np.einsum("rb,sbe->sre", basis.vectors.conj(), out)) ** 2  # [sender, receiver, e]
+        senders = np.repeat(basis.vectors, d, axis=0)
+        receivers = np.tile(basis.vectors, (d, 1))
+        every_pair = _block_probabilities(eve, D, senders, receivers)
+        assert every_pair.shape == (d * d, d, d)
+        assert np.max(np.abs(every_pair.reshape(d, d, d * d) - cells)) <= 1e-15
+        shared = _block_probabilities(eve, D, basis.vectors[1:2], basis.vectors)
+        assert np.array_equal(shared, every_pair[d : 2 * d])
 
 
 def test_ancilla_dimension_is_d_squared():

@@ -14,12 +14,16 @@ from mub_eve import (
     ProtocolSpec,
     SimConfig,
     admissible_w_interval,
+    build_eve_states,
+    computational_basis,
+    disturbance_per_state,
     empirical_mutual_information,
     guess_probability,
     i_ab,
     i_ae,
     i_ae_optimal,
     i_d,
+    isometry_residual,
     lambda_d,
     maximize_w,
     optimal_w,
@@ -32,6 +36,10 @@ from oracles import build_isometry, golden_section_maximize, optimality_witnesse
 NAN = math.nan
 # phi_d's radicand, as its messages name it.
 PHI_RADICAND = re.escape("radicand D [1 + (d-1) w] {d - D [1 + d + (d-1) w]} = ")
+
+
+# A valid d = 3 attack, for the checks of the disturbance its readers are given.
+EVE_3 = build_eve_states(AttackParams(3, 2, 0.1, 0.85))
 
 
 def peak(w):
@@ -99,6 +107,10 @@ BAD_INPUTS = [
     bad(lambda: golden_section_maximize(peak, 0.0, NAN), "golden-hi-nan", r"hi=nan$"),
     bad(lambda: admissible_w_interval(ProtocolSpec(3), NAN), "interval-D-nan"),
     bad(lambda: admissible_w_interval(ProtocolSpec(3, 3), NAN), "interval-three-bases-D-nan"),
+    *(bad(lambda D=D: disturbance_per_state(EVE_3, D, computational_basis(3)), f"per-state-D-{D}",
+          rf"^disturbance must lie in \[0, 0\.6666666666666666\], got {D}$") for D in (NAN, 0.9, -0.1, 1.5)),
+    *(bad(lambda D=D: isometry_residual(EVE_3, D), f"isometry-residual-D-{D}",
+          rf"^disturbance must lie in \[0, 0\.6666666666666666\], got {D}$") for D in (NAN, 0.9, -0.1, 1.5)),
 ]
 
 

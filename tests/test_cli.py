@@ -281,7 +281,7 @@ def test_verify_forms_no_dense_isometry(capsys, monkeypatch, dim, bases):
 
 @pytest.mark.parametrize("dim, bases", [(3, 2), (3, 3), (8, 2), (16, 2)])
 def test_simulate_forms_no_dense_isometry(tmp_path, capsys, monkeypatch, dim, bases):
-    # the outcome table reads the weighted ancilla states; simulate builds no dense isometry
+    # the outcome table reads the ancilla blocks through the amplitude kernel; simulate builds no dense isometry
     refuse_dense_isometry(monkeypatch, "simulate")
     out = tmp_path / "session.json"
     code, _, _ = run(

@@ -122,8 +122,10 @@ def test_every_symbol_is_an_exact_shift_of_symbol_zero(dim, bases, D):
 
 
 def test_outcome_table_holds_no_copy_of_the_states():
-    # The blocks and the weighted states the table reads are d^3 entries each; a d^4 array
-    # (the dense states, 8.4 MB at d = 32) would break the bound.
+    # The table reads the blocks (8 d^3 bytes) through the attack's amplitude kernel, which holds
+    # at most three arrays of 16 d^3 bytes at once: 3.55 x 16 d^3 bytes in all at d = 32, against
+    # 4.57 x 16 d^3 for a route that also keeps a weighted copy of the states. A d^4 array (the
+    # dense states, 8.4 MB at d = 32) would break the bound by far.
     d = 32
     spec = ProtocolSpec(d)
     outcome_distribution(spec, 0.1, w_bar(d, 0.1))  # warm up
@@ -133,7 +135,7 @@ def test_outcome_table_holds_no_copy_of_the_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * d**3 * np.dtype(np.float64).itemsize
+    assert peak <= 4 * 16 * d**3
 
 
 def test_eve_block_predicts_receiver_shift_exactly():
@@ -345,6 +347,20 @@ def test_config_validation():
     assert SimConfig(spec=spec, disturbance=0.1, rounds=2**63 - 1).rounds == 2**63 - 1
     with pytest.raises(DomainError, match="int64"):
         SimConfig(spec=spec, disturbance=0.1, rounds=2**63)
+    # D is checked against the spec's range, and w must be "auto" or a real number, when the
+    # config is built rather than when the session runs; a record is a config too.
+    for disturbance in (math.nan, -0.1, 0.9, 1.5):
+        with pytest.raises(DomainError, match=r"^disturbance must lie in \[0, 0\.6666666666666666\]"):
+            SimConfig(spec=spec, disturbance=disturbance, rounds=10)
+    for w in ("bogus", "", None, True, 0.5j, [0.5]):
+        with pytest.raises(DomainError, match=r"^w must be a real number or 'auto'"):
+            SimConfig(spec=spec, disturbance=0.1, w=w, rounds=10)
+    assert SimConfig(spec=spec, disturbance=0.1, w=np.float64(0.5), rounds=10).w == 0.5
+    assert SimConfig(spec=spec, disturbance=0.1, w=1, rounds=10).w == 1
+    counts = np.zeros(3**3 + 3**2, dtype=np.int64)
+    counts[0] = 10
+    with pytest.raises(DomainError, match=r"got 0\.9$"):
+        SessionStats(spec, 0.9, 0.3, 10, 0, 1, counts=counts)
 
 
 def test_resolve_w():

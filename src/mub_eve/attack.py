@@ -35,13 +35,15 @@ outside its own block is a structural zero that is not stored. So every
 overlap of two states in different blocks, and with it each of the x, y, z and
 t groups, is an exact zero of the format (``0j``). The unitarity check and the
 s and w overlaps read the d block Grams (``EveStateSet.block_gram``, one
-batched d^4 product). Each basis's disturbance and the Monte Carlo simulator's
-outcome table are one quantity, |<phi|_B <m, j|_E V|psi>|^2 over different
-(sender psi, receiver phi) pairs, and one kernel reads it from the blocks
-(``_block_probabilities``): one gathered coefficient array and one batched
-product over the d blocks, with at most three arrays of 16 n d^2 bytes live for
-n pairs. No command forms the dense (d^3 x d) isometry or the dense
-d^2-coordinate states, which the tests build as an oracle."""
+batched d^4 product). Each basis's disturbance is |<phi|_B <m, j|_E V|psi>|^2
+summed over its d^2 ancilla cells, and one kernel reads that quantity from the
+blocks for any (sender psi, receiver phi) pairs (``_block_probabilities``): one
+gathered coefficient array and one batched product over the d blocks, with at
+most three arrays of 16 n d^2 bytes live for n pairs. It serves ``verify`` and
+the simulator's full reference table (``simulate.outcome_distribution``); the
+Monte Carlo session itself reads its cells from the blocks without it. No
+command forms the dense (d^3 x d) isometry or the dense d^2-coordinate states,
+which the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -104,7 +106,11 @@ class AttackParams:
         return 1.0 - self.no_error_eigenvalues()[1]
 
     def coeff_pairs(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """((u, v) for the no-error block, (r, q) for the error blocks)."""
+        """((u, v) for the no-error block, (r, q) for the error blocks), computed once per parameter set."""
+        return self._coeff_pairs
+
+    @cached_property  # computed by the validation in __post_init__, read by build_eve_states
+    def _coeff_pairs(self) -> tuple[tuple[float, float], tuple[float, float]]:
         d, w = self.dim, self.w
         return coeff_pair(*self.no_error_eigenvalues(), d), coeff_pair(1.0 + (d - 1) * w, 1.0 - w, d)
 

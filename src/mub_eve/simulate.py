@@ -8,20 +8,24 @@ Her statistics read only that guess, on computational-basis (key) rounds only;
 the other bases feed only the receiver's statistics. So each shard draws one
 exact multinomial over d^3 + (k - 1) d^2 cells: the key basis's (symbol,
 receiver outcome, guess) cells, then each other basis's (symbol, receiver
-outcome) cells. Their distribution is read from the states by the kernel that
-reads ``verify``'s disturbances (``attack._block_probabilities``), summed over
-the ancilla blocks, and off the key basis over the guess too: a marginal of a
-multinomial is the multinomial of the marginal. Shards own counter-based
-generator streams keyed by (seed, shard), so results are reproducible and
-independent of scheduling.
+outcome) cells; a marginal of a multinomial is the multinomial of the
+marginal. ``_draw_cells`` reads those cells straight from the ancilla blocks
+in O(d^3): symbol 0's key row from each block's first state, and each other
+basis's receiver marginal from the blocks' two-valued circulant Grams. It
+calls neither the attack's amplitude kernel nor ``outcome_distribution``,
+which builds the full (basis, symbol, receiver, guess) table through that
+kernel as the reference that the tests hold the draw's cells to. Shards own
+counter-based generator streams keyed by (seed, shard), so results are
+reproducible and independent of scheduling.
 
 The attack is Weyl-covariant (Cerf, Bourennane, Karlsson and Gisin, PRL 88,
 127902, 2002), so P[k, s, r, g] = P[k, 0, r - s, g - s] mod d. X^s maps symbol
 0 to s in the computational and qutrit alpha bases, and shifts the receiver and
 the in-block coordinate by s. Z^s does so in the Fourier basis, shifting the
 receiver and putting a phase on each ancilla block; X covariance makes the
-Fourier rows flat in the guess. ``test_every_symbol_is_an_exact_shift_of_symbol_zero``
-pins the shift bit for bit.
+Fourier rows flat in the guess. Both the table and the draw's cells are symbol
+0's rows shifted, which ``test_every_symbol_is_an_exact_shift_of_symbol_zero``
+and ``test_draw_cells_of_every_symbol_are_exact_shifts`` pin bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .attack import AttackParams, _block_probabilities, build_eve_states
+from .attack import AttackParams, _block_probabilities, _isometry_scale, build_eve_states
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError
 from .information import guess_probability, i_ab, i_ae
@@ -61,11 +65,14 @@ def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
 
 
 def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
-    """Joint probabilities P[basis, symbol, receiver outcome, eavesdropper's guess].
+    """The full reference table: joint probabilities P[basis, symbol, receiver outcome, eavesdropper's guess].
 
     The guess is the ancilla coordinate mod d; each cell sums |amplitude|^2 over the d ancilla
     blocks that share it. Symbol 0's row takes one call of the attack's amplitude kernel per
-    basis, symbol 0 against every receiver outcome; the others are its shifts.
+    basis, symbol 0 against every receiver outcome; the others are its shifts. ``simulate`` does
+    not read it: its draw takes only the key basis's cells and the other bases' sums over the
+    guess, which ``_draw_cells`` reads from the blocks without the kernel's d^4 product. This
+    (k, d, d, d) table is what the tests check those cells against.
     """
     d = spec.dim
     eve = build_eve_states(AttackParams(d, spec.bases_count, disturbance, w))
@@ -81,6 +88,49 @@ def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np
     idx = np.arange(d)
     shift = (idx - idx[:, None]) % d  # [s, r] = (r - s) mod d: P[k, s, r, g] = rows[k, shift[s, r], shift[s, g]]
     return rows[:, shift[:, :, None], shift[:, None, :]]
+
+
+def _draw_cells(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
+    """Probabilities of the draw's d^3 + (k-1) d^2 cells, in draw order: the key basis's (symbol,
+    receiver, guess) cells, then each other basis's (symbol, receiver) cells.
+
+    Symbol 0's rows are read straight from the ancilla blocks, with no d^4 product:
+
+    * key basis: symbol 0 (e_0) reaches receiver r through block r alone, so its row is
+      (scale_r blocks[r, 0, g])^2, the cells of ``outcome_distribution(...)[0, 0]`` bit for bit;
+    * every other basis, at once: block m adds scale_m^2 c^dagger G_m c to receiver r's marginal,
+      with c[a] = psi_0[a] conj(phi_r[a+m]). Every block Gram G_m is circulant with two values,
+      the norm n_m and the overlap o_m, so c^dagger G_m c = (n_m - o_m) |c|^2 + o_m |sum_a c[a]|^2:
+      two (d x d) products per basis.
+
+    Each (receiver, block) term is floored at CELL_FLOOR, as the table's (receiver, block, guess)
+    cells are, and each basis's row is normalised and shifted to the other symbols (Weyl
+    covariance), so the cells sum to 1 up to rounding. At most two d^3-sized arrays are live, after
+    the blocks go.
+    """
+    d, k = spec.dim, spec.bases_count
+    blocks = build_eve_states(AttackParams(d, k, disturbance, w)).blocks
+    scale = _isometry_scale(d, disturbance)[0]  # [m]: the weight of E_{0, m}, symbol 0's state in block m
+    key = np.square(scale[:, None] * blocks[:, 0])  # [receiver, guess]
+    # (n_m, o_m): the first two entries of row 0 of block m's Gram.
+    norm, overlap = np.einsum("mj,mkj->km", blocks[:, 0], blocks[:, :2])
+    del blocks
+    vectors = np.stack([basis.vectors for basis in protocol_bases(spec)[1:]])  # [basis, r, b] = phi_r[b]
+    idx = np.arange(d)
+    # [basis, b, m] = psi_0[b - m]: as a right factor it sums the c[a] of receiver r and block m over a = b - m.
+    shifted = vectors[:, 0, (idx[:, None] - idx) % d]
+    sums = vectors.conj() @ shifted
+    squares = np.square(np.abs(vectors)) @ np.square(np.abs(shifted))
+    terms = np.square(scale) * ((norm - overlap) * squares + overlap * np.square(np.abs(sums)))  # [basis, r, m]
+    terms[terms < CELL_FLOOR] = 0.0
+    marginals = terms.sum(axis=2)
+    key[key < CELL_FLOOR] = 0.0
+    key /= key.sum()
+    marginals /= marginals.sum(axis=1, keepdims=True)
+    key /= k * d
+    marginals /= k * d
+    shift = (idx - idx[:, None]) % d  # [s, r] = (r - s) mod d: symbol s's cells are symbol 0's shifted by s
+    return np.concatenate((key[shift[:, :, None], shift[:, None, :]].reshape(-1), marginals[:, shift].reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -346,10 +396,10 @@ def simulate(config: SimConfig) -> SessionStats:
     """
     spec = config.spec
     w = resolve_w(spec, config.disturbance, config.w)
-    table = outcome_distribution(spec, config.disturbance, w)
-    # The key basis's (symbol, receiver, guess) cells come first, scaled by the whole table's
-    # sum: numpy draws cells in order, so they get the counts of a draw over every guess.
-    flat = np.concatenate((table[0].reshape(-1), table[1:].sum(axis=3).reshape(-1))) / table.sum()
+    # numpy draws the cells in order, so the key basis's cells, which come first, get the counts
+    # of a draw over every basis's guess.
+    flat = _draw_cells(spec, config.disturbance, w)
+    flat /= flat.sum()
 
     counts = np.zeros(flat.size, dtype=np.int64)
     base_rounds = config.rounds // config.shards

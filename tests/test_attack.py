@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -167,6 +168,19 @@ def test_attack_params_validation():
         AttackParams(3, 2, 0.6, 1.0)  # s falls below -1/(d-1)
     with pytest.raises(DimensionError):
         AttackParams(1, 2, 0.0, 1.0)
+
+
+def test_coeff_pairs_are_computed_once_per_parameter_set(monkeypatch):
+    # The validation computes each block's pair once, and build_eve_states reads that cache.
+    attack = importlib.import_module("mub_eve.attack")
+    calls = []
+    pair = attack.coeff_pair
+    monkeypatch.setattr(attack, "coeff_pair", lambda *args: calls.append(args) or pair(*args))
+    params = AttackParams(3, 2, 0.1, 0.85)
+    eve = build_eve_states(params)
+    assert len(calls) == 2
+    assert params.coeff_pairs() is params.coeff_pairs()
+    assert eve.blocks[0, 0, 0] == params.coeff_pairs()[0][0]
 
 
 def test_eve_states_normalisation_and_measured_overlaps():

@@ -138,6 +138,73 @@ def test_outcome_table_holds_no_copy_of_the_states():
     assert peak <= 4 * 16 * d**3
 
 
+DRAW_CASES = [(dim, 2, D) for dim in (2, 3, 4, 5, 6, 7, 8, 16, 32) for D in (0.0, 0.1, (dim - 1) / dim)]
+DRAW_CASES += [(3, 3, D) for D in (0.0, 0.1, 2 / 3)]
+
+
+@pytest.mark.parametrize("dim,bases,D", DRAW_CASES)
+def test_draw_cells_are_the_reference_table_cells(dim, bases, D):
+    # The draw's cells, read from the blocks without the kernel, against the full table: the key
+    # basis's cells bit for bit (the kernel adds only exact zeros to symbol 0's key row), each
+    # other basis's cells against the table's sums over the guess, with the same exact zeros.
+    # Every row sums to 1/(k d); both routes lie within 0.1 eps of a long-double sum.
+    spec = ProtocolSpec(dim, bases)
+    w = resolve_w(spec, D, "auto")
+    table = outcome_distribution(spec, D, w)
+    cells = importlib.import_module("mub_eve.simulate")._draw_cells(spec, D, w)
+    assert cells.shape == (dim**3 + (bases - 1) * dim**2,)
+    assert np.array_equal(cells[: dim**3], table[0].reshape(-1))
+    by_receiver = table[1:].sum(axis=3).reshape(-1)
+    assert np.array_equal(cells[dim**3:] == 0, by_receiver == 0)
+    assert np.max(np.abs(cells[dim**3:] - by_receiver)) <= np.finfo(float).eps / 4
+
+
+@pytest.mark.parametrize("dim,bases", [(2, 2), (3, 2), (5, 2), (8, 2), (16, 2), (3, 3)])
+@pytest.mark.parametrize("D", [0.0, 0.1])
+def test_draw_cells_of_every_symbol_are_exact_shifts(dim, bases, D):
+    # Weyl covariance on the draw's own cells, bit for bit, off the key basis too: each basis's
+    # receiver marginal is formed once for symbol 0 and shifted, where the table's sums over the
+    # guess add each symbol's row in its own rotated order (at (5, 0.1) they differ by an ulp).
+    spec = ProtocolSpec(dim, bases)
+    cells = importlib.import_module("mub_eve.simulate")._draw_cells(spec, D, resolve_w(spec, D, "auto"))
+    key, others = cells[: dim**3].reshape(dim, dim, dim), cells[dim**3:].reshape(bases - 1, dim, dim)
+    for s in range(dim):
+        assert np.array_equal(key[s], np.roll(key[0], (s, s), axis=(0, 1)))
+        assert np.array_equal(others[:, s], np.roll(others[:, 0], s, axis=1))
+
+
+def test_session_calls_neither_the_kernel_nor_the_table(monkeypatch):
+    # The draw reads the blocks directly: a session runs with both routes to the full table cut.
+    sim = importlib.import_module("mub_eve.simulate")
+    attack = importlib.import_module("mub_eve.attack")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the session reached the amplitude kernel or the full table")
+
+    for module, name in ((attack, "_block_probabilities"), (sim, "_block_probabilities"),
+                         (sim, "outcome_distribution")):
+        monkeypatch.setattr(module, name, refused)
+    for dim, bases, D in ((3, 2, 0.1), (3, 3, 0.15), (16, 2, 0.1)):
+        stats = simulate(SimConfig(ProtocolSpec(dim, bases), D, "auto", 10**5, 1, 2))
+        assert stats.counts.sum() == 10**5 and compare_to_analytic(stats).passed
+
+
+def test_session_holds_no_table_and_no_d4_product():
+    # A session's peak is the draw's cells, the counts and one shard's draw, 8 d^3 bytes each, plus
+    # small arrays: 3.1 x 8 d^3 at d = 32. Reading the cells through the amplitude kernel and the
+    # (k, d, d, d) table peaked at 7.1 x 8 d^3; a d^4 array alone is 32 x 8 d^3 at d = 32.
+    d = 32
+    config = SimConfig(ProtocolSpec(d), 0.1, "auto", 10**6, 1, 3)
+    simulate(config)  # warm up
+    tracemalloc.start()
+    try:
+        simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * d**3
+
+
 def test_eve_block_predicts_receiver_shift_exactly():
     # Every nonzero computational-basis cell of the ancilla-resolved table: block 0 means
     # the receiver got the symbol, block m shifts it by m.

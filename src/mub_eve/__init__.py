@@ -28,9 +28,9 @@ _EXPORTS = {
     "errors": ("AnalysisError", "DimensionError", "DomainError", "ProtocolError"),
     "information": ("dits_to_bits", "guess_probability", "i_ab", "i_ae", "i_d", "lambda_d", "phi_d"),
     "optimize": ("CriticalPoint", "OptimumReport", "admissible_w_interval", "critical_disturbance",
-                 "d_c_closed_form", "i_ae_optimal", "maximize_w", "optimal_w", "w_bar"),
+                 "d_c_closed_form", "i_ae_optimal", "maximize_w", "optimal_w", "resolve_w", "w_bar"),
     "simulate": ("ComparisonReport", "SessionStats", "SimConfig", "compare_to_analytic",
-                 "empirical_mutual_information", "outcome_distribution", "resolve_w", "simulate"),
+                 "empirical_mutual_information", "outcome_distribution", "simulate"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_OWNER]

@@ -5,7 +5,7 @@ infinite numbers included).
 
 Only the closed forms are imported with this module, and they run on ``math``
 alone, so ``critical`` and ``curves`` start without numpy; ``verify`` and
-``simulate`` import numpy and the attack and simulate layers when they run.
+``simulate`` import numpy when they run, and only ``simulate`` loads the Monte Carlo layer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError, ProtocolError
 from .information import dits_to_bits, i_ab, i_ae
-from .optimize import critical_disturbance, d_c_closed_form, optimal_w, stationarity
+from .optimize import critical_disturbance, d_c_closed_form, optimal_w, resolve_w, stationarity
 
 SCHEMA = "mub-eve/1"
 CSV_HEADER = "D,w_opt,I_AB_dits,I_AE_dits,I_AB_bits,I_AE_bits"
@@ -240,10 +240,7 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
 
 
 def cmd_verify(args, spec: ProtocolSpec) -> int:
-    import numpy as np
-
     from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_residual, scalar_product_profile
-    from .simulate import resolve_w
 
     disturbance = args.disturbance
     doc = {
@@ -268,7 +265,7 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
         checks = [
             ("isometry_unitarity", isometry_residual(eve, disturbance), GATE_TOL, False),
             *((f"equal_disturbance_{basis.label}",
-               float(np.max(np.abs(disturbance_per_state(eve, disturbance, basis) - disturbance))), GATE_TOL, False)
+               float(abs(disturbance_per_state(eve, disturbance, basis) - disturbance).max()), GATE_TOL, False)
               for basis in protocol_bases(spec)),
             *((f"profile_{name}_zero", abs(getattr(profile, name)), GATE_TOL, False) for name in "xyzt"),
             ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),

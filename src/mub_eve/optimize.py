@@ -6,13 +6,15 @@ the peaks of the two guess probabilities, halved once before the zero finder
 starts, as the slope can be singular at the bracket's low end. The critical
 disturbance D_c is the root of the gap I_AE(optimal) - I_AB on a bracket in
 D. Both roots come from one zero finder, Brent's (R. P. Brent, *Algorithms
-for Minimization without Derivatives*, 1973, ch. 4).
+for Minimization without Derivatives*, 1973, ch. 4). Every w input is read
+by one rule, ``resolve_w``: "auto" (optimal_w's w) or a finite real number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import AnalysisError, DomainError
 from .bases import ProtocolSpec
@@ -186,6 +188,15 @@ def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
     if not fa > 0.0:
         return a
     return _bracketed_root(slope, a, mid, fa, fm)[0]
+
+
+def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
+    """A w input as a float: "auto" is optimal_w's w at D, a finite real number (not a bool) itself."""
+    if isinstance(w, str) and w == "auto":
+        return optimal_w(spec, disturbance)
+    if isinstance(w, bool) or not (isinstance(w, Real) and math.isfinite(w)):
+        raise DomainError(f"w must be a real number or 'auto', got {w!r}")
+    return float(w)
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> tuple[float, float]:

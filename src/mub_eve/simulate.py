@@ -16,7 +16,8 @@ calls neither the attack's amplitude kernel nor ``outcome_distribution``,
 which builds the full (basis, symbol, receiver, guess) table through that
 kernel as the reference that the tests hold the draw's cells to. Shards own
 counter-based generator streams keyed by (seed, shard), so results are
-reproducible and independent of scheduling.
+reproducible and independent of scheduling. ``SimConfig`` resolves w to a
+float when it is built, so a session never resolves it again.
 
 The attack is Weyl-covariant (Cerf, Bourennane, Karlsson and Gisin, PRL 88,
 127902, 2002), so P[k, s, r, g] = P[k, 0, r - s, g - s] mod d. X^s maps symbol
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .attack import AttackParams, _block_probabilities, _isometry_scale, build_e
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError
 from .information import guess_probability, i_ab, i_ae
-from .optimize import optimal_w
+from .optimize import resolve_w
 
 # Amplitude-squared cells below this are exact zeros up to roundoff from the
 # basis rotation; dropping them keeps structurally-impossible outcomes at
@@ -52,16 +53,6 @@ CELL_FLOOR = 1e-18
 MAX_ROUNDS = 2**63 - 1
 
 Z_LIMIT = 4.0
-
-
-def resolve_w(spec: ProtocolSpec, disturbance: float, w: float | str) -> float:
-    """Resolve the overlap parameter; "auto" gives optimal_w's w: for two bases w_bar,
-    which maximises the guess probability (not I_AE); for three, the maximiser of I_AE."""
-    if isinstance(w, str):
-        if w != "auto":
-            raise DomainError(f"w must be a real number or 'auto', got {w!r}")
-        return optimal_w(spec, disturbance)
-    return float(w)
 
 
 def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
@@ -135,8 +126,8 @@ def _draw_cells(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one simulated session, checked when built: D against the spec's range, ``w``
-    "auto" or a real number, and the integer fields against their least values."""
+    """Parameters of one simulated session, checked when built: D against the spec's range, the integer
+    fields against their least values, and ``w`` resolved to a float by ``optimize.resolve_w``."""
 
     spec: ProtocolSpec
     disturbance: float
@@ -154,9 +145,7 @@ class SimConfig:
         if self.rounds > MAX_ROUNDS:
             raise DomainError(f"rounds must be at most {MAX_ROUNDS}, the int64 count limit, got {self.rounds}")
         self.spec.check_disturbance(self.disturbance)
-        w = self.w
-        if isinstance(w, bool) or not (w == "auto" if isinstance(w, str) else isinstance(w, Real)):
-            raise DomainError(f"w must be a real number or 'auto', got {w!r}")
+        object.__setattr__(self, "w", resolve_w(self.spec, self.disturbance, self.w))
 
 
 @dataclass(frozen=True)
@@ -383,8 +372,9 @@ def plug_in_bias_allowance(sizes, d: int) -> float:
 
     ``sizes`` are the tables' count totals. A non-empty table of n of the N
     counts has bias (d-1)^2 / (2 n ln d) and weighs n / N, so each adds
-    (d-1)^2 / (2 N ln d): the share-weighted sum.
+    (d-1)^2 / (2 N ln d): the share-weighted sum. d is checked as ``ProtocolSpec`` checks it.
     """
+    d = ProtocolSpec(d).dim
     total = sum(sizes)
     return sum(n / total * (d - 1) ** 2 / (2.0 * n * math.log(d)) for n in sizes if n)
 
@@ -394,8 +384,7 @@ def simulate(config: SimConfig) -> SessionStats:
 
     A ``SessionStats`` is itself a config: passing one back replays its counts.
     """
-    spec = config.spec
-    w = resolve_w(spec, config.disturbance, config.w)
+    spec, w = config.spec, config.w
     # numpy draws the cells in order, so the key basis's cells, which come first, get the counts
     # of a draw over every basis's guess.
     flat = _draw_cells(spec, config.disturbance, w)

@@ -28,9 +28,11 @@ from mub_eve import (
     maximize_w,
     optimal_w,
     phi_d,
+    resolve_w,
     simulate,
     w_bar,
 )
+from mub_eve.simulate import plug_in_bias_allowance
 from oracles import build_isometry, golden_section_maximize, optimality_witnesses
 
 NAN = math.nan
@@ -85,6 +87,12 @@ BAD_INPUTS = [
     bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=True), "sim-bool-rounds"),
     bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, seed=False), "sim-bool-seed"),
     bad(lambda: SimConfig(ProtocolSpec(3), 0.1, rounds=10, shards=True), "sim-bool-shards"),
+    # One rule for a w input: "auto" or a finite real number, and a bool is not one.
+    *(bad(lambda w=w: resolve_w(ProtocolSpec(3), 0.1, w), f"resolve_w-{w!r}",
+          rf"^w must be a real number or 'auto', got {re.escape(repr(w))}$")
+      for w in (True, None, 0.5j, NAN, math.inf, -math.inf)),
+    *(bad(lambda d=d: plug_in_bias_allowance((10, 5), d), f"bias-allowance-d-{d}", r"^dimension must be an integer >= 2")
+      for d in (1, 0, 2.5)),
     bad(lambda: empirical_mutual_information([[2, 0], [0, -1]], 2), "mi-negative-count"),
     bad(lambda: empirical_mutual_information([[3, -1], [-1, 3]], 2), "mi-negative-off-diagonal"),
     bad(lambda: empirical_mutual_information([[1, NAN], [0, 1]], 2), "mi-nan-count"),

@@ -667,6 +667,10 @@ CRITICAL_RUN = "from mub_eve import cli\nassert cli.main(['critical', '--dim', '
         "for spec in (ProtocolSpec(3), ProtocolSpec(3, 3)):\n"
         "    assert 0.0 < i_ae(spec, 0.1, optimal_w(spec, 0.1)) < critical_disturbance(spec).d_c < 0.5\n",
         id="closed-forms"),
+    pytest.param(
+        "from mub_eve import ProtocolSpec, optimal_w, resolve_w\n"
+        "assert resolve_w(ProtocolSpec(3, 3), 0.1, 'auto') == optimal_w(ProtocolSpec(3, 3), 0.1)\n",
+        id="resolve-w"),
 ])
 def test_closed_forms_run_without_numpy(tmp_path, code):
     code = code.format(out=str(tmp_path / "curves.csv"))
@@ -684,6 +688,16 @@ def test_numpy_commands_run_from_a_cold_interpreter(tmp_path, argv):
     # attack and simulate layers.
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = fresh_interpreter(f"import sys\nfrom mub_eve import cli\nsys.exit(cli.main({argv!r}))\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_does_not_load_the_monte_carlo_layer():
+    # verify resolves w through optimize, and the attack layer is all else it needs.
+    proc = fresh_interpreter(
+        "import sys\nfrom mub_eve import cli\n"
+        "assert cli.main(['verify', '--dim', '8', '--disturbance', '0.1']) == 0\n"
+        "assert 'mub_eve.simulate' not in sys.modules, 'mub_eve.simulate was imported'\n"
+    )
     assert proc.returncode == 0, proc.stderr
 
 

@@ -21,6 +21,7 @@ from mub_eve import (
     i_ae,
     i_d,
     lambda_d,
+    optimal_w,
     outcome_distribution,
     phi_d,
     resolve_w,
@@ -435,6 +436,22 @@ def test_resolve_w():
     assert resolve_w(ProtocolSpec(3, 2), 0.1, 0.5) == 0.5
     with pytest.raises(DomainError):
         resolve_w(ProtocolSpec(3, 2), 0.1, "optimal")
+
+
+def test_config_holds_the_resolved_w():
+    # "auto" is resolved when the config is built, by the same rule as every other w input.
+    spec = ProtocolSpec(3, 3)
+    config = SimConfig(spec, 0.15)
+    assert type(config.w) is float and config.w == optimal_w(spec, 0.15)
+    assert type(SimConfig(spec, 0.15, w=np.float64(0.25)).w) is float
+
+
+def test_record_built_with_auto_holds_a_float_and_compares():
+    spec = ProtocolSpec(3)
+    stats = simulate(SimConfig(spec, 0.1, rounds=10_000, seed=5))
+    record = SessionStats(spec, 0.1, "auto", stats.rounds, stats.seed, stats.shards, counts=stats.counts)
+    assert type(record.w) is float and record.w == optimal_w(spec, 0.1) == stats.w
+    assert compare_to_analytic(record).to_dict() == compare_to_analytic(stats).to_dict()
 
 
 def test_rounds_split_over_shards():

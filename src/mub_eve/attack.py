@@ -31,19 +31,21 @@ solving Gram constraints numerically.
 
 The blocks are the data format: ``EveStateSet.blocks[m, i]`` holds the block-m
 coordinates of E_{i, i+m}, d^3 entries in all, and every coordinate of a state
-outside its own block is a structural zero that is not stored. So every
-overlap of two states in different blocks, and with it each of the x, y, z and
-t groups, is an exact zero of the format (``0j``). The unitarity check and the
-s and w overlaps read the d block Grams (``EveStateSet.block_gram``, one
-batched d^4 product). Each basis's disturbance is |<phi|_B <m, j|_E V|psi>|^2
-summed over its d^2 ancilla cells, and one kernel reads that quantity from the
-blocks for any (sender psi, receiver phi) pairs (``_block_probabilities``): one
-gathered coefficient array and one batched product over the d blocks, with at
-most three arrays of 16 n d^2 bytes live for n pairs. It serves ``verify`` and
-the simulator's full reference table (``simulate.outcome_distribution``); the
-Monte Carlo session itself reads its cells from the blocks without it. No
-command forms the dense (d^3 x d) isometry or the dense d^2-coordinate states,
-which the tests build as an oracle."""
+outside its own block is a structural zero that is not stored. So every overlap
+of two states in different blocks, and with it each of the x, y, z and t
+groups, is an exact zero of the format (``0j``). The set also holds D, checked
+once when it is built, so it is the isometry V: ``weights[m]``, sqrt(1 - D) for
+m = 0 and sqrt(D/(d-1)) otherwise, weighs block m's states, and no reader takes
+D again. The unitarity check and the s and w overlaps read the d block Grams
+(``EveStateSet.block_gram``, one batched d^4 product). Each basis's disturbance
+is |<phi|_B <m, j|_E V|psi>|^2 summed over its d^2 ancilla cells, and one
+kernel reads that quantity from the set for any (sender psi, receiver phi)
+pairs (``_block_probabilities``): one gathered coefficient array and one
+batched product over the d blocks, with at most three arrays of 16 n d^2 bytes
+live for n pairs. It serves ``verify`` and the simulator's full reference table
+(``simulate.outcome_distribution``); the Monte Carlo session reads its cells
+from the set without it. No command forms the dense (d^3 x d) isometry or the
+dense d^2-coordinate states, which the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -84,7 +86,7 @@ class AttackParams:
     def __post_init__(self):
         self.spec.check_disturbance(self.disturbance)
         try:
-            self.coeff_pairs()
+            self.coeff_pairs
         except DomainError as exc:
             raise DomainError(f"no valid attack with D={self.disturbance}, w={self.w}: {exc}") from None
 
@@ -105,31 +107,39 @@ class AttackParams:
     def s(self) -> float:
         return 1.0 - self.no_error_eigenvalues()[1]
 
+    @cached_property  # computed by the validation in __post_init__, read by build_eve_states
     def coeff_pairs(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """((u, v) for the no-error block, (r, q) for the error blocks), computed once per parameter set."""
-        return self._coeff_pairs
-
-    @cached_property  # computed by the validation in __post_init__, read by build_eve_states
-    def _coeff_pairs(self) -> tuple[tuple[float, float], tuple[float, float]]:
         d, w = self.dim, self.w
         return coeff_pair(*self.no_error_eigenvalues(), d), coeff_pair(1.0 + (d - 1) * w, 1.0 - w, d)
 
 
 @dataclass(frozen=True)
 class EveStateSet:
-    """The d^2 ancilla output states as their d coordinate blocks: blocks[m, i] = the block-m coordinates
-    of E_{i, i+m}. A state's coordinates on the other d - 1 blocks are zeros the format does not store."""
+    """The attack isometry: the d^2 ancilla states as d coordinate blocks, blocks[m, i] = the block-m coordinates
+    of E_{i, i+m} (a state's other coordinates are zeros not stored), and the D that weighs them, checked here,
+    once; D = 0 serves a set read only for its overlaps."""
 
     blocks: np.ndarray = field(repr=False)  # (d, d, d), float64 as built; complex sets work too
+    disturbance: float = 0.0
 
     def __post_init__(self):
         shape = np.shape(self.blocks)
         if len(shape) != 3 or len(set(shape)) != 1 or shape[0] < 2:
             raise DimensionError(f"ancilla blocks must be a (d, d, d) array with d >= 2, got shape {shape}")
+        ProtocolSpec(shape[0]).check_disturbance(self.disturbance)
 
     @property
     def dim(self) -> int:
         return self.blocks.shape[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """weights[m], the weight in V of each state of block m: sqrt(1 - D) for m = 0, sqrt(D/(d-1)) otherwise."""
+        weights = np.full(self.dim, math.sqrt(self.disturbance / (self.dim - 1)))
+        weights[0] = math.sqrt(1.0 - self.disturbance)
+        weights.setflags(write=False)
+        return weights
 
     @cached_property
     def block_gram(self) -> np.ndarray:
@@ -164,14 +174,14 @@ class ScalarProductProfile:
 def build_eve_states(params: AttackParams) -> EveStateSet:
     """Lay out the ancilla output states in orthogonal coordinate blocks."""
     d = params.dim
-    (u, v), (r, q) = params.coeff_pairs()
+    (u, v), (r, q) = params.coeff_pairs
     # E_{i, i+m} fills block m: the minor coefficient, and the major on coordinate i.
     blocks = np.full((d, d, d), q)
     blocks[0] = v
     idx = np.arange(d)
     blocks[:, idx, idx] = np.where(idx == 0, u, r)[:, None]
     blocks.setflags(write=False)
-    return EveStateSet(blocks)
+    return EveStateSet(blocks, params.disturbance)
 
 
 def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
@@ -220,39 +230,30 @@ class AttackIsometry:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def _isometry_scale(d: int, disturbance: float) -> np.ndarray:
-    """scale[a, b], the weight of E_ab in the isometry: sqrt(1 - D) for b = a, sqrt(D/(d-1)) otherwise."""
-    return np.where(np.eye(d, dtype=bool), math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1)))
-
-
-def isometry_residual(eve: EveStateSet, disturbance: float) -> float:
+def isometry_residual(eve: EveStateSet) -> float:
     """max |V^dagger V - I| of the attack isometry V, read from the states' overlaps without forming V:
-    (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>. E_ab and E_a'b share a block only
-    for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``. DomainError unless D is in the
-    protocol's range."""
+    (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>, scale[a, b] = weights[b - a]. E_ab and
+    E_a'b share a block only for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``."""
     d = eve.dim
-    ProtocolSpec(d).check_disturbance(disturbance)
-    scale = _isometry_scale(d, disturbance)
     a, b = np.ix_(np.arange(d), np.arange(d))
-    norms = eve.block_gram[(b - a) % d, a, a]  # [a, b] = <E_ab|E_ab>
+    block = (b - a) % d  # [a, b]: the block of E_ab
+    scale, norms = eve.weights[block], eve.block_gram[block, a, a]  # norms[a, b] = <E_ab|E_ab>
     return float(np.max(np.abs(np.einsum("ab,ab,ab->a", scale, scale, norms) - 1.0)))
 
 
-def _block_probabilities(eve: EveStateSet, disturbance: float,
-                         senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+def _block_probabilities(eve: EveStateSet, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
     """p[i, m, j] = |<phi_i|_B <m, j|_E V|psi_i>|^2, read from the blocks without forming V, for sender psi_i =
     ``senders[i]`` (or the one shared row) and receiver phi_i = ``receivers[i]``, on ancilla block m, coordinate
-    j. DomainError unless D is in the protocol's range. With n pairs, the peak is three arrays of 16 n d^2 bytes
-    (the gathered coefficients, the product and its second half); the squares (8 n d^2 bytes) come after."""
+    j. With n pairs, the peak is three arrays of 16 n d^2 bytes (the gathered coefficients, the product and its
+    second half); the squares (8 n d^2 bytes) come after."""
     d = eve.dim
-    ProtocolSpec(d).check_disturbance(disturbance)
     # Block m of the amplitude takes only the E_{a, a+m}, so one gathered array holds every coefficient:
-    # c[m, a, i] = psi_i[a] conj(phi_i[a+m]) scale[a, a+m], formed in place. scale[a, a+m] is one
-    # number per block, so its two values are applied as scalars, which needs no broadcast buffer.
+    # c[m, a, i] = psi_i[a] conj(phi_i[a+m]) weights[m], formed in place. The weight is one number per
+    # block, and it takes only two values, so each is applied as a scalar, which needs no broadcast buffer.
     c = np.take(receivers.T.conj(), np.arange(d)[:, None] + np.arange(d), axis=0, mode="wrap")
     np.multiply(senders.T, c, out=c)
-    c[0] *= math.sqrt(1.0 - disturbance)  # scale[a, a]
-    c[1:] *= math.sqrt(disturbance / (d - 1))  # scale[a, b], b != a
+    c[0] *= eve.weights[0]
+    c[1:] *= eve.weights[1]
     # Real blocks (every built set) take c's real view, the parts of each pair interleaved, as the left
     # operand of one real batched product; complex blocks take the complex product. Its d-term sums run
     # in two halves, which keeps their rounding at a dense product's: against long double, at d <= 32,
@@ -270,13 +271,12 @@ def _block_probabilities(eve: EveStateSet, disturbance: float,
     return p
 
 
-def disturbance_per_state(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
+def disturbance_per_state(eve: EveStateSet, basis: Basis) -> np.ndarray:
     """Disturbance 1 - <psi| rho_B |psi> for each state of the given basis, read from the states;
     rho_B is the receiver's reduced state after the attack (ancilla traced out). Each state's d^2
-    probabilities fill one contiguous row, which numpy sums pairwise. DomainError unless D is in the
-    protocol's range."""
+    probabilities fill one contiguous row, which numpy sums pairwise."""
     d = eve.dim
     if basis.dim != d:
         raise DimensionError(f"basis dimension {basis.dim} != attack dimension {d}")
-    p = _block_probabilities(eve, disturbance, basis.vectors, basis.vectors)
+    p = _block_probabilities(eve, basis.vectors, basis.vectors)
     return 1.0 - p.reshape(d, d * d).sum(axis=1)

@@ -263,9 +263,9 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
         profile = scalar_product_profile(eve)
         # (name, residual, threshold, informational), in report order
         checks = [
-            ("isometry_unitarity", isometry_residual(eve, disturbance), GATE_TOL, False),
+            ("isometry_unitarity", isometry_residual(eve), GATE_TOL, False),
             *((f"equal_disturbance_{basis.label}",
-               float(abs(disturbance_per_state(eve, disturbance, basis) - disturbance).max()), GATE_TOL, False)
+               float(abs(disturbance_per_state(eve, basis) - disturbance).max()), GATE_TOL, False)
               for basis in protocol_bases(spec)),
             *((f"profile_{name}_zero", abs(getattr(profile, name)), GATE_TOL, False) for name in "xyzt"),
             ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),

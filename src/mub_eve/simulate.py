@@ -8,16 +8,16 @@ Her statistics read only that guess, on computational-basis (key) rounds only;
 the other bases feed only the receiver's statistics. So each shard draws one
 exact multinomial over d^3 + (k - 1) d^2 cells: the key basis's (symbol,
 receiver outcome, guess) cells, then each other basis's (symbol, receiver
-outcome) cells; a marginal of a multinomial is the multinomial of the
-marginal. ``_draw_cells`` reads those cells straight from the ancilla blocks
-in O(d^3): symbol 0's key row from each block's first state, and each other
-basis's receiver marginal from the blocks' two-valued circulant Grams. It
-calls neither the attack's amplitude kernel nor ``outcome_distribution``,
-which builds the full (basis, symbol, receiver, guess) table through that
-kernel as the reference that the tests hold the draw's cells to. Shards own
-counter-based generator streams keyed by (seed, shard), so results are
-reproducible and independent of scheduling. ``SimConfig`` resolves w to a
-float when it is built, so a session never resolves it again.
+outcome) cells; a marginal of a multinomial is the multinomial of the marginal.
+``_draw_cells`` reads those cells straight from the state set's blocks and
+weights in O(d^3): symbol 0's key row from each block's first state, and each
+other basis's marginal from the blocks' two-valued circulant Grams. It calls
+neither the attack's amplitude kernel nor ``outcome_distribution``, which
+builds the full (basis, symbol, receiver, guess) table through that kernel as
+the reference that the tests hold the draw's cells to. Shards own counter-based
+generator streams keyed by (seed, shard), so results are reproducible and
+independent of scheduling. ``SimConfig`` resolves w to a float when it is
+built, so a session never resolves it again.
 
 The attack is Weyl-covariant (Cerf, Bourennane, Karlsson and Gisin, PRL 88,
 127902, 2002), so P[k, s, r, g] = P[k, 0, r - s, g - s] mod d. X^s maps symbol
@@ -38,7 +38,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .attack import AttackParams, _block_probabilities, _isometry_scale, build_eve_states
+from .attack import AttackParams, _block_probabilities, build_eve_states
 from .bases import ProtocolSpec, protocol_bases
 from .errors import AnalysisError, DimensionError, DomainError
 from .information import guess_probability, i_ab, i_ae
@@ -70,7 +70,7 @@ def outcome_distribution(spec: ProtocolSpec, disturbance: float, w: float) -> np
     bases = protocol_bases(spec)
     rows = np.empty((len(bases), d, d))  # [basis, receiver, guess] of symbol 0
     for row, basis in zip(rows, bases):
-        cell = _block_probabilities(eve, disturbance, basis.vectors[:1], basis.vectors)  # [receiver, block, guess]
+        cell = _block_probabilities(eve, basis.vectors[:1], basis.vectors)  # [receiver, block, guess]
         cell[cell < CELL_FLOOR] = 0.0
         cell.sum(axis=1, out=row)
         del cell  # not live during the next basis's kernel call
@@ -88,8 +88,8 @@ def _draw_cells(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
     Symbol 0's rows are read straight from the ancilla blocks, with no d^4 product:
 
     * key basis: symbol 0 (e_0) reaches receiver r through block r alone, so its row is
-      (scale_r blocks[r, 0, g])^2, the cells of ``outcome_distribution(...)[0, 0]`` bit for bit;
-    * every other basis, at once: block m adds scale_m^2 c^dagger G_m c to receiver r's marginal,
+      (weights[r] blocks[r, 0, g])^2, the cells of ``outcome_distribution(...)[0, 0]`` bit for bit;
+    * every other basis, at once: block m adds weights[m]^2 c^dagger G_m c to receiver r's marginal,
       with c[a] = psi_0[a] conj(phi_r[a+m]). Every block Gram G_m is circulant with two values,
       the norm n_m and the overlap o_m, so c^dagger G_m c = (n_m - o_m) |c|^2 + o_m |sum_a c[a]|^2:
       two (d x d) products per basis.
@@ -100,19 +100,19 @@ def _draw_cells(spec: ProtocolSpec, disturbance: float, w: float) -> np.ndarray:
     the blocks go.
     """
     d, k = spec.dim, spec.bases_count
-    blocks = build_eve_states(AttackParams(d, k, disturbance, w)).blocks
-    scale = _isometry_scale(d, disturbance)[0]  # [m]: the weight of E_{0, m}, symbol 0's state in block m
-    key = np.square(scale[:, None] * blocks[:, 0])  # [receiver, guess]
+    eve = build_eve_states(AttackParams(d, k, disturbance, w))
+    weights = eve.weights  # [m]: the weight of E_{0, m}, symbol 0's state in block m
+    key = np.square(weights[:, None] * eve.blocks[:, 0])  # [receiver, guess]
     # (n_m, o_m): the first two entries of row 0 of block m's Gram.
-    norm, overlap = np.einsum("mj,mkj->km", blocks[:, 0], blocks[:, :2])
-    del blocks
+    norm, overlap = np.einsum("mj,mkj->km", eve.blocks[:, 0], eve.blocks[:, :2])
+    del eve
     vectors = np.stack([basis.vectors for basis in protocol_bases(spec)[1:]])  # [basis, r, b] = phi_r[b]
     idx = np.arange(d)
     # [basis, b, m] = psi_0[b - m]: as a right factor it sums the c[a] of receiver r and block m over a = b - m.
     shifted = vectors[:, 0, (idx[:, None] - idx) % d]
     sums = vectors.conj() @ shifted
     squares = np.square(np.abs(vectors)) @ np.square(np.abs(shifted))
-    terms = np.square(scale) * ((norm - overlap) * squares + overlap * np.square(np.abs(sums)))  # [basis, r, m]
+    terms = np.square(weights) * ((norm - overlap) * squares + overlap * np.square(np.abs(sums)))  # [basis, r, m]
     terms[terms < CELL_FLOOR] = 0.0
     marginals = terms.sum(axis=2)
     key[key < CELL_FLOOR] = 0.0

@@ -19,6 +19,10 @@
   ``isometry_from_states``, with a column-by-column reference assembly, and the
   disturbance and outcome table read from it: a second route to everything
   ``verify`` and ``simulate`` read from the ancilla states.
+
+Each dense route weighs the states from the set's D by its own formula
+(``isometry_scale``, or ``isometry_by_columns``'s), never through
+``EveStateSet.weights``, so a wrong weight in the package fails the comparisons.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from mub_eve import (
     phi_d,
     protocol_bases,
 )
-from mub_eve.attack import AttackIsometry, _isometry_scale
+from mub_eve.attack import AttackIsometry
 from mub_eve.bases import ORTHONORMALITY_TOL
 from mub_eve.optimize import EDGE_SHRINK, _central_difference, _fd_step, _second_difference, _w_bar
 from mub_eve.simulate import CELL_FLOOR
@@ -56,7 +60,7 @@ def guess_probability_constructive(spec: ProtocolSpec, disturbance: float, w: fl
     Independent of the closed forms: goes through the attack's Gram eigenvalues
     and coefficients. phi_d (at the overlap z_factor * w) and lambda_d must match these squares.
     """
-    (major_s, _), (major_w, _) = AttackParams(spec.dim, spec.bases_count, disturbance, w).coeff_pairs()
+    (major_s, _), (major_w, _) = AttackParams(spec.dim, spec.bases_count, disturbance, w).coeff_pairs
     return major_s**2, major_w**2
 
 
@@ -210,20 +214,27 @@ def dense_profile(eve: EveStateSet) -> ScalarProductProfile:
     )
 
 
-def dense_isometry_residual(eve: EveStateSet, disturbance: float) -> float:
+def isometry_scale(eve: EveStateSet) -> np.ndarray:
+    """scale[a, b], the weight of E_ab in the isometry, from the set's D alone (not from its ``weights``):
+    sqrt(1 - D) for b = a, sqrt(D/(d-1)) otherwise."""
+    d, disturbance = eve.dim, eve.disturbance
+    return np.where(np.eye(d, dtype=bool), math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1)))
+
+
+def dense_isometry_residual(eve: EveStateSet) -> float:
     """max |V^dagger V - I| from ``dense_gram``: (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>.
 
     The dense isometry's ``unitarity_residual`` is a second reference, but it differs from the block
     route by 1.8e-15 at d = 25, D = 0.3; this one stays within 4.5e-16 of it for every d <= 32.
     """
     d = eve.dim
-    scale = _isometry_scale(d, disturbance)
+    scale = isometry_scale(eve)
     a, a2, b = np.ix_(np.arange(d), np.arange(d), np.arange(d))
     overlaps = dense_gram(eve)[(b - a) % d, a, (b - a2) % d, a2]  # [a, a', b] = <E_ab|E_a'b>
     return float(np.max(np.abs(np.einsum("ab,cb,acb->ac", scale, scale, overlaps) - np.eye(d))))
 
 
-def dense_disturbance(eve: EveStateSet, disturbance: float, basis: Basis) -> np.ndarray:
+def dense_disturbance(eve: EveStateSet, basis: Basis) -> np.ndarray:
     """1 - <psi| rho_B |psi> per basis state from one product with the dense states:
     amp = sum_{a, b} psi[a] conj(psi[b]) scale[a, b] E_ab.
 
@@ -232,18 +243,18 @@ def dense_disturbance(eve: EveStateSet, disturbance: float, basis: Basis) -> np.
     """
     d = eve.dim
     psi = basis.vectors
-    coeff = (psi[:, :, None] * psi[:, None, :].conj() * _isometry_scale(d, disturbance)).reshape(d, d * d)
+    coeff = (psi[:, :, None] * psi[:, None, :].conj() * isometry_scale(eve)).reshape(d, d * d)
     parts = np.concatenate((coeff.real, coeff.imag)) @ dense_states(eve).reshape(d * d, d * d)
     amp = parts[:d] + 1j * parts[d:]
     return 1.0 - np.sum(amp.real**2 + amp.imag**2, axis=1)
 
 
-def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry:
-    """Assemble the attack isometry from an explicit ancilla state set."""
+def isometry_from_states(eve: EveStateSet) -> AttackIsometry:
+    """Assemble the attack isometry from an explicit ancilla state set and its D."""
     d = eve.dim
     # V[b d^2 + e, a] = scale[a, b] E_ab[e], written straight into (receiver, ancilla, sender) order.
     v = np.empty((d, d * d, d), dtype=complex)
-    np.multiply(_isometry_scale(d, disturbance).T[:, None, :], dense_states(eve).transpose(1, 2, 0), out=v)
+    np.multiply(isometry_scale(eve).T[:, None, :], dense_states(eve).transpose(1, 2, 0), out=v)
     v = v.reshape(d * d * d, d)
     v.setflags(write=False)
     return AttackIsometry(v)
@@ -251,12 +262,12 @@ def isometry_from_states(eve: EveStateSet, disturbance: float) -> AttackIsometry
 
 def build_isometry(params: AttackParams) -> AttackIsometry:
     """Assemble the attack isometry for the given parameters."""
-    return isometry_from_states(build_eve_states(params), params.disturbance)
+    return isometry_from_states(build_eve_states(params))
 
 
-def isometry_by_columns(eve: EveStateSet, disturbance: float) -> np.ndarray:
+def isometry_by_columns(eve: EveStateSet) -> np.ndarray:
     """Reference assembly: column i stacks sqrt(1-D) E_ii and sqrt(D/(d-1)) E_ij, receiver-major."""
-    d = eve.dim
+    d, disturbance = eve.dim, eve.disturbance
     keep, err = math.sqrt(1.0 - disturbance), math.sqrt(disturbance / (d - 1))
     states = dense_states(eve)
     v = np.zeros((d * d * d, d), dtype=complex)

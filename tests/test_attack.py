@@ -179,8 +179,8 @@ def test_coeff_pairs_are_computed_once_per_parameter_set(monkeypatch):
     params = AttackParams(3, 2, 0.1, 0.85)
     eve = build_eve_states(params)
     assert len(calls) == 2
-    assert params.coeff_pairs() is params.coeff_pairs()
-    assert eve.blocks[0, 0, 0] == params.coeff_pairs()[0][0]
+    assert params.coeff_pairs is params.coeff_pairs
+    assert eve.blocks[0, 0, 0] == params.coeff_pairs[0][0]
 
 
 def test_eve_states_normalisation_and_measured_overlaps():
@@ -209,7 +209,7 @@ def test_eve_states_normalisation_and_measured_overlaps():
 def test_identity_attack_states():
     params = AttackParams(3, 2, 0.0, 0.5)
     eve = build_eve_states(params)
-    (u, v), _ = params.coeff_pairs()
+    (u, v), _ = params.coeff_pairs
     assert u == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     assert v == pytest.approx(1 / math.sqrt(3), abs=1e-12)
     for i in range(3):
@@ -233,7 +233,7 @@ def test_identity_attack_isometry_columns():
 def eve_states_by_pairs(params: AttackParams) -> np.ndarray:
     """Reference layout: one (sender, receiver) pair at a time, error state E_ij in block (j - i) mod d."""
     d = params.dim
-    (u, v), (r, q) = params.coeff_pairs()
+    (u, v), (r, q) = params.coeff_pairs
     states = np.zeros((d, d, d * d), dtype=complex)
     for i in range(d):
         states[i, i, :d] = v
@@ -260,9 +260,9 @@ def test_eve_states_match_pair_by_pair_layout(d, bases_count):
 def test_isometry_matches_column_by_column_assembly(d, bases_count):
     for D in (0.0, 0.15):
         eve = build_eve_states(AttackParams(d, bases_count, D, 0.3))
-        matrix = isometry_from_states(eve, D).matrix
+        matrix = isometry_from_states(eve).matrix
         assert matrix.flags.c_contiguous
-        assert np.array_equal(matrix, isometry_by_columns(eve, D))
+        assert np.array_equal(matrix, isometry_by_columns(eve))
 
 
 def test_states_are_real_and_the_isometry_complex():
@@ -273,7 +273,7 @@ def test_states_are_real_and_the_isometry_complex():
         eve = build_eve_states(params)
         assert eve.blocks.dtype == np.float64
         assert not eve.blocks.flags.writeable
-        matrix = isometry_from_states(eve, params.disturbance).matrix
+        matrix = isometry_from_states(eve).matrix
         assert matrix.dtype == np.complex128
         assert matrix.flags.c_contiguous
 
@@ -295,34 +295,34 @@ def built_and_cast_sets(d, bases_count):
     for D in (0.0, 0.1, 0.3):
         eve = build_eve_states(AttackParams(d, bases_count, D, resolve_w(spec, D, "auto")))
         for blocks in (eve.blocks, eve.blocks.astype(np.complex128)):
-            yield spec, D, EveStateSet(blocks=blocks)
+            yield spec, D, EveStateSet(blocks, D)
 
 
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
 def test_disturbance_from_states_matches_dense_isometry(d, bases_count):
     for spec, D, eve in built_and_cast_sets(d, bases_count):
-        iso = isometry_from_states(eve, D)
+        iso = isometry_from_states(eve)
         for basis in protocol_bases(spec):
-            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - disturbance_by_isometry(iso, basis))) <= 1e-15
+            assert np.max(np.abs(disturbance_per_state(eve, basis) - disturbance_by_isometry(iso, basis))) <= 1e-15
 
 
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
 def test_unitarity_from_gram_matches_dense_isometry(d, bases_count):
     for _, D, eve in built_and_cast_sets(d, bases_count):
-        assert abs(isometry_residual(eve, D) - isometry_from_states(eve, D).unitarity_residual()) <= 1e-15
+        assert abs(isometry_residual(eve) - isometry_from_states(eve).unitarity_residual()) <= 1e-15
 
 
 @pytest.mark.parametrize("group", ["s", "w"])
 def test_unitarity_from_gram_sees_a_perturbed_pair(group):
     # negative control: the orthonormal layout gives V^dagger V = I, and the entry that makes
     # one pair nonzero also lengthens a state, which both routes must report alike
-    eve = orthonormal_layout(4)
-    assert isometry_residual(eve, 0.1) <= 1e-15
-    eve = perturbed(eve, group)
+    assert isometry_residual(EveStateSet(orthonormal_layout(4).blocks, 0.1)) <= 1e-15
+    blocks = perturbed(orthonormal_layout(4), group).blocks
     for D in (0.1, 0.3):
-        dense = isometry_from_states(eve, D).unitarity_residual()
+        eve = EveStateSet(blocks, D)
+        dense = isometry_from_states(eve).unitarity_residual()
         assert dense > 1e-3
-        assert abs(isometry_residual(eve, D) - dense) <= 1e-15
+        assert abs(isometry_residual(eve) - dense) <= 1e-15
 
 
 def test_gram_is_formed_once_and_read_by_every_gate():
@@ -331,12 +331,12 @@ def test_gram_is_formed_once_and_read_by_every_gate():
     scalar_product_profile(eve)
     block_gram = vars(eve)["block_gram"]
     assert eve.block_gram is block_gram and not block_gram.flags.writeable
-    assert isometry_residual(eve, params.disturbance) <= 1e-15
+    assert isometry_residual(eve) <= 1e-15
     # the residual reads the cached array: a planted norm shows in it
     planted = np.array(block_gram)
     planted[2, 0, 0] = 1.25  # <E_02|E_02>
     vars(eve)["block_gram"] = planted
-    assert isometry_residual(eve, params.disturbance) > 1e-2
+    assert isometry_residual(eve) > 1e-2
 
 
 @pytest.mark.parametrize("d, bases_count", [(d, 2) for d in range(2, 33)] + [(3, 3)])
@@ -347,9 +347,9 @@ def test_block_route_equals_dense_route(d, bases_count):
             assert getattr(got, group) == getattr(ref, group) == 0.0  # the dense Gram's cross-block pairs
         for name in ("s", "w", "s_max_dev", "w_max_dev"):
             assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-15
-        assert abs(isometry_residual(eve, D) - dense_isometry_residual(eve, D)) <= 1e-15
+        assert abs(isometry_residual(eve) - dense_isometry_residual(eve)) <= 1e-15
         for basis in protocol_bases(spec):
-            assert np.max(np.abs(disturbance_per_state(eve, D, basis) - dense_disturbance(eve, D, basis))) <= 1e-15
+            assert np.max(np.abs(disturbance_per_state(eve, basis) - dense_disturbance(eve, basis))) <= 1e-15
 
 
 def test_profile_measures_a_subnormal_in_block_entry():
@@ -365,10 +365,25 @@ def test_malformed_blocks_are_refused(shape):
         EveStateSet(blocks=np.zeros(shape))
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_state_set_weights_are_the_isometry_weights(d):
+    # weights[m] weighs block m's states in V: sqrt(1 - D) for the no-error block, sqrt(D/(d-1)) for
+    # each error block, from the D that build_eve_states gives the set; the vector is cached and read-only.
+    for D in (0.0, 0.1, (d - 1) / d):
+        eve = build_eve_states(AttackParams(d, 2, D, w_bar(d, D)))
+        assert eve.disturbance == D
+        assert eve.weights.tolist() == [math.sqrt(1.0 - D)] + [math.sqrt(D / (d - 1))] * (d - 1)
+        assert eve.weights is eve.weights
+        with pytest.raises(ValueError, match="read-only"):
+            eve.weights[0] = 1.0
+    top = build_eve_states(AttackParams(d, 2, (d - 1) / d, 0.0)).weights  # every state weighs 1/sqrt(d)
+    assert np.max(np.abs(top - 1.0 / math.sqrt(d))) <= EPS
+
+
 def test_disturbance_computational_is_exact():
     params = AttackParams(3, 2, 0.17, 0.5)
     eve = build_eve_states(params)
-    dist = disturbance_per_state(eve, params.disturbance, computational_basis(3))
+    dist = disturbance_per_state(eve, computational_basis(3))
     assert np.max(np.abs(dist - 0.17)) <= 1e-14
 
 
@@ -380,7 +395,7 @@ def test_disturbance_equal_on_fourier_basis(d):
         params = AttackParams(d, 2, D, w_bar(d, D))
         eve = build_eve_states(params)
         for basis in (computational_basis(d), fourier_basis(d)):
-            dist = disturbance_per_state(eve, D, basis)
+            dist = disturbance_per_state(eve, basis)
             assert np.max(np.abs(dist - D)) <= 1e-12
 
 
@@ -390,7 +405,7 @@ def test_disturbance_equal_on_all_three_qutrit_bases():
             params = AttackParams(3, 3, D, w)
             eve = build_eve_states(params)
             for basis in protocol_bases(ProtocolSpec(3, 3)):
-                dist = disturbance_per_state(eve, D, basis)
+                dist = disturbance_per_state(eve, basis)
                 assert np.max(np.abs(dist - D)) <= 1e-12
 
 
@@ -402,21 +417,21 @@ def test_perturbed_s_breaks_fourier_symmetry():
     blocks = np.array(good.blocks)
     blocks[0] = v
     blocks[0, range(3), range(3)] = u
-    bad = EveStateSet(blocks=blocks)
-    iso = isometry_from_states(bad, params.disturbance)
+    bad = EveStateSet(blocks, params.disturbance)
+    iso = isometry_from_states(bad)
     assert iso.unitarity_residual() <= 1e-12  # still a valid channel
-    assert isometry_residual(bad, params.disturbance) <= 1e-12
-    dist = disturbance_per_state(bad, params.disturbance, fourier_basis(3))
+    assert isometry_residual(bad) <= 1e-12
+    dist = disturbance_per_state(bad, fourier_basis(3))
     assert np.max(np.abs(dist - params.disturbance)) > 1e-4
     for basis in (computational_basis(3), fourier_basis(3)):
         oracle = disturbance_by_isometry(iso, basis)
-        assert np.max(np.abs(disturbance_per_state(bad, params.disturbance, basis) - oracle)) <= 1e-15
+        assert np.max(np.abs(disturbance_per_state(bad, basis) - oracle)) <= 1e-15
 
 
 def test_disturbance_dimension_mismatch():
     eve = build_eve_states(AttackParams(3, 2, 0.1, 0.85))
     with pytest.raises(DimensionError):
-        disturbance_per_state(eve, 0.1, computational_basis(4))
+        disturbance_per_state(eve, computational_basis(4))
 
 
 def test_disturbance_holds_three_coefficient_sized_arrays():
@@ -426,10 +441,10 @@ def test_disturbance_holds_three_coefficient_sized_arrays():
     spec = ProtocolSpec(d)
     eve = build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1)))
     basis = protocol_bases(spec)[1]
-    disturbance_per_state(eve, 0.1, basis)  # warm up
+    disturbance_per_state(eve, basis)  # warm up
     tracemalloc.start()
     try:
-        disturbance_per_state(eve, 0.1, basis)
+        disturbance_per_state(eve, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -449,10 +464,10 @@ def test_block_probabilities_are_the_dense_isometry_cells(d, bases_count):
         cells = np.abs(np.einsum("rb,sbe->sre", basis.vectors.conj(), out)) ** 2  # [sender, receiver, e]
         senders = np.repeat(basis.vectors, d, axis=0)
         receivers = np.tile(basis.vectors, (d, 1))
-        every_pair = _block_probabilities(eve, D, senders, receivers)
+        every_pair = _block_probabilities(eve, senders, receivers)
         assert every_pair.shape == (d * d, d, d)
         assert np.max(np.abs(every_pair.reshape(d, d, d * d) - cells)) <= 1e-15
-        shared = _block_probabilities(eve, D, basis.vectors[1:2], basis.vectors)
+        shared = _block_probabilities(eve, basis.vectors[1:2], basis.vectors)
         assert np.array_equal(shared, every_pair[d : 2 * d])
 
 
@@ -572,7 +587,7 @@ def perturbed(eve: EveStateSet, group: str) -> EveStateSet:
     assert (q - p) % d == m
     blocks = np.array(eve.blocks)
     blocks[m, a, p] += 0.5j
-    return EveStateSet(blocks=blocks)
+    return EveStateSet(blocks, eve.disturbance)
 
 
 @pytest.mark.parametrize("group", PERTURBATIONS)

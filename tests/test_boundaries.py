@@ -11,6 +11,7 @@ from mub_eve import (
     AttackParams,
     DimensionError,
     DomainError,
+    EveStateSet,
     ProtocolSpec,
     SimConfig,
     admissible_w_interval,
@@ -40,7 +41,7 @@ NAN = math.nan
 PHI_RADICAND = re.escape("radicand D [1 + (d-1) w] {d - D [1 + d + (d-1) w]} = ")
 
 
-# A valid d = 3 attack, for the checks of the disturbance its readers are given.
+# A valid d = 3 attack, whose blocks take the disturbances checked when a state set is built.
 EVE_3 = build_eve_states(AttackParams(3, 2, 0.1, 0.85))
 
 
@@ -115,9 +116,11 @@ BAD_INPUTS = [
     bad(lambda: golden_section_maximize(peak, 0.0, NAN), "golden-hi-nan", r"hi=nan$"),
     bad(lambda: admissible_w_interval(ProtocolSpec(3), NAN), "interval-D-nan"),
     bad(lambda: admissible_w_interval(ProtocolSpec(3, 3), NAN), "interval-three-bases-D-nan"),
-    *(bad(lambda D=D: disturbance_per_state(EVE_3, D, computational_basis(3)), f"per-state-D-{D}",
+    # A state set is the isometry: its D is checked once, when the set is built, so a reader
+    # given a set with a bad D never runs.
+    *(bad(lambda D=D: disturbance_per_state(EveStateSet(EVE_3.blocks, D), computational_basis(3)), f"per-state-D-{D}",
           rf"^disturbance must lie in \[0, 0\.6666666666666666\], got {D}$") for D in (NAN, 0.9, -0.1, 1.5)),
-    *(bad(lambda D=D: isometry_residual(EVE_3, D), f"isometry-residual-D-{D}",
+    *(bad(lambda D=D: isometry_residual(EveStateSet(EVE_3.blocks, D)), f"isometry-residual-D-{D}",
           rf"^disturbance must lie in \[0, 0\.6666666666666666\], got {D}$") for D in (NAN, 0.9, -0.1, 1.5)),
 ]
 

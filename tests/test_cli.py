@@ -701,6 +701,21 @@ def test_verify_does_not_load_the_monte_carlo_layer():
     assert proc.returncode == 0, proc.stderr
 
 
+def readme_library_example() -> str:
+    """The ```python block of README's "## Library example" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    # The README shows the public signatures as a reader calls them: a stale one fails here.
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("0.211324865")
+    assert float(lines[1]) <= 1e-15
+
+
 def test_package_namespace_lists_reads_and_refuses_names():
     mub_eve = importlib.import_module("mub_eve")
     assert set(mub_eve.__all__) <= set(dir(mub_eve))

@@ -61,7 +61,7 @@ def test_disturbance_equal_on_every_basis(attack):
     spec, disturbance, w = attack
     eve = build_eve_states(AttackParams(spec.dim, spec.bases_count, disturbance, w))
     for basis in protocol_bases(spec):
-        assert np.max(np.abs(disturbance_per_state(eve, disturbance, basis) - disturbance)) <= 1e-12
+        assert np.max(np.abs(disturbance_per_state(eve, basis) - disturbance)) <= 1e-12
 
 
 def gram_rounding(spec, disturbance, w):
@@ -138,10 +138,10 @@ def disturbance_routes_agree(d, seed, complex_blocks):
         blocks = blocks + 1j * rng.standard_normal((d, d, d))
     unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     basis = Basis(d, unitary.T)
-    eve, disturbance = EveStateSet(blocks=blocks), rng.uniform(0.0, (d - 1) / d)
-    got = disturbance_per_state(eve, disturbance, basis)
-    for ref in (dense_disturbance(eve, disturbance, basis),
-                disturbance_by_isometry(isometry_from_states(eve, disturbance), basis)):
+    eve = EveStateSet(blocks, rng.uniform(0.0, (d - 1) / d))
+    got = disturbance_per_state(eve, basis)
+    for ref in (dense_disturbance(eve, basis),
+                disturbance_by_isometry(isometry_from_states(eve), basis)):
         assert np.max(np.abs(got - ref) / np.maximum(1.0, 1.0 - ref)) <= 1e-15
 
 

@@ -36,16 +36,17 @@ of two states in different blocks, and with it each of the x, y, z and t
 groups, is an exact zero of the format (``0j``). The set also holds D, checked
 once when it is built, so it is the isometry V: ``weights[m]``, sqrt(1 - D) for
 m = 0 and sqrt(D/(d-1)) otherwise, weighs block m's states, and no reader takes
-D again. The unitarity check and the s and w overlaps read the d block Grams
-(``EveStateSet.block_gram``, one batched d^4 product). Each basis's disturbance
-is |<phi|_B <m, j|_E V|psi>|^2 summed over its d^2 ancilla cells, and one
-kernel reads that quantity from the set for any (sender psi, receiver phi)
-pairs (``_block_probabilities``): one gathered coefficient array and one
-batched product over the d blocks, with at most three arrays of 16 n d^2 bytes
-live for n pairs. It serves ``verify`` and the simulator's full reference table
-(``simulate.outcome_distribution``); the Monte Carlo session reads its cells
-from the set without it. No command forms the dense (d^3 x d) isometry or the
-dense d^2-coordinate states, which the tests build as an oracle."""
+D again. The unitarity check reads the diagonals of the d block Grams
+(``EveStateSet.block_gram``, one batched d^4 product), and the s and w overlaps
+their other entries. Each basis's disturbance is |<phi|_B <m, j|_E V|psi>|^2
+summed over its d^2 ancilla cells, and one kernel reads that quantity from the
+set for any (sender psi, receiver phi) pairs (``_block_probabilities``): one
+gathered coefficient array and one batched product over the d blocks, with at
+most three arrays of 16 n d^2 bytes live for n pairs. It serves ``verify``
+and the simulator's full reference table (``simulate.outcome_distribution``);
+the Monte Carlo session reads its cells from the set without it. No command
+forms the dense (d^3 x d) isometry or the dense d^2-coordinate states, which the
+tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -231,14 +232,11 @@ class AttackIsometry:
 
 
 def isometry_residual(eve: EveStateSet) -> float:
-    """max |V^dagger V - I| of the attack isometry V, read from the states' overlaps without forming V:
-    (V^dagger V)[a, a'] = sum_b scale[a, b] scale[a', b] <E_ab|E_a'b>, scale[a, b] = weights[b - a]. E_ab and
-    E_a'b share a block only for a = a', so V^dagger V is diagonal and read from ``eve.block_gram``."""
-    d = eve.dim
-    a, b = np.ix_(np.arange(d), np.arange(d))
-    block = (b - a) % d  # [a, b]: the block of E_ab
-    scale, norms = eve.weights[block], eve.block_gram[block, a, a]  # norms[a, b] = <E_ab|E_ab>
-    return float(np.max(np.abs(np.einsum("ab,ab,ab->a", scale, scale, norms) - 1.0)))
+    """max |V^dagger V - I| of the attack isometry V, read from the states' overlaps without forming V.
+    E_ab and E_a'b share a block only for a = a', so V^dagger V is diagonal, and its diagonal is
+    (V^dagger V)[a] = sum_m weights[m]^2 <E_{a, a+m}|E_{a, a+m}>: the block Grams' diagonals (``eve.block_gram``)."""
+    unitarity = np.square(eve.weights) @ np.diagonal(eve.block_gram, axis1=1, axis2=2)
+    return float(np.max(np.abs(unitarity - 1.0)))
 
 
 def _block_probabilities(eve: EveStateSet, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Batch command-line front end: curves, critical points, attack verification, Monte Carlo.
 
 Exit codes: 0 success, 1 verification/analysis failure, 2 usage error (NaN and
-infinite numbers included).
+infinite numbers included). A command's argv goes straight to that command's parser;
+the top-level parser takes only -h, --version, unknown commands and unrecognized arguments.
 
 Only the closed forms are imported with this module, and they run on ``math``
 alone, so ``critical`` and ``curves`` start without numpy; ``verify`` and
@@ -105,38 +106,39 @@ def _float_text(x: float) -> str:
     return _JSON_SPECIAL_FLOATS.get(text, text)
 
 
+_LEAF_TEXT = {float: _float_text, str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+              type(None): lambda _: "null"}
+
+
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, for the kinds the commands emit: dicts with str keys,
     lists and tuples, str, int, bool, None and float (subclasses such as numpy's float64 too).
 
     With an indent, json.dumps runs its pure-Python encoder, one generator step per item.
-    Here a list whose items are all exactly int, or all exactly float, is one join.
+    Here a leaf of an exact type is one lookup in ``_LEAF_TEXT``, before any isinstance test,
+    a dict item's leaf is written in place, and a list whose items are all exactly int, or all
+    exactly float, is one join.
     """
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    leaf = _LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    for kind in (float, str, int):  # subclasses, such as numpy's float64
+        if isinstance(value, kind):
+            return _LEAF_TEXT[kind](value)
     inner = indent + "  "
     sep = "," + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = (f"{_encode_str(key)}: {_json_text(item, inner)}" for key, item in value.items())
+        items = [_encode_str(key) + ": " + (leaf(item) if (leaf := _LEAF_TEXT.get(type(item))) else
+                                              _json_text(item, inner)) for key, item in value.items()]
         return "{" + inner + sep.join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kind = type(value[0])
-        if (kind is int or kind is float) and all(type(item) is kind for item in value):
-            items = map(int.__repr__ if kind is int else _float_text, value)
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {float}:
+            items = map(_LEAF_TEXT[kinds.pop()], value)
         else:
             items = (_json_text(item, inner) for item in value)
         return "[" + inner + sep.join(items) + indent + "]"
@@ -151,7 +153,7 @@ def _usage_error(message: str) -> int:
 def _write(path: Path, text: str) -> bool:
     """Write text and a final newline as UTF-8 with LF line ends; False, after one error line, if that fails.
 
-    The file is written in place and then cut to length, not truncated to zero first: on ext4
+    The file is written in place and then cut to length if it was longer, not truncated to zero first: on ext4
     (mounted with ``discard``), truncating a file to zero frees its blocks, which costs more than
     the write. Only a regular file is cut; a FIFO, ``/dev/null`` or a tty cannot be.
     """
@@ -159,7 +161,8 @@ def _write(path: Path, text: str) -> bool:
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as out:
             out.write(data)
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            info = os.fstat(out.fileno())  # st_size > len(data), flushed or not, only if the file was longer
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
                 out.truncate(len(data))
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
@@ -303,13 +306,22 @@ def cmd_simulate(args, spec: ProtocolSpec) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built at its first call and reused after."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of `main` and its command parsers by name, built at its first call and reused after."""
+    parser = build_parser()
+    return parser, next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     try:
         spec = ProtocolSpec(dim=args.dim, bases_count=args.bases)
     except (DimensionError, DomainError, ProtocolError) as exc:

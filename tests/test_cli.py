@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mub_eve.bases as bases_mod
 import mub_eve.cli as cli
@@ -451,6 +453,38 @@ def test_json_text_is_json_dumps_indent_2(name):
     assert _json_text(value) == json.dumps(value, indent=2)
 
 
+# Leaves of every kind the writer takes: ints (big ones too), floats (NaN, the infinities, -0.0 and
+# subnormals among them), bools, None, strings with any code point, and numpy's float64.
+JSON_LEAVES = st.one_of(
+    st.integers(), st.integers(-(2**200), 2**200), st.floats(), st.booleans(), st.none(), st.text(),
+    st.floats().map(np.float64),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children),
+        st.lists(st.one_of(st.integers(), st.booleans())),  # bools among ints take no all-int join
+        st.lists(st.floats()),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_indent_2_on_any_document(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_a_numpy_int_or_a_set_as_a_dict_item():
+    # A dict item's leaf is looked up in place; what the lookup misses still reaches the TypeError.
+    for value in ({"count": np.int64(1)}, {"a": [0, {1, 2}]}, {"a": {"b": {1, 2}}}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
 def test_json_text_refuses_what_json_dumps_refuses():
     for value in (np.int64(1), [np.bool_(True)], {1, 2}):
         with pytest.raises(TypeError):
@@ -511,6 +545,76 @@ def test_invalid_w_string_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--dim", "3", "--disturbance", "0.1", "--w", "best"])
     assert excinfo.value.code == 2
+
+
+def parser_running(run):
+    """build_parser's parser, with every command's run replaced by run."""
+    parser = build_parser()
+    for command in next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices.values():
+        command.set_defaults(run=run)
+    return parser
+
+
+CURVES = ["curves", "--dim", "3", "--d-max", "0.5", "--steps", "5", "--out", "x.csv"]
+VERIFY = ["verify", "--dim", "3", "--disturbance", "0.1"]
+SIMULATE = ["simulate", "--dim", "3", "--disturbance", "0.1", "--rounds", "100", "--out", "x.json"]
+PARSER_CASES = {
+    "curves": CURVES,
+    "curves-every-option": [*CURVES, "--bases", "3", "--d-min", "0.1", "--format", "json", "--no-timestamp"],
+    "critical": ["critical", "--dim", "3"],
+    "critical-every-option": ["critical", "--dim=3", "--bases", "3"],
+    "verify": VERIFY,
+    "verify-every-option": [*VERIFY, "--bases", "2", "--w", "0.3"],
+    "simulate": SIMULATE,
+    "simulate-every-option": [*SIMULATE, "--bases", "3", "--w", "auto", "--seed", "7", "--shards", "2"],
+    "abbreviated-option": ["verify", "--dim", "3", "--dist", "0.1"],
+    "extra-option": [*VERIFY, "--bogus"],
+    "extra-positional": [*VERIFY, "extra"],
+    "extra-option-and-positionals": ["critical", "--bogus", "x", "--dim", "3", "y"],
+    "version-after-a-command": [*VERIFY, "--version"],
+    "bad-type": ["critical", "--dim", "three"],
+    "nan": ["verify", "--dim", "3", "--disturbance", "nan"],
+    "missing-required": ["verify", "--dim", "3"],
+    "missing-value": ["verify", "--dim"],
+    "double-dash-then-a-token": ["critical", "--dim", "3", "--", "x"],
+    "double-dash-before-options": ["critical", "--", "--dim", "3"],
+    "help": ["-h"],
+    "command-help": ["verify", "-h"],
+    "version": ["--version"],
+    "empty": [],
+    "unknown-command": ["frobnicate", "--dim", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES)
+def test_main_parses_as_the_top_level_parser(monkeypatch, capsys, argv):
+    # main hands a command's argv to that command's parser alone; the namespace it runs, or its
+    # exit code, stdout and stderr, must be what build_parser's parser gives for the whole argv.
+    seen = []
+
+    def run(args, spec):
+        seen.append(args)
+        return 0
+
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, *capsys.readouterr()
+
+    def main_namespace(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser_running(run))
+    try:
+        via_main = outcome(main_namespace)
+    finally:
+        monkeypatch.undo()
+        cli._parser.cache_clear()
+    assert via_main == outcome(parser_running(run).parse_args)
 
 
 def exit_code(argv):

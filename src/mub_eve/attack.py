@@ -33,10 +33,10 @@ The blocks are the data format: ``EveStateSet.blocks[m, i]`` holds the block-m
 coordinates of E_{i, i+m}, d^3 entries in all, and every coordinate of a state
 outside its own block is a structural zero that is not stored. So every overlap
 of two states in different blocks, and with it each of the x, y, z and t
-groups, is an exact zero of the format (``0j``). The set also holds D, checked
-once when it is built, so it is the isometry V: ``weights[m]``, sqrt(1 - D) for
-m = 0 and sqrt(D/(d-1)) otherwise, weighs block m's states, and no reader takes
-D again. The unitarity check reads the diagonals of the d block Grams
+groups, is an exact zero of the format, stored and computed nowhere. The set
+also holds D, checked once when it is built, so it is the isometry V:
+``weights[m]``, sqrt(1 - D) for m = 0 and sqrt(D/(d-1)) otherwise, weighs block
+m's states, and no reader takes D again. The unitarity check reads the diagonals of the d block Grams
 (``EveStateSet.block_gram``, one batched d^4 product), and the s and w overlaps
 their other entries. Each basis's disturbance is |<phi|_B <m, j|_E V|psi>|^2
 summed over its d^2 ancilla cells, and one kernel reads that quantity from the
@@ -154,18 +154,9 @@ class EveStateSet:
 
 @dataclass(frozen=True)
 class ScalarProductProfile:
-    """The six scalar-product group values measured from a concrete state set.
+    """The intra-block overlaps w and s measured from a concrete state set, as means with their maximum
+    deviations: the groups a state set can get wrong (x, y, z and t are zeros of the format)."""
 
-    x, y, z, t are the groups that must vanish for a valid symmetric attack,
-    overlaps across blocks and so exact zeros of the block format; w and s are
-    the common intra-block overlaps, reported as means with their maximum
-    deviations.
-    """
-
-    x: complex
-    y: complex
-    z: complex
-    t: complex
     w: float
     s: float
     w_max_dev: float
@@ -186,12 +177,8 @@ def build_eve_states(params: AttackParams) -> EveStateSet:
 
 
 def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
-    """Measure the six scalar-product groups from the constructed states.
-
-    s and w are read from the within-block overlaps ``eve.block_gram`` [m, i, k],
-    k > i: block 0 for s, blocks 1..d-1 for w. The pairs of x, y, z and t lie in
-    different blocks, so each group is an exact zero of the format (``0j``).
-    """
+    """Measure s and w from the within-block overlaps ``eve.block_gram`` [m, i, k], k > i: block 0 for s,
+    blocks 1..d-1 for w. The pairs of x, y, z and t lie in different blocks, so the format holds them at zero."""
     d = eve.dim
     idx = np.arange(d)
     later_sender = idx[:, None] < idx  # [i, k]: k > i
@@ -200,10 +187,6 @@ def scalar_product_profile(eve: EveStateSet) -> ScalarProductProfile:
     s_mean = float(np.mean(s_vals.real))
     w_mean = float(np.mean(w_vals.real))
     return ScalarProductProfile(
-        x=0j,
-        y=0j,
-        z=0j,
-        t=0j,
         w=w_mean,
         s=s_mean,
         w_max_dev=float(np.max(np.abs(w_vals - w_mean))),

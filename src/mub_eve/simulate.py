@@ -244,8 +244,7 @@ class SessionStats(SimConfig):
 
     @property
     def d_hat_se(self) -> float:
-        p = self.d_hat
-        return math.sqrt(p * (1.0 - p) / self._round_counts[0])
+        return _binomial_se(self.d_hat, self._round_counts[0])
 
     @cached_property
     def p_eve_correct(self) -> float:
@@ -257,8 +256,7 @@ class SessionStats(SimConfig):
 
     @property
     def p_eve_correct_se(self) -> float:
-        p = self.p_eve_correct
-        return math.sqrt(p * (1.0 - p) / self._round_counts[1])
+        return _binomial_se(self.p_eve_correct, self._round_counts[1])
 
     @cached_property
     def _informations(self) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -12,7 +12,8 @@
   cross-block zero written out;
 - ``dense_gram``, the Gram matrix over every pair of those states (d^6/2
   multiply-adds), with the scalar-product profile and the unitarity residual
-  read from it (``dense_profile``, ``dense_isometry_residual``), and the
+  read from it (``dense_profile``, whose x, y, z and t the program does not
+  store, and ``dense_isometry_residual``), and the
   disturbance from one product with the dense states (``dense_disturbance``):
   the references the block route of ``verify`` is held to;
 - the dense (d^3 x d) attack isometry, ``build_isometry`` and
@@ -39,7 +40,6 @@ from mub_eve import (
     DomainError,
     EveStateSet,
     ProtocolSpec,
-    ScalarProductProfile,
     admissible_w_interval,
     build_eve_states,
     guess_probability,
@@ -183,7 +183,23 @@ def dense_gram(eve: EveStateSet) -> np.ndarray:
     return (b @ b.T if np.isrealobj(b) else b.conj() @ b.T).reshape(d, d, d, d)
 
 
-def dense_profile(eve: EveStateSet) -> ScalarProductProfile:
+@dataclass(frozen=True)
+class DenseProfile:
+    """The six scalar-product groups measured on the dense states. x, y, z and t, which the block format
+    holds at zero and the program never stores, are each group's member of largest modulus (0j if empty);
+    w and s are means with their maximum deviations, as in ``ScalarProductProfile``."""
+
+    x: complex
+    y: complex
+    z: complex
+    t: complex
+    w: float
+    s: float
+    w_max_dev: float
+    s_max_dev: float
+
+
+def dense_profile(eve: EveStateSet) -> DenseProfile:
     """The scalar-product profile sliced from the block-order upper triangle of ``dense_gram``
     [m, i, m', k]: the diagonal blocks m = m' for s and w, x and y from block row m = 0, and z (k = i)
     and t (k != i) from the block pairs 1 <= m < m', listed pair by pair."""
@@ -205,7 +221,7 @@ def dense_profile(eve: EveStateSet) -> ScalarProductProfile:
     s_vals, w_vals = within[0][later_sender], within[1:, later_sender]
     s_mean = float(np.mean(s_vals.real))
     w_mean = float(np.mean(w_vals.real))
-    return ScalarProductProfile(
+    return DenseProfile(
         *groups,  # x, y, z, t
         w=w_mean,
         s=s_mean,

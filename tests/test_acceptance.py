@@ -36,7 +36,7 @@ from mub_eve import (
     w_bar,
 )
 from mub_eve.cli import CSV_HEADER, main
-from oracles import build_isometry, guess_probability_constructive, optimality_witnesses
+from oracles import build_isometry, dense_profile, guess_probability_constructive, optimality_witnesses
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -101,11 +101,12 @@ def test_criterion_4_attack_validity_suite():
                 for basis in protocol_bases(ProtocolSpec(dim, bases_count)):
                     dev = np.max(np.abs(disturbance_per_state(eve, basis) - disturbance))
                     worst_disturbance = max(worst_disturbance, float(dev))
-                profile = scalar_product_profile(eve)
+                dense = dense_profile(eve)  # x, y, z and t, measured on the dense states
                 worst_profile = max(
                     worst_profile,
-                    abs(profile.x), abs(profile.y), abs(profile.z), abs(profile.t),
+                    abs(dense.x), abs(dense.y), abs(dense.z), abs(dense.t),
                 )
+                profile = scalar_product_profile(eve)
                 worst_overlap = max(
                     worst_overlap,
                     abs(profile.s - params.s) + profile.s_max_dev,

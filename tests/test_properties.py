@@ -29,7 +29,7 @@ from oracles import (
     guess_probability_constructive,
     isometry_from_states,
 )
-from test_attack import profile_by_pairs
+from test_attack import GROUPS, profile_by_pairs
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -110,7 +110,9 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_states(d, seed):
     blocks = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     eve = EveStateSet(blocks=blocks)
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
-    for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
+    for group in GROUPS:
+        assert getattr(oracle, group) == 0.0
+    for name in ("s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
 
 
@@ -121,7 +123,9 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_real_states(d, seed):
     rng = np.random.default_rng(seed)
     eve = EveStateSet(blocks=rng.standard_normal((d, d, d)))
     kernel, oracle = scalar_product_profile(eve), profile_by_pairs(eve)
-    for name in ("x", "y", "z", "t", "s", "w", "s_max_dev", "w_max_dev"):
+    for group in GROUPS:
+        assert getattr(oracle, group) == 0.0
+    for name in ("s", "w", "s_max_dev", "w_max_dev"):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
 
 

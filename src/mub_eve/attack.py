@@ -38,19 +38,25 @@ also holds D, checked once when it is built, so it is the isometry V:
 ``weights[m]``, sqrt(1 - D) for m = 0 and sqrt(D/(d-1)) otherwise, weighs block
 m's states, and no reader takes D again. The unitarity check reads the diagonals of the d block Grams
 (``EveStateSet.block_gram``, one batched d^4 product), and the s and w overlaps
-their other entries. Each basis's disturbance is |<phi|_B <m, j|_E V|psi>|^2
-summed over its d^2 ancilla cells, and one kernel reads that quantity from the
-set for any (sender psi, receiver phi) pairs (``_block_probabilities``): one
-gathered coefficient array and one batched product over the d blocks, with at
-most three arrays of 16 n d^2 bytes live for n pairs. It serves ``verify``
-and the simulator's full reference table (``simulate.outcome_distribution``);
-the Monte Carlo session reads its cells from the set without it. No command
+their other entries. ``verify`` reads each basis's disturbance from the same
+Grams (``_two_valued_disturbances``): every block Gram is circulant with two
+values, so a state's stay probability takes two circular autocorrelations of the
+state, one FFT pair for all of the protocol's states, and a bound on the Grams'
+distance from two values makes the reading sound for any set. The exact
+disturbance, |<phi|_B <m, j|_E V|psi>|^2 summed over the d^2 ancilla cells, is
+read by one kernel for any (sender psi, receiver phi) pairs
+(``_block_probabilities``): one gathered coefficient array and one batched
+product over the d blocks, with at most three arrays of 16 n d^2 bytes live for
+n pairs. No command calls it: it serves ``disturbance_per_state`` and the
+simulator's full reference table (``simulate.outcome_distribution``), the
+references the tests hold the reading and the Monte Carlo cells to. No command
 forms the dense (d^3 x d) isometry or the dense d^2-coordinate states, which the
 tests build as an oracle."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -261,3 +267,36 @@ def disturbance_per_state(eve: EveStateSet, basis: Basis) -> np.ndarray:
         raise DimensionError(f"basis dimension {basis.dim} != attack dimension {d}")
     p = _block_probabilities(eve, basis.vectors, basis.vectors)
     return 1.0 - p.reshape(d, d * d).sum(axis=1)
+
+
+def _two_valued_disturbances(eve: EveStateSet, bases: Sequence[Basis]) -> tuple[np.ndarray, float]:
+    """(disturbances[k, i], bound): state i of each of the k bases, read as if every block Gram were two-valued,
+    and the bound that keeps that reading sound for any set.
+
+    Block m's model is its Gram's norm n_m = Re G_m[0, 0] and overlap o_m = Re G_m[0, 1]; every built
+    set's Grams are circulant with these two values. Under it, psi stays put with probability
+    sum_m weights[m]^2 [(n_m - o_m) sum_a |psi[a]|^2 |psi[a+m]|^2 + o_m |sum_a psi[a] conj(psi[a+m])|^2].
+    Both sums over a are circular autocorrelations, of psi and of |psi|^2, which one fft/ifft pair along
+    the stacked rows gives for every state at once: no d^4 product and no 16 n d^2-byte array.
+
+    Block m adds weights[m]^2 c^dagger G_m c with c[a] = psi[a] conj(psi[a+m]) to the exact probability,
+    and sum_a |c[a]| <= ||psi||^2 = 1 (Cauchy-Schwarz), so each reading is within
+    bound = sum_m weights[m]^2 max_ab |G_m[a, b] - (o_m + (n_m - o_m) delta_ab)| of the set's exact
+    disturbance, whatever its Grams; the diagonal's spread is in the bound too.
+    """
+    d, w2 = eve.dim, np.square(eve.weights)
+    gram = eve.block_gram
+    overlap = gram[:, 0, 1].real
+    gap = gram[:, 0, 0].real - overlap  # n_m - o_m
+    vectors = np.concatenate([basis.vectors for basis in bases])  # [k d, d]: each row a state
+    n = len(vectors)
+    spectra = np.fft.fft(np.concatenate((vectors, np.square(np.abs(vectors)))))
+    corr = np.fft.ifft(np.square(np.abs(spectra)))  # row i, shift m: its autocorrelation, up to conjugation
+    stay = np.square(np.abs(corr[:n])) @ (w2 * overlap) + corr[n:].real @ (w2 * gap)
+    del spectra, corr
+    # The deviations from the model fill one d^3 buffer, in place for real blocks; a complex block's
+    # modulus is real, so it takes an array of its own.
+    dev = (gram - overlap[:, None, None]).reshape(d, d * d)
+    dev[:, :: d + 1] -= gap[:, None]  # the diagonals
+    dev = np.abs(dev, out=dev) if np.isrealobj(dev) else np.abs(dev)
+    return (1.0 - stay).reshape(len(bases), d), float(w2 @ dev.max(axis=1))

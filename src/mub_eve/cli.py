@@ -243,7 +243,8 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
 
 
 def cmd_verify(args, spec: ProtocolSpec) -> int:
-    from .attack import AttackParams, build_eve_states, disturbance_per_state, isometry_residual, scalar_product_profile
+    from .attack import (AttackParams, _two_valued_disturbances, build_eve_states, isometry_residual,
+                         scalar_product_profile)
 
     disturbance = args.disturbance
     doc = {
@@ -264,14 +265,17 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
         doc["w"] = w
         eve = build_eve_states(params)
         profile = scalar_product_profile(eve)
+        bases = protocol_bases(spec)
+        # Each basis's disturbances, read from the two-valued block Grams; adding the reading's bound
+        # makes a passing gate certify every state's exact disturbance, whatever the set's Grams.
+        disturbances, bound = _two_valued_disturbances(eve, bases)
         # (name, residual, threshold, informational), in report order. The profile_{x,y,z,t}_zero and
         # ancilla_dimension gates are constants of the block format (no cross-block overlap is stored; d blocks
         # of d coordinates), kept only for bench/workloads.py's exact gate-set check (ROADMAP item 16).
         checks = [
             ("isometry_unitarity", isometry_residual(eve), GATE_TOL, False),
-            *((f"equal_disturbance_{basis.label}",
-               float(abs(disturbance_per_state(eve, basis) - disturbance).max()), GATE_TOL, False)
-              for basis in protocol_bases(spec)),
+            *((f"equal_disturbance_{basis.label}", float(abs(row - disturbance).max()) + bound, GATE_TOL, False)
+              for basis, row in zip(bases, disturbances)),
             *((f"profile_{name}_zero", 0.0, GATE_TOL, False) for name in "xyzt"),
             ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),
             ("profile_w_matches_input", abs(profile.w - w) + profile.w_max_dev, GATE_TOL, False),

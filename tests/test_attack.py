@@ -24,7 +24,7 @@ from mub_eve import (
     scalar_product_profile,
     w_bar,
 )
-from mub_eve.attack import AttackIsometry, _block_probabilities
+from mub_eve.attack import AttackIsometry, _block_probabilities, _two_valued_disturbances
 from oracles import (
     DenseProfile,
     build_isometry,
@@ -452,6 +452,53 @@ def test_disturbance_holds_three_coefficient_sized_arrays():
     assert peak <= 3.5 * 16 * d**3
 
 
+@pytest.mark.parametrize("d, bases_count", [(d, 2) for d in [*range(2, 14), 16, 20, 31, 32, 64]] + [(3, 3)])
+def test_two_valued_reader_equals_the_kernel_on_built_sets(d, bases_count):
+    # Every built block Gram is two-valued, so the bound is rounding, and the reading is the kernel's
+    # disturbance to rounding, for the built set and its complex cast.
+    spec = ProtocolSpec(d, bases_count)
+    bases = protocol_bases(spec)
+    for D in (0.0, 0.05, 0.2, spec.max_disturbance):
+        built = build_eve_states(AttackParams(d, bases_count, D, resolve_w(spec, D, "auto")))
+        for eve in (built, EveStateSet(built.blocks.astype(np.complex128), D)):
+            got, bound = _two_valued_disturbances(eve, bases)
+            assert got.shape == (len(bases), d)
+            assert 0.0 <= bound <= 1e-14
+            for row, basis in zip(got, bases):
+                assert np.max(np.abs(row - disturbance_per_state(eve, basis))) <= 2e-14
+
+
+def test_two_valued_reader_bounds_a_perturbed_norm():
+    # negative control: one state lengthened by 1e-9 moves its block's Gram off the two-valued model,
+    # by about 2e-9 on the diagonal, and the bound takes that times the block's weight squared.
+    d, D = 8, 0.2
+    built = build_eve_states(AttackParams(d, 2, D, w_bar(d, D)))
+    blocks = np.array(built.blocks)
+    blocks[3, 5] *= 1.0 + 1e-9
+    eve = EveStateSet(blocks, D)
+    bases = protocol_bases(ProtocolSpec(d))
+    got, bound = _two_valued_disturbances(eve, bases)
+    assert bound == pytest.approx(D / (d - 1) * 2e-9 * eve.block_gram[3, 0, 0], rel=1e-6)
+    for row, basis in zip(got, bases):
+        assert np.max(np.abs(row - disturbance_per_state(eve, basis))) <= bound
+
+
+def test_two_valued_reader_holds_one_gram_sized_array():
+    # The deviations from the two-valued model are one real 8 d^3-byte buffer, formed in place; the
+    # autocorrelations are (2 k d, d) arrays. The kernel's test allows 3.5 x 16 d^3 bytes.
+    d = 64
+    bases = protocol_bases(ProtocolSpec(d))
+    eve = build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1)))
+    _two_valued_disturbances(eve, bases)  # warm up, and form the cached block Gram
+    tracemalloc.start()
+    try:
+        _two_valued_disturbances(eve, bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * d**3
+
+
 @pytest.mark.parametrize("d, bases_count", [(2, 2), (3, 2), (5, 2), (8, 2), (3, 3)])
 def test_block_probabilities_are_the_dense_isometry_cells(d, bases_count):
     # p[i, m, j] = |<phi_i|_B <m, j|_E V|psi_i>|^2 against the dense isometry: every (sender,
@@ -602,3 +649,16 @@ def test_profile_reports_a_perturbed_pair_in_its_group(group):
         deviation = getattr(profile, f"{name}_max_dev")
         assert deviation == getattr(oracle, f"{name}_max_dev")
         assert (deviation > 0.4) == (name == group)
+
+
+@pytest.mark.parametrize("group", PERTURBATIONS)
+def test_two_valued_bound_takes_the_modulus_of_a_complex_deviation(group):
+    # negative control: the perturbed pair's overlap is -0.5j, which is off the model (o = 0) by 0.5 in
+    # modulus and by 0 in its real part; the lengthened state's norm, 1.25, is the model's n.
+    (a, b), _ = PERTURBATIONS[group]
+    eve = EveStateSet(perturbed(orthonormal_layout(4), group).blocks, 0.3)
+    bases = (computational_basis(4), fourier_basis(4))
+    got, bound = _two_valued_disturbances(eve, bases)
+    assert bound == 0.5 * eve.weights[(b - a) % 4] ** 2
+    for row, basis in zip(got, bases):
+        assert np.max(np.abs(row - disturbance_per_state(eve, basis))) <= bound

@@ -281,6 +281,46 @@ def test_verify_forms_no_dense_isometry(capsys, monkeypatch, dim, bases):
     assert all(c["residual"] <= 1e-12 for c in checks if not c["informational"])
 
 
+@pytest.mark.parametrize("dim, bases", [(3, 2), (3, 3), (20, 2)])
+def test_verify_calls_no_amplitude_kernel(capsys, monkeypatch, dim, bases):
+    # each basis's disturbance is read from the two-valued block Grams: verify runs with the kernel cut
+    attack = importlib.import_module("mub_eve.attack")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify reached the amplitude kernel")
+
+    for name in ("_block_probabilities", "disturbance_per_state"):
+        monkeypatch.setattr(attack, name, refused)
+    code, out, _ = run(capsys, "verify", "--dim", str(dim), "--bases", str(bases), "--disturbance", "0.15")
+    assert code == 0 and json.loads(out)["passed"]
+
+
+def test_verify_fails_a_set_with_one_perturbed_state(capsys, monkeypatch):
+    # negative control: one state of an error block lengthened by 1e-9 takes its block Gram off the
+    # two-valued model by about 2e-9, so each equal-disturbance gate's bound reads about 5.7e-11 and
+    # both gates fail. The exact disturbances of the computational basis do not move (block 3 holds
+    # none of their stay probability), so a gate on those alone would pass this set.
+    attack = importlib.import_module("mub_eve.attack")
+    build = attack.build_eve_states
+    sets = []
+
+    def build_perturbed(params):
+        blocks = np.array(build(params).blocks)
+        blocks[3, 5] *= 1.0 + 1e-9
+        sets.append(attack.EveStateSet(blocks, params.disturbance))
+        return sets[-1]
+
+    monkeypatch.setattr(attack, "build_eve_states", build_perturbed)
+    code, out, _ = run(capsys, "verify", "--dim", "8", "--disturbance", "0.2")
+    assert code == 1
+    gates = {c["name"]: c for c in json.loads(out)["checks"]}
+    for label in ("computational", "fourier"):
+        gate = gates[f"equal_disturbance_{label}"]
+        assert not gate["passed"] and 5e-11 <= gate["residual"] <= 6e-11
+    exact = attack.disturbance_per_state(sets[0], bases_mod.computational_basis(8))
+    assert np.max(np.abs(exact - 0.2)) <= 1e-12
+
+
 @pytest.mark.parametrize("dim, bases", [(3, 2), (3, 3), (8, 2), (16, 2)])
 def test_simulate_forms_no_dense_isometry(tmp_path, capsys, monkeypatch, dim, bases):
     # the outcome table reads the ancilla blocks through the amplitude kernel; simulate builds no dense isometry

@@ -22,6 +22,7 @@ from mub_eve import (
     scalar_product_profile,
     simulate,
 )
+from mub_eve.attack import _two_valued_disturbances
 from oracles import (
     build_isometry,
     dense_disturbance,
@@ -129,6 +130,16 @@ def test_profile_kernel_equals_pair_by_pair_on_arbitrary_real_states(d, seed):
         assert abs(getattr(kernel, name) - getattr(oracle, name)) <= 1e-12
 
 
+def gaussian_set(d, seed, complex_blocks):
+    """(state set, basis): Gaussian blocks of non-unit norm, a random D and a random unitary basis."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((d, d, d))
+    if complex_blocks:
+        blocks = blocks + 1j * rng.standard_normal((d, d, d))
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return EveStateSet(blocks, rng.uniform(0.0, (d - 1) / d)), Basis(d, unitary.T)
+
+
 def disturbance_routes_agree(d, seed, complex_blocks):
     """disturbance_per_state against both dense references on Gaussian blocks and a random unitary basis.
 
@@ -136,17 +147,21 @@ def disturbance_routes_agree(d, seed, complex_blocks):
     passes on it; here every block, and every coefficient of the basis, differs. The states are not
     unit vectors, so the rounding scales with ||amp||^2 = 1 - disturbance, floored at 1.
     """
-    rng = np.random.default_rng(seed)
-    blocks = rng.standard_normal((d, d, d))
-    if complex_blocks:
-        blocks = blocks + 1j * rng.standard_normal((d, d, d))
-    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    basis = Basis(d, unitary.T)
-    eve = EveStateSet(blocks, rng.uniform(0.0, (d - 1) / d))
+    eve, basis = gaussian_set(d, seed, complex_blocks)
     got = disturbance_per_state(eve, basis)
     for ref in (dense_disturbance(eve, basis),
                 disturbance_by_isometry(isometry_from_states(eve), basis)):
         assert np.max(np.abs(got - ref) / np.maximum(1.0, 1.0 - ref)) <= 1e-15
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_two_valued_reading_is_within_its_bound_on_arbitrary_states(d, seed, complex_blocks):
+    # Gaussian blocks have Grams far from two-valued, so the reading can be far from the exact
+    # disturbance; the bound must still cover the gap.
+    eve, basis = gaussian_set(d, seed, complex_blocks)
+    (got,), bound = _two_valued_disturbances(eve, [basis])
+    assert np.max(np.abs(disturbance_per_state(eve, basis) - got)) <= bound + 1e-15
 
 
 @PROPERTY

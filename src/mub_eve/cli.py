@@ -280,7 +280,7 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
             ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),
             ("profile_w_matches_input", abs(profile.w - w) + profile.w_max_dev, GATE_TOL, False),
             ("ancilla_dimension", 0.0, 0.0, False),
-            ("w_is_stationary_optimum", stationarity(spec, disturbance, w)[1], STATIONARITY_TOL, True),
+            ("w_is_stationary_optimum", stationarity(spec, disturbance, w), STATIONARITY_TOL, True),
         ]
         doc["checks"] = [
             {"name": name, "residual": residual, "threshold": threshold,

@@ -17,9 +17,11 @@ truth value, and numpy raises ValueError. Range tests are written as chained
 comparisons, ``if not (lo <= x <= hi)``, so NaN fails them.
 
 ``i_ae`` is one body, ``(1 - D) i_d(phi) + D i_d(lambda)`` on the two
-guess probabilities, for every input kind. The three-basis w-search of
-``optimize.optimal_w`` finds a root of ``_i_ae_slope_at(spec, D)``, the
-closed-form dI_AE/dw, written in the same d and c.
+guess probabilities, for every input kind. ``_i_ae_slope_at(spec, D)`` is
+the closed-form dI_AE/dw, written in the same d and c, and the one
+derivative of I_AE in the package: the three-basis w-search of
+``optimize.optimal_w`` finds its root, and ``optimize.stationarity`` reads it
+as ``verify``'s optimality residual.
 """
 
 from __future__ import annotations
@@ -112,9 +114,12 @@ def _i_ae_slope_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], 
     log1p((d g - 1)/(1 - g)) with d g - 1 and 1 - g as exact rearrangements
     of the closed forms, so they hold their digits where g nears 1/d or 1.
     g1 = 1 only where P = D (1 + (d-1) c w) - (d-1)(1-D) is 0, and
-    g2 = 1 only at w = 0; there g' is 0 too, and the term's limit is 0. No
-    range tests: the w-search calls it inside the admissible interval only,
-    and only at D > 0, as phi's radicand is 0 for every w at D = 0.
+    g2 = 1 only at w = 0; there g' is 0 too, and the term's limit is 0. A
+    term whose root or w^2 underflows to 0 (a subnormal D near an edge, or a
+    nonzero |w| below about 1e-162) is below 1e-150 and is dropped, not
+    divided by 0. No range tests: the w-search and ``optimize.stationarity``
+    call it strictly inside the admissible interval only, and only at D > 0,
+    as phi's radicand is 0 for every w at D = 0.
     """
     d, c, D = float(spec.dim), spec.z_factor, disturbance
     m = d - 1.0
@@ -134,7 +139,7 @@ def _i_ae_slope_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], 
         root = sqrt(m * D * a * b)
         p = D * a - m * intact
         total = 0.0
-        if p:
+        if p and root:
             g_slope = s + m * m * D * (b - D * a) / root
             miss = p * p / ((n_offset - s * v + 2.0 * root) * intact)
             excess = (D * (d - 2.0) * a + 2.0 * root) / (d * intact)
@@ -145,7 +150,7 @@ def _i_ae_slope_at(spec: ProtocolSpec, disturbance: float) -> Callable[[float], 
             miss = m * w * w / (2.0 + (d - 2.0) * w + 2.0 * root)
             excess = m * ((d - 2.0) * (1.0 - w) + 2.0 * root) / d
             g_slope = m * w * ((d - 2.0) * (m * w - d + 2.0) / (1.0 + root) - 2.0 * m) / root
-            total += D * g_slope * log1p(excess / miss)
+            total += D * g_slope * log1p(excess / miss) if miss else 0.0
         return total * scale
 
     return slope

@@ -8,6 +8,8 @@ disturbance D_c is the root of the gap I_AE(optimal) - I_AB on a bracket in
 D. Both roots come from one zero finder, Brent's (R. P. Brent, *Algorithms
 for Minimization without Derivatives*, 1973, ch. 4). Every w input is read
 by one rule, ``resolve_w``: "auto" (optimal_w's w) or a finite real number.
+``stationarity`` reads the same closed-form slope at any w: the residual of
+``verify``'s informational optimality check and of ``maximize_w``'s report.
 """
 
 from __future__ import annotations
@@ -36,12 +38,7 @@ class OptimumReport:
     w_opt: float
     i_ae_opt: float
     method: str  # "analytic" or "slope-root"
-    stationarity_residual: float
-    # Second finite difference of i_ae at w_opt; negative where the optimum is a
-    # local maximum of i_ae. For d = 3 with two bases the stationary overlap
-    # w_bar is a local minimum of i_ae for D < 0.0642 and a strict local
-    # maximum above; the three-basis optimum is a local maximum.
-    concavity_witness: float
+    stationarity_residual: float  # stationarity at w_opt: the closed-form |d i_ae / dw|, or 0 at an edge
 
 
 @dataclass(frozen=True)
@@ -94,36 +91,25 @@ def admissible_w_interval(spec: ProtocolSpec, disturbance: float) -> tuple[float
     return lo, hi
 
 
-def _central_difference(f, x: float, step: float) -> float:
-    return (f(x + step) - f(x - step)) / (2.0 * step)
+def stationarity(spec: ProtocolSpec, disturbance: float, w: float) -> float:
+    """|d i_ae / dw| at w, read from the closed-form slope strictly inside the admissible interval.
 
-
-def _fd_step(w: float, lo: float, hi: float) -> float:
-    """Finite-difference step at w: at most 1e-5, and w +- step stays in [lo, hi] (<= 0 at an edge)."""
-    return min(1e-5, 0.5 * (hi - w), 0.5 * (w - lo))
-
-
-def stationarity(spec: ProtocolSpec, disturbance: float, w: float) -> tuple[float, float]:
-    """(step, |d i_ae / dw|) at w by a central difference of i_ae inside the admissible interval.
-
-    Where no step fits, w sits at or beyond an edge of the interval, and the
-    residual is |w - optimal_w| with step 0: exactly 0 for the optimiser's own w.
+    At or beyond an edge of the interval the residual is |w - optimal_w|:
+    exactly 0 for the optimiser's own w. At D = 0 it is 0 at every interior
+    w, as i_ae is 0 there; the slope, which divides by phi's root, is not read.
     """
-    step = _fd_step(w, *admissible_w_interval(spec, disturbance))
-    if not step > 0.0:
-        return 0.0, abs(w - optimal_w(spec, disturbance))
-    return step, abs(_central_difference(lambda x: i_ae(spec, disturbance, x), w, step))
-
-
-def _second_difference(f, x: float, step: float) -> float:
-    return f(x + step) - 2.0 * f(x) + f(x - step)
+    lo, hi = admissible_w_interval(spec, disturbance)
+    if not lo < w < hi:
+        return abs(w - optimal_w(spec, disturbance))
+    D = float(disturbance)
+    return abs(_i_ae_slope_at(spec, D)(w)) if D else 0.0
 
 
 def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     """The eavesdropper's w at fixed D: maximiser of the guess probability (two bases) or of I_AE (3,3).
 
-    The two-basis route returns the closed-form stationary overlap w_bar and
-    verifies stationarity by a central finite difference; every downstream
+    The two-basis route returns the closed-form stationary overlap w_bar, and
+    the report carries the closed-form |d i_ae / dw| there; every downstream
     quantity (information curves, critical disturbances) is defined on this
     stationary curve. w_bar is the global maximiser of the guess probability
     (the tests witness it), not of i_ae: i_ae(D, w) is not concave near
@@ -134,15 +120,11 @@ def maximize_w(spec: ProtocolSpec, disturbance: float) -> OptimumReport:
     root of the analytic slope of i_ae on the admissible interval.
     """
     w_opt = optimal_w(spec, disturbance)
-    f = lambda w: i_ae(spec, disturbance, w)
-    step, residual = stationarity(spec, disturbance, w_opt)
     return OptimumReport(
         w_opt=w_opt,
-        i_ae_opt=f(w_opt),
+        i_ae_opt=i_ae(spec, disturbance, w_opt),
         method="analytic" if spec.bases_count == 2 else "slope-root",
-        stationarity_residual=residual,
-        # 0 where the optimum is pinned at an interval edge
-        concavity_witness=_second_difference(f, w_opt, step) if step else 0.0,
+        stationarity_residual=stationarity(spec, disturbance, w_opt),
     )
 
 

@@ -3,7 +3,12 @@
 - ``guess_probability_constructive``: the guess probabilities from the attack's
   Gram eigenvalues and coefficients, a second route to the closed forms;
 - ``optimality_witnesses``: finite-difference evidence that w_bar maximises
-  the two-basis guess probability;
+  the two-basis guess probability, on the difference helpers
+  (``_central_difference``, ``_fd_step``, ``_second_difference``,
+  ``_richardson_slope``), a route to I_AE's derivatives independent of the
+  closed-form slope that ``optimize.stationarity`` reads;
+- ``i_ae_mp``: I_AE on the closed forms (``guess_pair_mp``) in mpmath, at its
+  working precision, whose ``mpmath.diff`` the closed-form slope is held to;
 - ``golden_section_maximize``: a derivative-free maximiser, a second route to
   the three-basis w that ``optimize.optimal_w`` finds as a root of the slope;
 - ``is_mutually_unbiased``: the overlap test between two bases;
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from mub_eve import (
@@ -50,7 +56,7 @@ from mub_eve import (
 )
 from mub_eve.attack import AttackIsometry
 from mub_eve.bases import ORTHONORMALITY_TOL
-from mub_eve.optimize import EDGE_SHRINK, _central_difference, _fd_step, _second_difference, _w_bar
+from mub_eve.optimize import EDGE_SHRINK, _w_bar
 from mub_eve.simulate import CELL_FLOOR
 
 
@@ -104,11 +110,52 @@ def golden_section_maximize(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
+def _central_difference(f, x: float, step: float) -> float:
+    return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def _fd_step(w: float, lo: float, hi: float) -> float:
+    """Finite-difference step at w: at most 1e-5, and w +- step stays in [lo, hi] (<= 0 at an edge)."""
+    return min(1e-5, 0.5 * (hi - w), 0.5 * (w - lo))
+
+
+def _second_difference(f, x: float, step: float) -> float:
+    return f(x + step) - 2.0 * f(x) + f(x - step)
+
+
+def _richardson_slope(f, w: float, step: float) -> float:
+    """f'(w) from central differences at step and step/2, extrapolated to O(step^4)."""
+    return (4.0 * _central_difference(f, w, step / 2) - _central_difference(f, w, step)) / 3.0
+
+
 def _worst_grid_second_difference(f, lo: float, hi: float) -> float:
     """Largest second difference of f over 100 interior grid points, half-step each."""
     n = 100
     h = (hi - lo) / (n + 1)
     return max(_second_difference(f, lo + k * h, 0.5 * h) for k in range(1, n + 1))
+
+
+def guess_pair_mp(d, bases_count, D, w):
+    """(intact, error) guess probabilities from the closed forms, for mpf D and w, at mpmath's precision."""
+    lam = ((1 + (d - 1) * w) + (d - 1) ** 2 * (1 - w)
+           + 2 * (d - 1) * mpmath.sqrt((1 - w) * (1 + (d - 1) * w))) / d**2
+    if bases_count == 2:
+        root = mpmath.sqrt((d - 1) * D * (1 + (d - 1) * w) * (d - D * (1 + d + (d - 1) * w)))
+        intact = (d + D * (-2 + (d - 2) * (d - 1) * w) + 2 * root) / (d**2 * (1 - D))
+    else:
+        root = mpmath.sqrt(2 * D * (3 + D * (w - 4)) * (1 - w))
+        intact = ((3 - D * (w + 2)) + 2 * root) / (9 * (1 - D))
+    return intact, lam
+
+
+def i_ae_mp(d, bases_count, D, w):
+    """I_AE (dits) on the closed forms, for mpf D and w, at mpmath's working precision."""
+    def info(x):  # i_d(x), with 0 log 0 = 0
+        miss = (1 - x) * mpmath.log((1 - x) / (d - 1)) if x < 1 else 0
+        return 1 + (x * mpmath.log(x) + miss) / mpmath.log(d)
+
+    intact, lam = guess_pair_mp(d, bases_count, D, w)
+    return (1 - D) * info(intact) + D * info(lam)
 
 
 @dataclass(frozen=True)

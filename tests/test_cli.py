@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 import mub_eve.bases as bases_mod
 import mub_eve.cli as cli
-from mub_eve import AnalysisError
+from mub_eve import AnalysisError, ProtocolSpec, i_ae
 from mub_eve.cli import CSV_HEADER, _json_text, build_parser, fmt, main
+from oracles import _richardson_slope, i_ae_mp
 
 
 def run(capsys, *argv):
@@ -351,7 +353,7 @@ def test_verify_suboptimal_w_flagged_informational_only(capsys):
 
 @pytest.mark.parametrize("D, w, residual", [("0.1", "-0.5", 1.35), ("0.1", "1", 0.15), ("0", "-0.5", 1.5 - 1e-9)])
 def test_verify_w_beyond_an_edge_is_not_a_stationary_optimum(capsys, D, w, residual):
-    # No difference step fits at or beyond an edge of the admissible interval;
+    # At or beyond an edge of the admissible interval w is not inside the interval;
     # the residual is then the distance from the optimiser's w.
     code, out, _ = run(capsys, "verify", "--dim", "3", "--disturbance", D, "--w", w)
     assert code == 0
@@ -359,6 +361,55 @@ def test_verify_w_beyond_an_edge_is_not_a_stationary_optimum(capsys, D, w, resid
     check = {c["name"]: c for c in doc["checks"]}["w_is_stationary_optimum"]
     assert doc["passed"] and check["informational"] and not check["passed"]
     assert check["residual"] == pytest.approx(residual, abs=1e-12)
+
+
+def stationarity_check(capsys, *argv):
+    """(exit code, the w_is_stationary_optimum check, the document) of one verify run."""
+    code, out, _ = run(capsys, "verify", *argv)
+    doc = json.loads(out)
+    return code, {c["name"]: c for c in doc["checks"]}["w_is_stationary_optimum"], doc
+
+
+@pytest.mark.parametrize("dim", [12, 16, 64, 128])
+def test_verify_optimum_at_the_top_of_the_range_is_stationary(capsys, dim):
+    # At D = (d-1)/d, w_bar = 0 sits 1/(d-1)^2 below the interval's top edge; a 1e-5 difference step
+    # there straddles phi's square-root singularity and reported the optimiser's own w as failing.
+    code, check, _ = stationarity_check(capsys, "--dim", str(dim), "--disturbance", repr((dim - 1) / dim))
+    assert code == 0
+    assert check["passed"] and check["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim, bases, w", [(3, 2, 0.3), (8, 2, -0.1), (64, 2, 0.3), (3, 3, 0.3), (3, 3, -0.3)]
+)
+def test_verify_stationarity_residual_matches_a_difference_of_i_ae(capsys, dim, bases, w):
+    # The residual off the optimum is |dI_AE/dw|, here held to a Richardson difference of i_ae.
+    spec = ProtocolSpec(dim, bases)
+    for D in (0.01, 0.1, 0.3 * spec.max_disturbance):
+        code, check, doc = stationarity_check(
+            capsys, "--dim", str(dim), "--bases", str(bases), "--disturbance", repr(D), "--w", repr(w)
+        )
+        assert code == 0 and doc["passed"] and not check["passed"]
+        reference = _richardson_slope(lambda x: i_ae(spec, D, x), w, 1e-4)
+        assert abs(check["residual"] - abs(reference)) <= 2e-9, D
+
+
+def test_verify_at_zero_disturbance_is_stationary_everywhere_inside(capsys):
+    # I_AE is 0 for every w at D = 0; the slope, which divides by phi's root, is not read.
+    code, check, doc = stationarity_check(capsys, "--dim", "5", "--disturbance", "0", "--w", "0.3")
+    assert code == 0 and doc["passed"]
+    assert check["residual"] == 0.0 and check["passed"]
+
+
+@pytest.mark.parametrize("dim, D, w", [(3, "5e-324", "0.999999998"), (4, "5e-324", "-0.333333332"), (8, "0.2", "1e-300")])
+def test_verify_stationarity_where_a_square_underflows(capsys, dim, D, w):
+    # phi's radicand underflows at a subnormal D near the low edge, and w^2 at a tiny w: the slope
+    # drops that term, below 1e-150, and does not divide by 0.
+    code, check, doc = stationarity_check(capsys, "--dim", str(dim), "--disturbance", D, "--w", w)
+    assert code == 0 and doc["passed"]
+    with mpmath.workdps(50):
+        reference = mpmath.diff(lambda v: i_ae_mp(dim, 2, mpmath.mpf(D), v), mpmath.mpf(w))
+    assert abs(check["residual"] - abs(float(reference))) <= 1e-12
 
 
 def test_verify_domain_failure_reported_not_raised(capsys):

@@ -15,11 +15,12 @@ from mub_eve import (
     i_ae,
     i_d,
     lambda_d,
+    optimal_w,
     phi_d,
     w_bar,
 )
 from mub_eve.information import _i_ae_slope_at
-from oracles import guess_probability_constructive
+from oracles import _richardson_slope, guess_pair_mp, guess_probability_constructive, i_ae_mp
 
 # reference closed forms written out independently, used as oracles
 
@@ -225,15 +226,7 @@ def test_dits_to_bits():
 def _closed_forms_mp(d, bases_count, disturbance, w):
     """(intact, error) guess probabilities from the closed forms in 50-digit mpmath."""
     with mpmath.workdps(50):
-        D, w = mpmath.mpf(disturbance), mpmath.mpf(w)
-        lam = ((1 + (d - 1) * w) + (d - 1) ** 2 * (1 - w)
-               + 2 * (d - 1) * mpmath.sqrt((1 - w) * (1 + (d - 1) * w))) / d**2
-        if bases_count == 2:
-            root = mpmath.sqrt((d - 1) * D * (1 + (d - 1) * w) * (d - D * (1 + d + (d - 1) * w)))
-            intact = (d + D * (-2 + (d - 2) * (d - 1) * w) + 2 * root) / (d**2 * (1 - D))
-        else:
-            root = mpmath.sqrt(2 * D * (3 + D * (w - 4)) * (1 - w))
-            intact = ((3 - D * (w + 2)) + 2 * root) / (9 * (1 - D))
+        intact, lam = guess_pair_mp(d, bases_count, mpmath.mpf(disturbance), mpmath.mpf(w))
         return float(intact), float(lam)
 
 
@@ -250,12 +243,6 @@ def test_constructive_route_matches_high_precision_reference(d, bases_count, dis
     assert np.max(np.abs(np.subtract(constructive, reference))) <= 1e-15
 
 
-def _richardson_slope(f, w, step):
-    """f'(w) from central differences at step and step/2, extrapolated to O(step^4)."""
-    central = lambda h: (f(w + h) - f(w - h)) / (2 * h)
-    return (4 * central(step / 2) - central(step)) / 3
-
-
 @pytest.mark.parametrize("spec", [ProtocolSpec(3, 3)] + [ProtocolSpec(d) for d in (2, 3, 5, 8)])
 def test_information_slope_matches_a_difference_of_the_objective(spec):
     top = spec.max_disturbance
@@ -264,6 +251,25 @@ def test_information_slope_matches_a_difference_of_the_objective(spec):
         objective, slope = (lambda w: i_ae(spec, D, w)), _i_ae_slope_at(spec, D)
         for w in np.linspace(lo + 0.02, hi - 0.02, 9).tolist():
             assert slope(w) == pytest.approx(_richardson_slope(objective, w, 1e-4), abs=2e-9), (D, w)
+
+
+@pytest.mark.parametrize(
+    "spec", [ProtocolSpec(d) for d in (2, 3, 8, 64, 256)] + [ProtocolSpec(3, 3)],
+    ids=lambda spec: f"{spec.dim}-{spec.bases_count}",
+)
+def test_information_slope_matches_a_high_precision_derivative(spec):
+    # optimize.stationarity reads the slope anywhere inside the interval: here down to 1e-6 from
+    # each edge, where a square root's derivative is singular, it holds to mpmath's derivative of
+    # I_AE in 50 digits, at the float w, to 1e-9 relative to max(1, |slope|).
+    top = spec.max_disturbance
+    for D in (1e-6, 0.01, 0.1, 0.3 * top, 0.9 * top):
+        lo, hi = admissible_w_interval(spec, D)
+        slope = _i_ae_slope_at(spec, D)
+        for w in (lo + 1e-6, lo + 1e-3, 0.5 * (lo + hi), optimal_w(spec, D), hi - 1e-3, hi - 1e-6):
+            with mpmath.workdps(50):
+                objective = lambda v: i_ae_mp(spec.dim, spec.bases_count, mpmath.mpf(D), v)
+                reference = float(mpmath.diff(objective, mpmath.mpf(w)))
+            assert abs(slope(w) - reference) <= 1e-9 * max(1.0, abs(reference)), (D, w)
 
 
 @pytest.mark.parametrize("D, w", [(0.2, 0.0), (0.5, 0.0), (0.625, -0.2)])

@@ -20,7 +20,7 @@ from mub_eve import (
     optimal_w,
     w_bar,
 )
-from oracles import golden_section_maximize, optimality_witnesses
+from oracles import _fd_step, _second_difference, golden_section_maximize, optimality_witnesses
 
 
 def test_w_bar_values():
@@ -194,7 +194,10 @@ def test_stationary_overlap_local_shape_of_information(D, sign):
     # w_bar is a local minimum of I_AE below it and a strict local maximum
     # above; the second differences here are ~1e-13, far above the ~1e-16
     # rounding floor
-    witness = maximize_w(ProtocolSpec(3, 2), D).concavity_witness
+    spec = ProtocolSpec(3, 2)
+    w = maximize_w(spec, D).w_opt
+    step = _fd_step(w, *admissible_w_interval(spec, D))
+    witness = _second_difference(lambda x: i_ae(spec, D, x), w, step)
     assert sign * witness > 1e-13
 
 
@@ -273,15 +276,23 @@ def test_search_bit_pins():
 
 @pytest.mark.parametrize("spec", [ProtocolSpec(3), ProtocolSpec(3, 3), ProtocolSpec(8)])
 def test_maximize_w_reports_stationarity_of_its_w(spec):
-    # At D = 0 the w sits at an edge of the interval (the low one for three bases), where the step is 0.
+    # At D = 0 the w sits at an edge of the interval (the low one for three bases), where the residual is 0.
     for D in [0.0] + np.linspace(0.01, spec.max_disturbance - 0.01, 12).tolist():
-        f = lambda w: i_ae(spec, D, w)
         report = maximize_w(spec, D)
-        w = report.w_opt
-        step, residual = optimize_mod.stationarity(spec, D, w)
-        assert (step == 0.0) == (D == 0.0)
+        residual = optimize_mod.stationarity(spec, D, report.w_opt)
         assert report.stationarity_residual == residual
-        assert report.concavity_witness == (f(w + step) - 2.0 * f(w) + f(w - step) if step else 0.0)
+        if D == 0.0:
+            assert residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec", [ProtocolSpec(d) for d in (*range(2, 14), 16, 32, 64, 128)] + [ProtocolSpec(3, 3)],
+    ids=lambda spec: f"{spec.dim}-{spec.bases_count}",
+)
+def test_maximize_w_is_stationary_at_the_top_of_the_range(spec):
+    # At D = (d-1)/d the two-basis w_bar = 0 sits 1/(d-1)^2 below the interval's top edge, where
+    # the square root of phi's radicand is singular; the closed-form slope reads 0 there.
+    assert maximize_w(spec, spec.max_disturbance).stationarity_residual <= 1e-12
 
 
 def test_optimal_curve_nondecreasing_up_to_crossing():

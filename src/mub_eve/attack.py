@@ -36,22 +36,20 @@ of two states in different blocks, and with it each of the x, y, z and t
 groups, is an exact zero of the format, stored and computed nowhere. The set
 also holds D, checked once when it is built, so it is the isometry V:
 ``weights[m]``, sqrt(1 - D) for m = 0 and sqrt(D/(d-1)) otherwise, weighs block
-m's states, and no reader takes D again. The unitarity check reads the diagonals of the d block Grams
-(``EveStateSet.block_gram``, one batched d^4 product), and the s and w overlaps
-their other entries. ``verify`` reads each basis's disturbance from the same
-Grams (``_two_valued_disturbances``): every block Gram is circulant with two
-values, so a state's stay probability takes two circular autocorrelations of the
-state, one FFT pair for all of the protocol's states, and a bound on the Grams'
-distance from two values makes the reading sound for any set. The exact
-disturbance, |<phi|_B <m, j|_E V|psi>|^2 summed over the d^2 ancilla cells, is
-read by one kernel for any (sender psi, receiver phi) pairs
-(``_block_probabilities``): one gathered coefficient array and one batched
-product over the d blocks, with at most three arrays of 16 n d^2 bytes live for
-n pairs. No command calls it: it serves ``disturbance_per_state`` and the
-simulator's full reference table (``simulate.outcome_distribution``), the
-references the tests hold the reading and the Monte Carlo cells to. No command
-forms the dense (d^3 x d) isometry or the dense d^2-coordinate states, which the
-tests build as an oracle."""
+m's states, and no reader takes D again. ``verify`` reads every measured gate
+from one pass over the d block Grams (``_read_block_grams``: one batched d^4
+product into an array it reduces in place): the unitarity from their diagonals,
+s and w from each Gram's first row and its spread off it, and each basis's
+disturbance from the Grams read as circulant with two values, two circular
+autocorrelations of each state plus a bound that makes the reading sound for any
+set. The exact disturbance, |<phi|_B <m, j|_E V|psi>|^2 summed over the d^2
+ancilla cells, is read by one kernel for any (sender psi, receiver phi) pairs
+(``_block_probabilities``), with at most three arrays of 16 n d^2 bytes live for
+n pairs. No command calls it, nor ``isometry_residual``, ``scalar_product_profile``
+or the cached ``EveStateSet.block_gram``: with ``disturbance_per_state`` and
+``simulate.outcome_distribution``, they are the references the tests hold the
+commands to. No command forms the dense (d^3 x d) isometry or the dense
+d^2-coordinate states, which the tests build as an oracle."""
 
 from __future__ import annotations
 
@@ -152,8 +150,7 @@ class EveStateSet:
     def block_gram(self) -> np.ndarray:
         """block_gram[m, i, k] = <E_{i, i+m}|E_{k, k+m}>, one batched product: every overlap that can be
         nonzero, each exact to rounding."""
-        b = self.blocks
-        g = b @ b.transpose(0, 2, 1) if np.isrealobj(b) else b.conj() @ b.transpose(0, 2, 1)
+        g = _gram(self.blocks)
         g.setflags(write=False)
         return g
 
@@ -269,34 +266,46 @@ def disturbance_per_state(eve: EveStateSet, basis: Basis) -> np.ndarray:
     return 1.0 - p.reshape(d, d * d).sum(axis=1)
 
 
-def _two_valued_disturbances(eve: EveStateSet, bases: Sequence[Basis]) -> tuple[np.ndarray, float]:
-    """(disturbances[k, i], bound): state i of each of the k bases, read as if every block Gram were two-valued,
-    and the bound that keeps that reading sound for any set.
+def _gram(blocks: np.ndarray) -> np.ndarray:
+    """G[m, i, k] = <blocks[m, i]|blocks[m, k]>, the d block Grams, as one batched product into a new array."""
+    return blocks @ blocks.transpose(0, 2, 1) if np.isrealobj(blocks) else blocks.conj() @ blocks.transpose(0, 2, 1)
 
-    Block m's model is its Gram's norm n_m = Re G_m[0, 0] and overlap o_m = Re G_m[0, 1]; every built
-    set's Grams are circulant with these two values. Under it, psi stays put with probability
-    sum_m weights[m]^2 [(n_m - o_m) sum_a |psi[a]|^2 |psi[a+m]|^2 + o_m |sum_a psi[a] conj(psi[a+m])|^2].
-    Both sums over a are circular autocorrelations, of psi and of |psi|^2, which one fft/ifft pair along
-    the stacked rows gives for every state at once: no d^4 product and no 16 n d^2-byte array.
 
-    Block m adds weights[m]^2 c^dagger G_m c with c[a] = psi[a] conj(psi[a+m]) to the exact probability,
-    and sum_a |c[a]| <= ||psi||^2 = 1 (Cauchy-Schwarz), so each reading is within
-    bound = sum_m weights[m]^2 max_ab |G_m[a, b] - (o_m + (n_m - o_m) delta_ab)| of the set's exact
-    disturbance, whatever its Grams; the diagonal's spread is in the bound too.
+def _read_block_grams(eve: EveStateSet, bases: Sequence[Basis]) -> tuple:
+    """(unitarity, disturbances[k, i], bound, overlaps[m], spreads[m]), every measured gate of ``verify``: the d
+    block Grams, formed once in the reader's own array and reduced in place. unitarity is ``isometry_residual``.
+
+    Block m's model is its Gram's norm n_m = Re G_m[0, 0] and overlap o_m = Re G_m[0, 1] = overlaps[m]; every
+    built set's Grams are circulant with these two values. spreads[m] = max_{a != b} |G_m[a, b] - o_m|, so
+    |o_m - x| + spreads[m] bounds |G_m[a, b] - x| on every off-diagonal pair. Under the model, state i of basis
+    k, psi, stays put with probability
+    sum_m weights[m]^2 [(n_m - o_m) sum_a |psi[a]|^2 |psi[a+m]|^2 + o_m |sum_a psi[a] conj(psi[a+m])|^2]: two
+    circular autocorrelations, of psi and of |psi|^2, which one fft/ifft pair gives for every state at once.
+    Block m adds weights[m]^2 c^dagger G_m c, c[a] = psi[a] conj(psi[a+m]), to the exact probability, and
+    sum_a |c[a]| <= ||psi||^2 = 1, so each reading is within bound = sum_m weights[m]^2 max_ab |G_m[a, b] -
+    (o_m + (n_m - o_m) delta_ab)| of the exact disturbance, whatever the Grams (Cauchy-Schwarz).
     """
     d, w2 = eve.dim, np.square(eve.weights)
-    gram = eve.block_gram
-    overlap = gram[:, 0, 1].real
-    gap = gram[:, 0, 0].real - overlap  # n_m - o_m
     vectors = np.concatenate([basis.vectors for basis in bases])  # [k d, d]: each row a state
-    n = len(vectors)
     spectra = np.fft.fft(np.concatenate((vectors, np.square(np.abs(vectors)))))
     corr = np.fft.ifft(np.square(np.abs(spectra)))  # row i, shift m: its autocorrelation, up to conjugation
-    stay = np.square(np.abs(corr[:n])) @ (w2 * overlap) + corr[n:].real @ (w2 * gap)
-    del spectra, corr
-    # The deviations from the model fill one d^3 buffer, in place for real blocks; a complex block's
-    # modulus is real, so it takes an array of its own.
-    dev = (gram - overlap[:, None, None]).reshape(d, d * d)
-    dev[:, :: d + 1] -= gap[:, None]  # the diagonals
+    # Only the two (k d, d) autocorrelations outlive the FFT buffers, which go before the Gram is formed. The
+    # |psi|^2 half stays complex and its real part a strided view, whose product numpy sums without BLAS.
+    coherent, incoherent = np.square(np.abs(corr[:len(vectors)])), corr[len(vectors):].copy()
+    del vectors, spectra, corr
+    gram = _gram(eve.blocks)
+    unitarity = float(np.max(np.abs(w2 @ np.diagonal(gram, axis1=1, axis2=2) - 1.0)))
+    overlap = gram[:, 0, 1].real.copy()
+    gap = gram[:, 0, 0].real - overlap  # n_m - o_m
+    stay = coherent @ (w2 * overlap) + incoherent.real @ (w2 * gap)
+    # The deviations from the model, in place for real blocks (a complex modulus takes an array of its own);
+    # the diagonals' maxima are read, then zeroed for the off-diagonal ones.
+    gram -= overlap[:, None, None]
+    dev = gram.reshape(d, d * d)
+    dev[:, :: d + 1] -= gap[:, None]
     dev = np.abs(dev, out=dev) if np.isrealobj(dev) else np.abs(dev)
-    return (1.0 - stay).reshape(len(bases), d), float(w2 @ dev.max(axis=1))
+    diagonal = dev[:, :: d + 1].max(axis=1)
+    dev[:, :: d + 1] = 0.0
+    spreads = dev.max(axis=1)
+    bound = float(w2 @ np.maximum(diagonal, spreads))
+    return unitarity, (1.0 - stay).reshape(len(bases), d), bound, overlap, spreads

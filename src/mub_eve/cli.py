@@ -243,8 +243,7 @@ def cmd_critical(args, spec: ProtocolSpec) -> int:
 
 
 def cmd_verify(args, spec: ProtocolSpec) -> int:
-    from .attack import (AttackParams, _two_valued_disturbances, build_eve_states, isometry_residual,
-                         scalar_product_profile)
+    from .attack import AttackParams, _read_block_grams, build_eve_states
 
     disturbance = args.disturbance
     doc = {
@@ -263,22 +262,20 @@ def cmd_verify(args, spec: ProtocolSpec) -> int:
         doc["error"] = str(exc)
     else:
         doc["w"] = w
-        eve = build_eve_states(params)
-        profile = scalar_product_profile(eve)
         bases = protocol_bases(spec)
-        # Each basis's disturbances, read from the two-valued block Grams; adding the reading's bound
-        # makes a passing gate certify every state's exact disturbance, whatever the set's Grams.
-        disturbances, bound = _two_valued_disturbances(eve, bases)
+        # Every measured gate comes from one pass over the d block Grams. With the reading's bound added, each
+        # residual bounds its quantity's distance from the target on every state, or pair, of any set.
+        unitarity, disturbances, bound, overlaps, spreads = _read_block_grams(build_eve_states(params), bases)
         # (name, residual, threshold, informational), in report order. The profile_{x,y,z,t}_zero and
         # ancilla_dimension gates are constants of the block format (no cross-block overlap is stored; d blocks
         # of d coordinates), kept only for bench/workloads.py's exact gate-set check (ROADMAP item 16).
         checks = [
-            ("isometry_unitarity", isometry_residual(eve), GATE_TOL, False),
-            *((f"equal_disturbance_{basis.label}", float(abs(row - disturbance).max()) + bound, GATE_TOL, False)
-              for basis, row in zip(bases, disturbances)),
+            ("isometry_unitarity", unitarity, GATE_TOL, False),
+            *((f"equal_disturbance_{basis.label}", residual, GATE_TOL, False)
+              for basis, residual in zip(bases, (abs(disturbances - disturbance).max(axis=1) + bound).tolist())),
             *((f"profile_{name}_zero", 0.0, GATE_TOL, False) for name in "xyzt"),
-            ("profile_s_matches_relation", abs(profile.s - params.s) + profile.s_max_dev, GATE_TOL, False),
-            ("profile_w_matches_input", abs(profile.w - w) + profile.w_max_dev, GATE_TOL, False),
+            ("profile_s_matches_relation", float(abs(overlaps[0] - params.s) + spreads[0]), GATE_TOL, False),
+            ("profile_w_matches_input", float((abs(overlaps[1:] - w) + spreads[1:]).max()), GATE_TOL, False),
             ("ancilla_dimension", 0.0, 0.0, False),
             ("w_is_stationary_optimum", stationarity(spec, disturbance, w), STATIONARITY_TOL, True),
         ]

@@ -26,6 +26,10 @@ from .information import _i_ae_slope_at, i_ab, i_ae
 # scale of the ranges of w and D.
 ROOT_TOL = 2.0**-52
 
+# The (3,3) search reads the slope at D >= SLOPE_D_FLOOR, where its terms (D times factors of order 1 near the root)
+# stay normal floats, 2^21 above subnormal; the optimum moves as sqrt(D), so the floor's w is the D -> 0+ optimum.
+SLOPE_D_FLOOR = 2.0**-1000
+
 # Shrink applied to radical-zero endpoints of the w-interval; derivatives of
 # the guess probabilities blow up there.
 EDGE_SHRINK = 1e-9
@@ -158,7 +162,7 @@ def optimal_w(spec: ProtocolSpec, disturbance: float) -> float:
     d, c = spec.dim, spec.z_factor
     peak = ((d - 1) * (1.0 - D) / D - 1.0) / ((d - 1) * c)
     a, b = max(lo, min(0.0, peak)), min(hi, max(0.0, peak))  # 0 lies in [lo, hi]
-    slope = _i_ae_slope_at(spec, D)
+    slope = _i_ae_slope_at(spec, max(D, SLOPE_D_FLOOR))
     mid = 0.5 * (a + b) if b - a > 2.0 * ROOT_TOL else b  # one bisection step
     fm = slope(mid)
     if fm > 0.0:

@@ -18,7 +18,7 @@
 - ``dense_gram``, the Gram matrix over every pair of those states (d^6/2
   multiply-adds), with the scalar-product profile and the unitarity residual
   read from it (``dense_profile``, whose x, y, z and t the program does not
-  store, and ``dense_isometry_residual``), and the
+  store, ``dense_overlap_deviation``, and ``dense_isometry_residual``), and the
   disturbance from one product with the dense states (``dense_disturbance``):
   the references the block route of ``verify`` is held to;
 - the dense (d^3 x d) attack isometry, ``build_isometry`` and
@@ -228,6 +228,16 @@ def dense_gram(eve: EveStateSet) -> np.ndarray:
     idx = np.arange(d)
     b = dense_states(eve)[idx, (idx[:, None] + idx) % d].reshape(d * d, d * d)  # row m d + k is E_{k, k+m}
     return (b @ b.T if np.isrealobj(b) else b.conj() @ b.T).reshape(d, d, d, d)
+
+
+def dense_overlap_deviation(eve: EveStateSet, value: float, error_blocks: bool) -> float:
+    """max |<E_{i, i+m}|E_{k, k+m}> - value| over k != i, from ``dense_gram``: on block 0 (the s pairs), or on
+    every block m >= 1 (the w pairs)."""
+    d = eve.dim
+    idx = np.arange(d)
+    within = dense_gram(eve)[idx, :, idx]  # [m, i, k]
+    pairs = (within[1:] if error_blocks else within[:1])[:, idx[:, None] != idx]
+    return float(np.max(np.abs(pairs - value)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from mub_eve import (
     scalar_product_profile,
     w_bar,
 )
-from mub_eve.attack import AttackIsometry, _block_probabilities, _two_valued_disturbances
+from mub_eve.attack import AttackIsometry, _block_probabilities, _read_block_grams
 from oracles import (
     DenseProfile,
     build_isometry,
@@ -461,7 +461,7 @@ def test_two_valued_reader_equals_the_kernel_on_built_sets(d, bases_count):
     for D in (0.0, 0.05, 0.2, spec.max_disturbance):
         built = build_eve_states(AttackParams(d, bases_count, D, resolve_w(spec, D, "auto")))
         for eve in (built, EveStateSet(built.blocks.astype(np.complex128), D)):
-            got, bound = _two_valued_disturbances(eve, bases)
+            _, got, bound, _, _ = _read_block_grams(eve, bases)
             assert got.shape == (len(bases), d)
             assert 0.0 <= bound <= 1e-14
             for row, basis in zip(got, bases):
@@ -477,22 +477,22 @@ def test_two_valued_reader_bounds_a_perturbed_norm():
     blocks[3, 5] *= 1.0 + 1e-9
     eve = EveStateSet(blocks, D)
     bases = protocol_bases(ProtocolSpec(d))
-    got, bound = _two_valued_disturbances(eve, bases)
+    _, got, bound, _, _ = _read_block_grams(eve, bases)
     assert bound == pytest.approx(D / (d - 1) * 2e-9 * eve.block_gram[3, 0, 0], rel=1e-6)
     for row, basis in zip(got, bases):
         assert np.max(np.abs(row - disturbance_per_state(eve, basis))) <= bound
 
 
 def test_two_valued_reader_holds_one_gram_sized_array():
-    # The deviations from the two-valued model are one real 8 d^3-byte buffer, formed in place; the
-    # autocorrelations are (2 k d, d) arrays. The kernel's test allows 3.5 x 16 d^3 bytes.
+    # The reader's Gram is one real 8 d^3-byte buffer, reduced in place; the autocorrelations are
+    # (k d, d) arrays. The kernel's test allows 3.5 x 16 d^3 bytes.
     d = 64
     bases = protocol_bases(ProtocolSpec(d))
     eve = build_eve_states(AttackParams(d, 2, 0.1, w_bar(d, 0.1)))
-    _two_valued_disturbances(eve, bases)  # warm up, and form the cached block Gram
+    _read_block_grams(eve, bases)  # warm up
     tracemalloc.start()
     try:
-        _two_valued_disturbances(eve, bases)
+        _read_block_grams(eve, bases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -651,6 +651,56 @@ def test_profile_reports_a_perturbed_pair_in_its_group(group):
         assert (deviation > 0.4) == (name == group)
 
 
+@pytest.mark.parametrize("d, bases_count", [(d, 2) for d in [*range(2, 14), 16, 20, 31, 32, 64]] + [(3, 3)])
+def test_block_gram_reader_on_built_sets(d, bases_count):
+    # The reader's unitarity is isometry_residual's arithmetic on the same product, so the same bits. A
+    # built set's block 0 has the relation's overlap s, to the rounding of a d-term sum (5 ulps of 1 at
+    # d = 64), and every block Gram is two-valued, so each spread off the first row's overlap is
+    # rounding; so for the complex cast.
+    spec = ProtocolSpec(d, bases_count)
+    bases = protocol_bases(spec)
+    for D in (0.0, 0.05, 0.2, spec.max_disturbance):
+        params = AttackParams(d, bases_count, D, resolve_w(spec, D, "auto"))
+        built = build_eve_states(params)
+        for eve in (built, EveStateSet(built.blocks.astype(np.complex128), D)):
+            unitarity, _, _, overlaps, spreads = _read_block_grams(eve, bases)
+            assert unitarity == isometry_residual(eve)
+            assert abs(overlaps[0] - params.s) <= 8 * EPS
+            assert overlaps.shape == spreads.shape == (d,)
+            assert np.max(spreads) <= 1e-15
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_gram_reader_reports_a_moved_overlap(dtype):
+    # negative control: in the orthonormal layout every overlap is 0. E_22 gaining 1e-9 on coordinate 3
+    # moves one block-0 overlap, <E_22|E_33>, off o_0 = <E_00|E_11> = 0 (and E_22's norm by 1e-18).
+    blocks = np.array(orthonormal_layout(4).blocks.real, dtype=dtype)
+    blocks[0, 2, 3] = 1e-9
+    _, _, _, overlaps, spreads = _read_block_grams(EveStateSet(blocks, 0.1), protocol_bases(ProtocolSpec(4)))
+    assert np.all(overlaps == 0.0)
+    assert spreads[0] == pytest.approx(1e-9, rel=1e-12)
+    assert np.all(spreads[1:] == 0.0)
+
+
+def test_block_gram_reader_peak_is_about_one_gram():
+    # On a fresh set the reader forms its own Gram, 8 d^3 bytes, and reduces it in place. The FFT buffers
+    # are freed before the Gram is formed, so only the two (k d, d) autocorrelations live beside it; the
+    # set's cached, read-only block_gram is not formed.
+    d = 64
+    bases = protocol_bases(ProtocolSpec(d))
+    params = AttackParams(d, 2, 0.1, w_bar(d, 0.1))
+    _read_block_grams(build_eve_states(params), bases)  # warm up
+    eve = build_eve_states(params)
+    tracemalloc.start()
+    try:
+        _read_block_grams(eve, bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * d**3
+    assert "block_gram" not in vars(eve)
+
+
 @pytest.mark.parametrize("group", PERTURBATIONS)
 def test_two_valued_bound_takes_the_modulus_of_a_complex_deviation(group):
     # negative control: the perturbed pair's overlap is -0.5j, which is off the model (o = 0) by 0.5 in
@@ -658,7 +708,7 @@ def test_two_valued_bound_takes_the_modulus_of_a_complex_deviation(group):
     (a, b), _ = PERTURBATIONS[group]
     eve = EveStateSet(perturbed(orthonormal_layout(4), group).blocks, 0.3)
     bases = (computational_basis(4), fourier_basis(4))
-    got, bound = _two_valued_disturbances(eve, bases)
+    _, got, bound, _, _ = _read_block_grams(eve, bases)
     assert bound == 0.5 * eve.weights[(b - a) % 4] ** 2
     for row, basis in zip(got, bases):
         assert np.max(np.abs(row - disturbance_per_state(eve, basis))) <= bound

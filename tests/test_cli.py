@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import mub_eve.bases as bases_mod
 import mub_eve.cli as cli
-from mub_eve import AnalysisError, ProtocolSpec, i_ae
+from mub_eve import (AnalysisError, AttackParams, ProtocolSpec, build_eve_states, disturbance_per_state, i_ae,
+                     isometry_residual, protocol_bases)
 from mub_eve.cli import CSV_HEADER, _json_text, build_parser, fmt, main
-from oracles import _richardson_slope, i_ae_mp
+from oracles import _richardson_slope, dense_overlap_deviation, i_ae_mp
+from test_optimize import _stationary_w_mp
 
 
 def run(capsys, *argv):
@@ -410,6 +412,64 @@ def test_verify_stationarity_where_a_square_underflows(capsys, dim, D, w):
     with mpmath.workdps(50):
         reference = mpmath.diff(lambda v: i_ae_mp(dim, 2, mpmath.mpf(D), v), mpmath.mpf(w))
     assert abs(check["residual"] - abs(float(reference))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, bases", [(2, 2), (3, 2), (5, 2), (8, 2), (16, 2), (3, 3)])
+@pytest.mark.parametrize("w", ["auto", "0.3"])
+def test_verify_residuals_bound_the_exact_references(capsys, dim, bases, w):
+    # Each measured gate's residual bounds its quantity on the built set, held to the exact references:
+    # the amplitude kernel's disturbance of every state, to that sum's own rounding (it reads up to
+    # 3.6e-16 above a residual here), and every overlap of the dense Gram.
+    spec = ProtocolSpec(dim, bases)
+    for D in (0.05, 0.2):
+        code, out, _ = run(capsys, "verify", "--dim", str(dim), "--bases", str(bases), "--disturbance", str(D),
+                           "--w", w)
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"]
+        residual = {c["name"]: c["residual"] for c in doc["checks"]}
+        params = AttackParams(dim, bases, D, doc["w"])
+        eve = build_eve_states(params)
+        assert residual["isometry_unitarity"] == isometry_residual(eve)
+        for basis in protocol_bases(spec):
+            exact = np.max(np.abs(disturbance_per_state(eve, basis) - D))
+            assert residual[f"equal_disturbance_{basis.label}"] >= exact - 4 * np.finfo(float).eps
+        assert residual["profile_s_matches_relation"] >= dense_overlap_deviation(eve, params.s, error_blocks=False)
+        assert residual["profile_w_matches_input"] >= dense_overlap_deviation(eve, doc["w"], error_blocks=True)
+
+
+@pytest.mark.parametrize("block, gate", [(0, "profile_s_matches_relation"), (3, "profile_w_matches_input")])
+def test_verify_profile_gate_fails_a_set_with_one_moved_coordinate(capsys, monkeypatch, block, gate):
+    # negative control: one state of the block gains 1e-9 on another state's major coordinate, which moves
+    # that pair's overlap by about 1e-9 and leaves the first row's overlap alone; the gate's residual
+    # must reach the dense Gram's deviation, and fail.
+    attack = importlib.import_module("mub_eve.attack")
+    build = attack.build_eve_states
+    sets = []
+
+    def build_perturbed(params):
+        blocks = np.array(build(params).blocks)
+        blocks[block, 2, 3] += 1e-9
+        sets.append((attack.EveStateSet(blocks, params.disturbance), params))
+        return sets[-1][0]
+
+    monkeypatch.setattr(attack, "build_eve_states", build_perturbed)
+    code, out, _ = run(capsys, "verify", "--dim", "8", "--disturbance", "0.2")
+    assert code == 1
+    check = {c["name"]: c for c in json.loads(out)["checks"]}[gate]
+    eve, params = sets[0]
+    target = params.s if block == 0 else params.w
+    deviation = dense_overlap_deviation(eve, target, error_blocks=block > 0)
+    assert not check["passed"] and check["residual"] >= deviation > 5e-10
+
+
+def test_verify_three_bases_at_a_subnormal_disturbance_reports_the_optimum(capsys):
+    # The (3,3) search reads the slope at a floor where its terms stay normal floats; below it, the w is
+    # the D -> 0+ optimum, which a 50-digit reference holds (50 + 324 digits, as I_AE is of order D).
+    code, out, _ = run(capsys, "verify", "--dim", "3", "--bases", "3", "--disturbance", "5e-324")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert all(c["passed"] for c in doc["checks"])
+    assert abs(doc["w"] - _stationary_w_mp(5e-324, dps=50 + 324)) <= 1e-15
 
 
 def test_verify_domain_failure_reported_not_raised(capsys):

@@ -82,14 +82,14 @@ def _i_ae_mp(D, w):
     return (1 - D) * _info_mp(intact) + D * _info_mp(error)
 
 
-def _stationary_w_mp(disturbance):
-    """The three-basis w where dI_AE/dw = 0, in 50-digit mpmath.
+def _stationary_w_mp(disturbance, dps=50):
+    """The three-basis w where dI_AE/dw = 0, in mpmath at dps digits (50 by default).
 
     The slope is mpmath's numerical derivative of _i_ae_mp, and the root is
     bracketed by the admissible interval.
     """
     lo, hi = admissible_w_interval(ProtocolSpec(3, 3), disturbance)
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         D = mpmath.mpf(disturbance)
         root = mpmath.findroot(lambda w: mpmath.diff(lambda v: _i_ae_mp(D, v), w),
                                (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
@@ -105,6 +105,14 @@ def test_three_basis_w_is_the_high_precision_stationary_point(D):
         # The golden section stops where I_AE's rounding noise hides its slope.
         lo, hi = admissible_w_interval(spec, D)
         assert abs(golden_section_maximize(lambda w: i_ae(spec, D, w), lo, hi) - reference) <= 5e-8
+
+
+@pytest.mark.parametrize("D", [5e-324, 1e-320, 1e-315, 1e-310, 1e-300])
+def test_three_basis_w_at_a_tiny_disturbance_is_the_high_precision_stationary_point(D):
+    # The slope's terms are of order D, subnormal below about 1e-307, so the search reads the slope at
+    # SLOPE_D_FLOOR there; the optimum moves as sqrt(D), so every such D has the D -> 0+ optimum. I_AE is
+    # of order D and its terms of order 1, so the reference keeps 50 digits of it at 50 + 324 digits.
+    assert abs(optimal_w(ProtocolSpec(3, 3), D) - _stationary_w_mp(D, dps=50 + 324)) <= 1e-15
 
 
 def test_three_basis_w_at_zero_disturbance_is_the_low_edge():

@@ -21,11 +21,13 @@ from mub_eve import (
     resolve_w,
     scalar_product_profile,
     simulate,
+    w_bar,
 )
-from mub_eve.attack import _two_valued_disturbances
+from mub_eve.attack import _read_block_grams
 from oracles import (
     build_isometry,
     dense_disturbance,
+    dense_overlap_deviation,
     disturbance_by_isometry,
     guess_probability_constructive,
     isometry_from_states,
@@ -160,8 +162,33 @@ def test_two_valued_reading_is_within_its_bound_on_arbitrary_states(d, seed, com
     # Gaussian blocks have Grams far from two-valued, so the reading can be far from the exact
     # disturbance; the bound must still cover the gap.
     eve, basis = gaussian_set(d, seed, complex_blocks)
-    (got,), bound = _two_valued_disturbances(eve, [basis])
+    _, (got,), bound, _, _ = _read_block_grams(eve, [basis])
     assert np.max(np.abs(disturbance_per_state(eve, basis) - got)) <= bound + 1e-15
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans(), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_profile_residuals_bound_every_dense_overlap_on_arbitrary_states(d, seed, complex_blocks, s, w):
+    # Gaussian blocks make every within-block overlap differ, so o_m and the spreads are far from any
+    # target; |o_m - target| + spreads[m] must still bound every off-diagonal overlap's distance from it.
+    eve, basis = gaussian_set(d, seed, complex_blocks)
+    _, _, _, overlaps, spreads = _read_block_grams(eve, [basis])
+    assert abs(overlaps[0] - s) + spreads[0] >= dense_overlap_deviation(eve, s, error_blocks=False)
+    assert np.max(np.abs(overlaps[1:] - w) + spreads[1:]) >= dense_overlap_deviation(eve, w, error_blocks=True)
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 0.1))
+def test_profile_residuals_bound_every_dense_overlap_on_perturbed_built_sets(d, seed, scale):
+    # A built set near its Grams' model, each coordinate moved by up to scale: the residuals against the
+    # set's own s and w bound the dense overlaps' distance from them.
+    spec = ProtocolSpec(d)
+    params = AttackParams(d, 2, 0.2, w_bar(d, 0.2))
+    rng = np.random.default_rng(seed)
+    eve = EveStateSet(build_eve_states(params).blocks + scale * rng.uniform(-1.0, 1.0, (d, d, d)), 0.2)
+    _, _, _, overlaps, spreads = _read_block_grams(eve, protocol_bases(spec))
+    assert abs(overlaps[0] - params.s) + spreads[0] >= dense_overlap_deviation(eve, params.s, error_blocks=False)
+    assert np.max(np.abs(overlaps[1:] - params.w) + spreads[1:]) >= dense_overlap_deviation(eve, params.w, True)
 
 
 @PROPERTY
